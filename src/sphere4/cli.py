@@ -280,7 +280,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _atomic_write(out / "solve_result.json",
                   res.to_json(include_trace=args.emit_trace) + "\n")
     print(f"terminated: {res.termination} after {res.iterations} iterations")
-    return EXIT_OK if res.termination != "max_iters" else EXIT_NONCONVERGED
+    if res.termination in ("max_iters", "nonmonotone"):
+        return EXIT_NONCONVERGED
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,8 @@ class ObservationSet:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2:
             raise ValueError("entries must be a 2d array")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("entries must be finite")
         object.__setattr__(self, "entries", _frozen_array(a))
 
     @property

@@ -4,7 +4,8 @@ Both objectives here have the form phi(q) = -c * ||B^T q||_4^4 for a fixed
 basis matrix B and a positive constant c: the finite-sample objective uses
 B = Y (the observations) with c = 1/(12 theta (1-theta) p), and its
 infinite-sample limit uses B = A (the dictionary) with c = 1/4. One kernel
-therefore serves both.
+therefore serves both, and the convolutional objective in `cdl` through its
+own FFT pair of passes Z = B^T q and B W.
 
 With zeta = B^T q the Euclidean derivatives are
 
@@ -55,29 +56,73 @@ def retract(x: np.ndarray) -> np.ndarray:
 
 
 class _QuarticObjective:
-    """Shared implementation of phi(q) = -c ||B^T q||_4^4."""
+    """phi(q) = -c ||Z||_4^4 with Z = B^T q, written once for every objective.
 
-    basis: np.ndarray
+    A subclass supplies the constant c and the correlate/adjoint pair:
+    correlate(q) -> Z = B^T q, an array of any shape, and adjoint(W) -> B W
+    for W shaped like Z. The value, the Euclidean and Riemannian gradients
+    and the Hessian action are built from those two passes here.
+    """
+
     c: float
 
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
+    def _fourth_sum(self, z) -> float:
+        """||z||_4^4 through numpy's z**4, libm pow per entry: the dense
+        objectives keep this arithmetic so their solves repeat bit for bit."""
+        return float(np.sum(z**4))
+
+    def _cube(self, z) -> np.ndarray:
+        return z**3
 
     def value(self, q) -> float:
-        z = self.basis.T @ _coords(q)
-        return -self.c * float(np.sum(z**4))
+        return -self.c * self._fourth_sum(self.correlate(_coords(q)))
 
     def grad(self, q) -> np.ndarray:
         """Euclidean gradient -4c B (B^T q)^3."""
-        z = self.basis.T @ _coords(q)
-        return -4.0 * self.c * (self.basis @ (z**3))
+        z = self.correlate(_coords(q))
+        return -4.0 * self.c * self.adjoint(self._cube(z))
+
+    def evaluate(self, q) -> tuple[float, np.ndarray]:
+        """(value, Euclidean gradient) from one correlate and one adjoint pass.
+
+        Both agree bit for bit with value(q) and grad(q).
+        """
+        z = self.correlate(_coords(q))
+        return (-self.c * self._fourth_sum(z),
+                -4.0 * self.c * self.adjoint(self._cube(z)))
 
     def rgrad(self, q) -> np.ndarray:
         """Tangent-space gradient P_{q perp} grad phi(q)."""
         q = _coords(q)
         g = self.grad(q)
         return g - q * (q @ g)
+
+    def rhess_vec(self, q, v) -> np.ndarray:
+        """Riemannian Hessian action on v without materializing a matrix."""
+        q = _coords(q)
+        v = np.asarray(v, dtype=float).reshape(-1)
+        z = self.correlate(q)
+        w = v - q * (q @ v)
+        hw = -12.0 * self.c * self.adjoint((z**2) * self.correlate(w))
+        qg = -4.0 * self.c * self._fourth_sum(z)  # q^T grad = 4 phi(q)
+        out = hw - qg * w
+        return out - q * (q @ out)
+
+
+class _BasisObjective(_QuarticObjective):
+    """The quartic kernel on an explicit n x m basis matrix B."""
+
+    basis: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.basis.shape[0]
+
+    def correlate(self, q: np.ndarray) -> np.ndarray:
+        return self.basis.T @ q
+
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        return self.basis @ w
 
     def rhess(self, q) -> np.ndarray:
         """Dense Riemannian Hessian P (Hess_e - (q^T grad) I) P.
@@ -91,26 +136,15 @@ class _QuarticObjective:
                 "use rhess_vec"
             )
         q = _coords(q)
-        z = self.basis.T @ q
+        z = self.correlate(q)
         he = -12.0 * self.c * ((self.basis * (z**2)) @ self.basis.T)
-        qg = -4.0 * self.c * float(np.sum(z**4))  # q^T grad = 4 phi(q)
+        qg = -4.0 * self.c * self._fourth_sum(z)  # q^T grad = 4 phi(q)
         proj = np.eye(self.n) - np.outer(q, q)
         return proj @ (he - qg * np.eye(self.n)) @ proj
 
-    def rhess_vec(self, q, v) -> np.ndarray:
-        """Riemannian Hessian action on v without materializing a matrix."""
-        q = _coords(q)
-        v = np.asarray(v, dtype=float).reshape(-1)
-        z = self.basis.T @ q
-        w = v - q * (q @ v)
-        hw = -12.0 * self.c * (self.basis @ ((z**2) * (self.basis.T @ w)))
-        qg = -4.0 * self.c * float(np.sum(z**4))
-        out = hw - qg * w
-        return out - q * (q @ out)
-
 
 @dataclass(frozen=True)
-class TensorObjective(_QuarticObjective):
+class TensorObjective(_BasisObjective):
     """Infinite-sample objective phi(q) = -(1/4) ||A^T q||_4^4."""
 
     D: Dictionary
@@ -125,7 +159,7 @@ class TensorObjective(_QuarticObjective):
 
 
 @dataclass(frozen=True)
-class OdlObjective(_QuarticObjective):
+class OdlObjective(_BasisObjective):
     """Finite-sample objective phi(q) = -c ||q^T Y||_4^4.
 
     The normalizer c = 1/(12 theta (1-theta) p) makes the expectation over

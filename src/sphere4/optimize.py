@@ -113,6 +113,16 @@ class SolveResult:
         return json.dumps(payload)
 
 
+def _power_point(q: SpherePoint, g: np.ndarray) -> SpherePoint:
+    """P_sphere(-g) for the Euclidean gradient g at q; see power_step."""
+    if not np.any(g):
+        return q
+    d = -g
+    if float(d @ q.coords) < 0.0:
+        d = -d
+    return SpherePoint.project(d)
+
+
 def power_step(obj, q: SpherePoint) -> SpherePoint:
     """One projected power update, P_sphere(-grad phi(q)).
 
@@ -121,13 +131,7 @@ def power_step(obj, q: SpherePoint) -> SpherePoint:
     is returned unchanged, same object, so callers can detect it by
     identity.
     """
-    g = obj.grad(q)
-    if not np.any(g):
-        return q
-    d = -g
-    if float(d @ q.coords) < 0.0:
-        d = -d
-    return SpherePoint.project(d)
+    return _power_point(q, obj.grad(q))
 
 
 def rgd_step(obj, q: SpherePoint, tau: float) -> SpherePoint:
@@ -227,34 +231,45 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
     """Run the configured method from q0 until a termination condition.
 
     Termination is one of "grad_tol" (first-order point, and second-order
-    when escape is enabled), "max_iters", or "stalled" (objective plateau
-    or an exhausted line search).
+    when escape is enabled), "max_iters", "stalled" (objective plateau or
+    an exhausted line search), or "nonmonotone" (a power step raised the
+    objective by more than rounding, or made it non-finite, which the
+    update cannot do in exact arithmetic; the solve ends at the iterate
+    before that step).
+
+    `obj` provides evaluate(q) -> (value, Euclidean gradient), called once
+    per iterate (once per trial point in a line search), plus value and
+    rhess_vec when escape is enabled.
     """
     if cfg is None:
         cfg = SolveConfig()
     q = q0 if isinstance(q0, SpherePoint) else SpherePoint.project(np.asarray(q0, dtype=float))
-    trace = [float(obj.value(q))]
+    val, g = obj.evaluate(q)
+    trace = [float(val)]
     iterations = 0
     escapes = 0
     termination = "max_iters"
-    gn = float(np.linalg.norm(obj.rgrad(q)))
 
     while True:
+        x = q.coords
+        rg = g - x * (x @ g)
+        gn = float(np.linalg.norm(rg))
         if gn <= cfg.grad_tol:
             moved = None
             if cfg.escape is not None and iterations < cfg.max_iters:
                 moved = escape_saddle(obj, q, cfg.escape.curv_tol,
                                       cfg.escape.step, seed=cfg.seed + escapes)
-                if moved is not None and obj.value(moved) >= trace[-1]:
-                    moved = None
+                if moved is not None:
+                    val, g_moved = obj.evaluate(moved)
+                    if val >= trace[-1]:
+                        moved = None
             if moved is None:
                 termination = "grad_tol"
                 break
-            q = moved
+            q, g = moved, g_moved
             escapes += 1
             iterations += 1
-            trace.append(float(obj.value(q)))
-            gn = float(np.linalg.norm(obj.rgrad(q)))
+            trace.append(float(val))
             continue
         if iterations >= cfg.max_iters:
             termination = "max_iters"
@@ -265,34 +280,33 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
                 termination = "stalled"
                 break
 
+        pol = cfg.step_policy
         if cfg.method == "power":
-            q = power_step(obj, q)
-            val = float(obj.value(q))
-            assert val <= trace[-1] + 1e-12 * max(1.0, abs(trace[-1]))
+            cand = _power_point(q, g)
+            val, g_cand = obj.evaluate(cand)
+            if not val <= trace[-1] + 1e-12 * max(1.0, abs(trace[-1])):
+                termination = "nonmonotone"
+                break
+        elif isinstance(pol, FixedStep):
+            cand = SpherePoint.project(x - pol.tau * rg)
+            val, g_cand = obj.evaluate(cand)
         else:
-            pol = cfg.step_policy
-            if isinstance(pol, FixedStep):
-                q = rgd_step(obj, q, pol.tau)
-                val = float(obj.value(q))
-            else:
-                tau = pol.alpha0
-                base = trace[-1]
-                while True:
-                    cand = rgd_step(obj, q, tau)
-                    val = float(obj.value(cand))
-                    if val <= base - pol.c1 * tau * gn * gn:
-                        q = cand
-                        break
-                    tau *= pol.shrink
-                    if tau < MIN_BACKTRACK_TAU:
-                        cand = None
-                        break
-                if cand is None:
-                    termination = "stalled"
+            tau = pol.alpha0
+            while True:
+                cand = SpherePoint.project(x - tau * rg)
+                val, g_cand = obj.evaluate(cand)
+                if val <= trace[-1] - pol.c1 * tau * gn * gn:
                     break
+                tau *= pol.shrink
+                if tau < MIN_BACKTRACK_TAU:
+                    cand = None
+                    break
+            if cand is None:
+                termination = "stalled"
+                break
+        q, g = cand, g_cand
         iterations += 1
-        trace.append(val)
-        gn = float(np.linalg.norm(obj.rgrad(q)))
+        trace.append(float(val))
 
     return SolveResult(
         q_star=q,

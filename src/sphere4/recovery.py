@@ -37,10 +37,6 @@ SUCCESS_THRESHOLD = 5e-2
 # operational bar on the aligned l2 error of a recovered filter
 EPS_CDL = 0.1
 
-COVERAGE_CSV_COLUMNS = ("trial", "seed", "rho_e", "best_index", "success",
-                        "cumulative_covered")
-FILTER_CSV_COLUMNS = ("filter", "shift", "sign", "aligned_error", "recovered")
-
 
 @dataclass(frozen=True)
 class RecoveryOutcome:

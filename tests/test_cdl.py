@@ -240,6 +240,31 @@ def test_cdl_rhess_vec_against_dense_and_symmetry():
     assert np.linalg.norm(obj.rhess_vec(q, q.copy())) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("weights", ["data", "asymmetric"])
+def test_cdl_calculus_matches_dense_odd_and_even_n(n, weights):
+    # odd n has no Nyquist bin in the half-spectrum, even n has one; the
+    # asymmetric user-supplied weights act through the real part of P
+    bank = make_filter_bank(n, 2, seed=44 + n)
+    prob = synth_cdl(bank, 0.2, 9, seed=46 + n)
+    P = prob.preconditioner
+    if weights == "asymmetric":
+        P = Preconditioner(np.linspace(0.5, 2.0, n), "main_text", K=2)
+    obj = CdlObjective(prob.measurements, P, 0.2)
+    dense = dense_stacked_objective(obj)
+    rng = stream(48 + n)
+    for _ in range(5):
+        q = retract(rng.standard_normal(n))
+        v = rng.standard_normal(n)
+        assert obj.value(q) == pytest.approx(dense.value(q), rel=1e-12)
+        for got, ref in ((obj.rgrad(q), dense.rgrad(q)),
+                         (obj.rhess_vec(q, v), dense.rhess_vec(q, v))):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        val, g = obj.evaluate(q)
+        assert val == obj.value(q)
+        assert np.array_equal(g, obj.grad(q))
+
+
 def test_cdl_finite_difference_checks():
     bank = make_filter_bank(10, 2, seed=29)
     prob = synth_cdl(bank, 0.2, 12, seed=30)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -131,6 +132,24 @@ def test_solve_iteration_cap_exit_code(tmp_path):
     assert code == EXIT_NONCONVERGED
     result = json.loads((tmp_path / "run" / "solve_result.json").read_text())
     assert result["termination"] == "max_iters"
+
+
+def test_solve_nonmonotone_exit_code(tmp_path, monkeypatch):
+    import sphere4.cli as cli
+
+    real_solve = cli.solve
+
+    def cut_short(obj, q0, cfg):
+        res = real_solve(obj, q0, SolveConfig(max_iters=1))
+        return dataclasses.replace(res, termination="nonmonotone")
+
+    monkeypatch.setattr(cli, "solve", cut_short)
+    gen_odl(tmp_path)
+    code = run("solve", "--data-dir", str(tmp_path), "--out-dir",
+               str(tmp_path / "run"), "--seed", "2")
+    assert code == EXIT_NONCONVERGED
+    result = json.loads((tmp_path / "run" / "solve_result.json").read_text())
+    assert result["termination"] == "nonmonotone"
 
 
 def test_solve_data_init_rejected_for_odl(tmp_path):

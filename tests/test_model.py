@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sphere4.model import (
     Dictionary,
+    ObservationSet,
     SpherePoint,
     coherence,
     load_matrix,
@@ -61,6 +62,15 @@ def test_untf_shape_contract():
 def test_dictionary_rejects_wide_transpose():
     with pytest.raises(ValueError):
         Dictionary(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("cls", [Dictionary, ObservationSet])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_types_reject_non_finite_entries(cls, bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cls(a)
 
 
 def test_sample_bg_tiny_theta_all_zero():

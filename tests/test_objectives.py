@@ -152,6 +152,19 @@ def test_odl_calculus_same_kernel():
     assert np.linalg.norm(obj.rhess(q) @ q) <= 1e-12
 
 
+def test_evaluate_matches_value_and_grad_bitwise():
+    rng = stream(22)
+    D = make_untf(6, 12, seed=23)
+    objs = [TensorObjective(D),
+            OdlObjective(synth_odl(D, sample_bg(12, 400, 0.2, seed=24)), 0.2)]
+    for obj in objs:
+        for _ in range(5):
+            q = SpherePoint.project(rng.standard_normal(6))
+            val, g = obj.evaluate(q)
+            assert val == obj.value(q)
+            assert np.array_equal(g, obj.grad(q))
+
+
 def test_sign_symmetry():
     rng = stream(13)
     D = make_untf(5, 10, seed=14)

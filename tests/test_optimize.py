@@ -17,6 +17,9 @@ from sphere4.model import (
 )
 from sphere4.objectives import OdlObjective, TensorObjective, retract
 from sphere4.optimize import (
+    MIN_BACKTRACK_TAU,
+    STALL_REL_TOL,
+    STALL_WINDOW,
     Backtracking,
     EscapeConfig,
     FixedStep,
@@ -153,6 +156,126 @@ def test_solve_deterministic():
     assert np.array_equal(a.objective_trace, b.objective_trace)
     assert a.iterations == b.iterations
     assert a.termination == b.termination
+
+
+def reference_solve(obj, q, cfg):
+    """The solver loop as it was before the fused evaluate, written from the
+    public steps: five passes over the data per power iteration."""
+    trace = [float(obj.value(q))]
+    iterations = escapes = 0
+    gn = float(np.linalg.norm(obj.rgrad(q)))
+    while True:
+        if gn <= cfg.grad_tol:
+            moved = None
+            if cfg.escape is not None and iterations < cfg.max_iters:
+                moved = escape_saddle(obj, q, cfg.escape.curv_tol,
+                                      cfg.escape.step, seed=cfg.seed + escapes)
+                if moved is not None and obj.value(moved) >= trace[-1]:
+                    moved = None
+            if moved is None:
+                return q, trace, iterations, "grad_tol", escapes
+            q = moved
+            escapes += 1
+            iterations += 1
+            trace.append(float(obj.value(q)))
+            gn = float(np.linalg.norm(obj.rgrad(q)))
+            continue
+        if iterations >= cfg.max_iters:
+            return q, trace, iterations, "max_iters", escapes
+        if len(trace) > STALL_WINDOW:
+            ref = trace[-1 - STALL_WINDOW]
+            if abs(trace[-1] - ref) <= STALL_REL_TOL * max(1.0, abs(ref)):
+                return q, trace, iterations, "stalled", escapes
+        pol = cfg.step_policy
+        if cfg.method == "power":
+            q = power_step(obj, q)
+            val = float(obj.value(q))
+        elif isinstance(pol, FixedStep):
+            q = rgd_step(obj, q, pol.tau)
+            val = float(obj.value(q))
+        else:
+            tau = pol.alpha0
+            while True:
+                cand = rgd_step(obj, q, tau)
+                val = float(obj.value(cand))
+                if val <= trace[-1] - pol.c1 * tau * gn * gn:
+                    q = cand
+                    break
+                tau *= pol.shrink
+                if tau < MIN_BACKTRACK_TAU:
+                    return q, trace, iterations, "stalled", escapes
+        iterations += 1
+        trace.append(val)
+        gn = float(np.linalg.norm(obj.rgrad(q)))
+
+
+@pytest.mark.parametrize("kind", ["tensor", "odl"])
+@pytest.mark.parametrize("cfg", [
+    SolveConfig(),
+    SolveConfig(max_iters=4),
+    SolveConfig(method="rgd", step_policy=FixedStep(0.5)),
+    SolveConfig(method="rgd", step_policy=FixedStep(1e-300), grad_tol=1e-15),
+    SolveConfig(method="rgd", step_policy=Backtracking()),
+    SolveConfig(method="rgd", step_policy=Backtracking(alpha0=100.0)),
+    SolveConfig(escape=EscapeConfig(), seed=3),
+], ids=["power", "power-capped", "rgd-fixed", "rgd-fixed-stall", "rgd-bt",
+        "rgd-bt-shrinks", "power-escape"])
+def test_solve_bit_identical_to_reference_loop(kind, cfg):
+    if kind == "tensor":
+        obj = TensorObjective(make_untf(10, 30, seed=111))
+    else:
+        obj = random_odl(8, 24, 600, 0.2, seed=120)
+    rng = stream(121)
+    for _ in range(6):
+        q0 = SpherePoint.project(rng.standard_normal(obj.n))
+        res = solve(obj, q0, cfg)
+        q, trace, iterations, termination, escapes = reference_solve(obj, q0, cfg)
+        assert np.array_equal(res.objective_trace, np.array(trace))
+        assert np.array_equal(res.q_star.coords, q.coords)
+        assert res.iterations == iterations
+        assert res.termination == termination
+        assert res.escapes_taken == escapes
+
+
+@pytest.mark.parametrize("obj", [
+    identity_objective(4), OdlObjective(ObservationSet(np.eye(4)), 0.2)])
+def test_solve_escape_identical_to_reference_loop_when_taken(obj):
+    # (e1 + e2)/sqrt(2) is an exact saddle of both objectives
+    cfg = SolveConfig(escape=EscapeConfig(), seed=3)
+    q0 = SpherePoint.project(np.array([1.0, 1.0, 0.0, 0.0]))
+    res = solve(obj, q0, cfg)
+    q, trace, iterations, termination, escapes = reference_solve(obj, q0, cfg)
+    assert res.escapes_taken == escapes >= 1
+    assert np.array_equal(res.objective_trace, np.array(trace))
+    assert np.array_equal(res.q_star.coords, q.coords)
+    assert (res.iterations, res.termination) == (iterations, termination)
+
+
+class RisingObjective:
+    """Stub whose value goes up (or turns NaN) after the first evaluation;
+    its gradient is a fixed vector orthogonal to the start."""
+
+    def __init__(self, after: float):
+        self.after = after
+        self.calls = 0
+
+    def evaluate(self, q):
+        self.calls += 1
+        val = -1.0 if self.calls == 1 else self.after
+        return val, np.array([0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("after", [0.0, np.nan])
+def test_solve_power_ends_nonmonotone_when_value_rises(after):
+    obj = RisingObjective(after)
+    q0 = SpherePoint.project(np.array([1.0, 0.0, 0.0]))
+    res = solve(obj, q0)
+    assert res.termination == "nonmonotone"
+    assert res.iterations == 0
+    assert res.q_star is q0
+    assert res.objective_trace.tolist() == [-1.0]
+    assert res.final_grad_norm == 1.0
+    assert obj.calls == 2
 
 
 def test_config_validation():
