@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     Dictionary,
@@ -108,7 +107,8 @@ class CirculantOp:
         return np.fft.irfft(np.conj(np.fft.rfft(self.generator)) * np.fft.rfft(v), n=self.n)
 
     def dense(self) -> np.ndarray:
-        return scipy.linalg.circulant(self.generator)
+        i = np.arange(self.n)
+        return self.generator[(i[:, None] - i) % self.n]
 
     def singular_values(self) -> np.ndarray:
         """Per-frequency-bin singular values |fft(v)| (unsorted)."""
@@ -197,6 +197,8 @@ def build_preconditioner(
         raise ValueError("need at least one measurement")
     if convention not in SCALE_CONVENTIONS:
         raise ValueError(f"unknown scale convention {convention!r}")
+    if not np.any(Y.entries):
+        raise ValueError("every measurement is zero")
     n = Y.n
     power = (np.abs(np.fft.fft(Y.entries, axis=0)) ** 2).mean(axis=1)
     scale = theta * K * n if convention == "main_text" else theta * n

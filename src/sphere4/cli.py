@@ -24,13 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cdl import (
-    CdlObjective,
-    ConvProblem,
-    build_preconditioner,
-    deprecondition,
-    synth_cdl,
-)
+from .cdl import CdlObjective, ConvProblem, build_preconditioner, synth_cdl
 from .landscape import REPORT_CSV_COLUMNS, critical_point_report
 from .model import (
     Dictionary,
@@ -46,8 +40,15 @@ from .model import (
     synth_odl,
 )
 from .objectives import OdlObjective, TensorObjective
-from .optimize import EscapeConfig, SolveConfig, init_cdl, solve
-from .recovery import EPS_CDL, SUCCESS_THRESHOLD, align_shift, recovery_error
+from .optimize import EscapeConfig, SolveConfig, solve
+from .recovery import (
+    EPS_CDL,
+    SUCCESS_THRESHOLD,
+    align_shift,
+    cdl_score,
+    cdl_start,
+    recovery_error,
+)
 
 __all__ = ["SweepSpec", "main"]
 
@@ -176,9 +177,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         save_matrix(out / "measurements.csv", problem.measurements.entries,
                     "measurements", seed=args.seed, theta=args.theta,
                     provenance=prov)
-        save_matrix(out / "preconditioner.csv",
-                    problem.preconditioner.spectrum_weights[None, :],
-                    "preconditioner", seed=args.seed, provenance=prov)
         meta["K"] = args.k
         meta["convention"] = args.convention
     _atomic_write(out / "gen.json", json.dumps(meta, indent=2) + "\n")
@@ -244,10 +242,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
                        outcome.success)], prov)
     else:
         if data is not None:
-            Yv, _ = load_matrix(data / "measurements.csv")
-            Fv, _ = load_matrix(data / "filters.csv")
-            bank = FilterBank(Fv)
-            obs = ObservationSet(Yv)
+            obs = ObservationSet(load_matrix(data / "measurements.csv")[0])
+            bank = FilterBank(load_matrix(data / "filters.csv")[0])
             P = build_preconditioner(obs, theta, bank.K,
                                      meta.get("convention", "main_text"))
             problem = ConvProblem(obs, P, theta, filters=bank)
@@ -262,20 +258,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
             q0 = SpherePoint.project(
                 stream(seed, "cli-solve").standard_normal(problem.n))
         else:
-            usable = np.flatnonzero(
-                np.linalg.norm(problem.measurements.entries, axis=0) > 0.0)
-            if usable.size == 0:
-                raise ValueError("every measurement is zero")
-            draw = stream(seed, "cli-solve-data").integers(usable.size)
-            q0 = init_cdl(problem.measurements, problem.preconditioner,
-                          ell=int(usable[draw]))
+            q0 = cdl_start(problem, stream(seed, "cli-solve-data"))
         res = solve(objective, q0, cfg)
-        a_est = deprecondition(res.q_star, problem.preconditioner).coords
-        rows = []
-        for k in range(problem.filters.K):
-            shift, sign, err = align_shift(a_est, problem.filters.filters[k])
-            rows.append((k, shift, sign, err, err <= EPS_CDL))
-        _write_table(out / "filters_aligned.csv", ALIGN_CSV_COLUMNS, rows, prov)
+        _write_table(out / "filters_aligned.csv", ALIGN_CSV_COLUMNS,
+                     cdl_score(res.q_star, problem).csv_rows(), prov)
 
     _atomic_write(out / "solve_result.json",
                   res.to_json(include_trace=args.emit_trace) + "\n")
@@ -315,6 +301,8 @@ class SweepSpec:
                 raise ValueError(f"empty {name} grid")
             if name == "p" and self.objective == "phi_T":
                 continue  # p is unused in the sample limit
+            if name == "m" and self.objective == "phi_CDL":
+                continue  # the filter bank fixes the shape, not m
             if any(v <= 0 for v in grid):
                 raise ValueError(f"{name} grid values must be positive")
 
@@ -358,16 +346,11 @@ def _run_repeat(spec: SweepSpec, cell, repeat: int, seed_base: int):
         res = solve(objective, q0, spec.config)
         err = recovery_error(res.q_star, D).rho_e
     else:
-        bank = make_filter_bank(n, K, seed=rseed)
-        problem = synth_cdl(bank, theta, p, seed=rseed)
-        usable = np.flatnonzero(
-            np.linalg.norm(problem.measurements.entries, axis=0) > 0.0)
-        draw = stream(rseed, "sweep-ell").integers(usable.size)
-        q0 = init_cdl(problem.measurements, problem.preconditioner,
-                      ell=int(usable[draw]))
+        problem = synth_cdl(make_filter_bank(n, K, seed=rseed), theta, p,
+                            seed=rseed)
+        q0 = cdl_start(problem, stream(rseed, "sweep-ell"))
         res = solve(CdlObjective.from_problem(problem), q0, spec.config)
-        a_est = deprecondition(res.q_star, problem.preconditioner).coords
-        err = min(align_shift(a_est, bank.filters[k])[2] for k in range(K))
+        err = float(cdl_score(res.q_star, problem).aligned_errors.min())
     return (n, m, p, theta, K, repeat, rseed, err, err < spec.success_bar)
 
 
@@ -380,6 +363,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     (out / "cells").mkdir(parents=True, exist_ok=True)
     if args.success_bar is None:
         args.success_bar = EPS_CDL if args.objective == "phi_CDL" else SUCCESS_THRESHOLD
+    if args.objective != "phi_CDL" and not args.m_grid:
+        raise ValueError("--m-grid is required for phi_T and phi_DL sweeps")
     spec = SweepSpec(
         n_grid=args.n_grid,
         m_grid=args.m_grid if args.m_grid else (0,),
@@ -391,9 +376,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         config=_solve_config(args),
         success_bar=args.success_bar,
     )
-    if spec.objective in ("phi_T", "phi_DL") and (
-            not args.m_grid or any(v <= 0 for v in spec.m_grid)):
-        raise ValueError("--m-grid is required for phi_T and phi_DL sweeps")
 
     manifest_path = out / "sweep_manifest.json"
     completed: set = set()

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import Dictionary, SpherePoint
 from .objectives import TensorObjective, _coords
@@ -201,7 +200,7 @@ def critical_point_report(D: Dictionary, q, grad_tol: float = 1e-6,
     # push the retraction direction (a structural zero eigenvalue) upward
     # so the dense minimum is the tangent-restricted one
     shift = 10.0 * (1.0 + float(np.abs(H).sum()))
-    evals, evecs = scipy.linalg.eigh(H + shift * np.outer(x, x))
+    evals, evecs = np.linalg.eigh(H + shift * np.outer(x, x))
     hess_min_eig = float(evals[0])
     vec = evecs[:, 0]
     vec -= x * float(x @ vec)

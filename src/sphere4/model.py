@@ -19,7 +19,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Dictionary",
@@ -274,7 +273,7 @@ def make_untf(
             best, best_res = A, res
         if res <= tol_untf:
             return Dictionary(A, untf_converged=True)
-        w, V = scipy.linalg.eigh((A @ A.T) / scale)
+        w, V = np.linalg.eigh((A @ A.T) / scale)
         # floor keeps the inverse root finite on near-rank-deficient iterates
         w = np.maximum(w, 1e-14 * w[-1])
         A = (V * (1.0 / np.sqrt(w))) @ V.T @ A
@@ -282,9 +281,7 @@ def make_untf(
     res = np.linalg.norm(scale * (A @ A.T) - eye)
     if res < best_res:
         best, best_res = A, res
-    if best_res <= tol_untf:
-        return Dictionary(best, untf_converged=True)
-    return Dictionary(best, untf_converged=False)
+    return Dictionary(best, untf_converged=bool(best_res <= tol_untf))
 
 
 def sample_bg(m: int, p: int, theta: float, seed: int) -> SparseCode:
@@ -321,18 +318,17 @@ def coherence(D: Dictionary) -> float:
 def spikiness(zeta) -> float:
     """Ratio of the largest to second-largest entry magnitude (>= 1).
 
-    Returns +inf when the second-largest magnitude is zero: the vector is
-    maximally spiky and the ratio is taken as the sentinel rather than an
-    error.
+    Returns +inf when the second-largest magnitude is zero, or so small
+    that the ratio overflows: the vector is maximally spiky and the ratio
+    is taken as the sentinel rather than an error.
     """
     z = np.abs(np.asarray(zeta, dtype=float).reshape(-1))
     if z.size < 2:
         raise ValueError("spikiness needs at least two entries")
-    top2 = np.partition(z, -2)[-2:]
-    second, first = top2[0], top2[1]
+    second, first = np.partition(z, -2)[-2:].tolist()
     if second == 0.0:
         return np.inf
-    return float(first / second)
+    return first / second  # Python float division overflows to inf silently
 
 
 def make_filter_bank(n: int, K: int, seed: int) -> FilterBank:

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cdl import Preconditioner
 from .model import ObservationSet, SpherePoint, stream
@@ -186,7 +185,8 @@ def tangent_min_eig(matvec, q: np.ndarray, seed: int = 0, max_iters: int = 200,
         w -= V[: k + 1].T @ (V[: k + 1] @ w)
         w = project(w)
         beta = float(np.linalg.norm(w))
-        evals, evecs = scipy.linalg.eigh_tridiagonal(alphas, betas)
+        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        evals, evecs = np.linalg.eigh(T)
         resid = beta * abs(float(evecs[-1, 0]))
         if resid <= tol * max(1.0, abs(float(evals[0]))) or beta <= 1e-14:
             converged = True

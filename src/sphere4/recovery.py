@@ -2,9 +2,9 @@
 
 A single solve lands near one column at best, so recovering a whole
 dictionary means running independent trials from fresh starts and
-collecting which columns showed up. For the convolutional model the
-solved direction is additionally unwound through the preconditioner and
-aligned over the shift/sign orbit before scoring.
+collecting which columns showed up. A convolutional trial starts from a
+preconditioned measurement (cdl_start), and its solved direction is
+unwound and aligned over each filter's shift/sign orbit (cdl_score).
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ __all__ = [
     "recovery_error",
     "recover_full",
     "align_shift",
+    "cdl_start",
+    "cdl_score",
     "recover_filters",
 ]
 
@@ -87,11 +89,6 @@ class DictionaryCoverage:
         return rows
 
 
-def _default_trial(objective, D: Dictionary, config: SolveConfig, seed: int):
-    q0 = SpherePoint.project(stream(seed, "trial-init").standard_normal(D.n))
-    return solve(objective, q0, config).q_star
-
-
 def recover_full(D: Dictionary, config: SolveConfig | None = None,
                  trial_budget: int = 1, *, objective=None, seed_base: int = 0,
                  threshold: float = SUCCESS_THRESHOLD, tie_tol: float = 1e-12,
@@ -117,7 +114,9 @@ def recover_full(D: Dictionary, config: SolveConfig | None = None,
         objective = TensorObjective(D)
     if trial_fn is None:
         def trial_fn(seed: int):
-            return _default_trial(objective, D, config, seed)
+            q0 = SpherePoint.project(
+                stream(seed, "trial-init").standard_normal(D.n))
+            return solve(objective, q0, config).q_star
 
     def run_one(t: int) -> RecoveryOutcome:
         q = trial_fn(seed_base + t)
@@ -193,16 +192,47 @@ class FilterRecovery:
                 for k in range(len(self.aligned_errors))]
 
 
+def cdl_start(problem: ConvProblem, rng: np.random.Generator) -> SpherePoint:
+    """A preconditioned measurement drawn from `rng`, normalized.
+
+    Sparse codes leave some measurements all-zero; only the rest can seed
+    a trial, so the index is drawn uniformly among them.
+    """
+    usable = np.flatnonzero(np.linalg.norm(problem.measurements.entries,
+                                           axis=0) > 0.0)
+    if usable.size == 0:
+        raise ValueError("every measurement is zero")
+    return init_cdl(problem.measurements, problem.preconditioner,
+                    ell=int(usable[rng.integers(usable.size)]))
+
+
+def cdl_score(q_star, problem: ConvProblem,
+              eps_cdl: float = EPS_CDL) -> FilterRecovery:
+    """One trial's FilterRecovery: q_star with the whitening undone,
+    aligned against every ground-truth filter in turn."""
+    a_est = deprecondition(q_star, problem.preconditioner).coords
+    shifts, signs, errors = zip(*(align_shift(a_est, f)
+                                  for f in problem.filters.filters))
+    errors = np.array(errors)
+    return FilterRecovery(
+        aligned_errors=errors,
+        shifts=np.array(shifts),
+        signs=np.array(signs),
+        recovered=frozenset(np.flatnonzero(errors <= eps_cdl).tolist()),
+        trials_used=1,
+    )
+
+
 def recover_filters(problem: ConvProblem, config: SolveConfig | None = None,
                     trial_budget: int | None = None, *, seed_base: int = 0,
                     eps_cdl: float = EPS_CDL) -> FilterRecovery:
     """Repeated data-initialized solves, unwound and aligned per filter.
 
-    Each trial starts from a preconditioned measurement, solves the
-    convolutional objective, undoes the whitening, and aligns the result
-    against every ground-truth filter; a filter counts recovered once its
-    best aligned error drops to eps_cdl. Stops early when all K filters
-    are recovered. The default budget is 10 trials per filter.
+    Each trial starts from a preconditioned measurement (cdl_start), solves
+    the convolutional objective, and is scored against every ground-truth
+    filter (cdl_score); a filter counts recovered once its best aligned
+    error drops to eps_cdl. Stops early when all K filters are recovered.
+    The default budget is 10 trials per filter.
     """
     if problem.filters is None:
         raise ValueError("filter recovery needs the ground-truth filters")
@@ -214,31 +244,20 @@ def recover_filters(problem: ConvProblem, config: SolveConfig | None = None,
     if trial_budget < 1:
         raise ValueError("trial_budget must be at least 1")
     objective = CdlObjective.from_problem(problem)
-    truth = problem.filters.filters
-    # sparse codes leave some measurements all-zero; only the rest can seed
-    # a trial
-    usable = np.flatnonzero(np.linalg.norm(problem.measurements.entries,
-                                           axis=0) > 0.0)
-    if usable.size == 0:
-        raise ValueError("every measurement is zero")
 
     best_err = np.full(K, np.inf)
     best_shift = np.zeros(K, dtype=int)
     best_sign = np.ones(K)
     trials = 0
     for t in range(trial_budget):
-        draw = stream(seed_base + t, "trial-measurement").integers(usable.size)
-        q0 = init_cdl(problem.measurements, problem.preconditioner,
-                      ell=int(usable[draw]))
-        res = solve(objective, q0, config)
-        a_est = deprecondition(res.q_star, problem.preconditioner).coords
+        q0 = cdl_start(problem, stream(seed_base + t, "trial-measurement"))
+        trial = cdl_score(solve(objective, q0, config).q_star, problem,
+                          eps_cdl)
         trials = t + 1
-        for k in range(K):
-            shift, sign, err = align_shift(a_est, truth[k])
-            if err < best_err[k]:
-                best_err[k] = err
-                best_shift[k] = shift
-                best_sign[k] = sign
+        better = trial.aligned_errors < best_err
+        best_err[better] = trial.aligned_errors[better]
+        best_shift[better] = trial.shifts[better]
+        best_sign[better] = trial.signs[better]
         if bool(np.all(best_err <= eps_cdl)):
             break
     recovered = frozenset(int(k) for k in range(K) if best_err[k] <= eps_cdl)

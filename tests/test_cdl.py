@@ -162,6 +162,12 @@ def test_preconditioner_positive_and_convention():
         build_preconditioner(prob.measurements, 0.2, 2, convention="nonsense")
 
 
+@pytest.mark.filterwarnings("error")
+def test_preconditioner_rejects_all_zero_measurements():
+    with pytest.raises(ValueError, match="every measurement is zero"):
+        build_preconditioner(ObservationSet(np.zeros((8, 5))), 0.1, 1)
+
+
 def test_preconditioner_conventions_differ_by_exactly_sqrt_K():
     bank = make_filter_bank(16, 3, seed=14)
     prob = synth_cdl(bank, 0.15, 40, seed=15)

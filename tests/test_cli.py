@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sphere4
 from sphere4.cli import (
     EXIT_NONCONVERGED,
     EXIT_OK,
@@ -19,6 +21,7 @@ from sphere4.cli import (
 )
 from sphere4.model import save_matrix, stream
 from sphere4.optimize import SolveConfig
+from sphere4.recovery import EPS_CDL
 
 
 def run(*argv: str) -> int:
@@ -65,8 +68,9 @@ def test_gen_cdl_files(tmp_path):
                str(tmp_path)) == EXIT_OK
     filters = np.loadtxt(tmp_path / "filters.csv", delimiter=",", ndmin=2)
     assert filters.shape == (2, 16)
-    weights = np.loadtxt(tmp_path / "preconditioner.csv", delimiter=",")
-    assert weights.shape == (16,) and np.all(weights > 0)
+    # solve --data-dir rebuilds the whitener from the measurements
+    assert not (tmp_path / "preconditioner.csv").exists()
+    assert not (tmp_path / "preconditioner.json").exists()
     meta = json.loads((tmp_path / "gen.json").read_text())
     assert meta["K"] == 2
     assert meta["convention"] == "main_text"
@@ -173,6 +177,39 @@ def test_solve_cdl_writes_alignment(tmp_path):
     assert fields[4] == "1"
 
 
+def gen_cdl(out: Path, seed: int = 7) -> Path:
+    assert run("gen", "--model", "cdl", "--n", "16", "--k", "2", "--theta",
+               "0.1", "--p", "400", "--seed", str(seed), "--out-dir",
+               str(out)) == EXIT_OK
+    return out
+
+
+def test_solve_cdl_inline_matches_data_dir_bytewise(tmp_path):
+    gen_cdl(tmp_path / "data", seed=7)
+    assert run("solve", "--data-dir", str(tmp_path / "data"), "--out-dir",
+               str(tmp_path / "r1"), "--seed", "7") == EXIT_OK
+    assert run("solve", "--model", "cdl", "--n", "16", "--k", "2", "--theta",
+               "0.1", "--p", "400", "--seed", "7", "--out-dir",
+               str(tmp_path / "r2")) == EXIT_OK
+    assert (tmp_path / "r1" / "solve_result.json").read_bytes() == \
+        (tmp_path / "r2" / "solve_result.json").read_bytes()
+    aligned = data_lines(tmp_path / "r1" / "filters_aligned.csv")
+    assert len(aligned) == 3
+    assert aligned == data_lines(tmp_path / "r2" / "filters_aligned.csv")
+
+
+def test_solve_cdl_random_init(tmp_path):
+    gen_cdl(tmp_path)
+    assert run("solve", "--data-dir", str(tmp_path), "--out-dir",
+               str(tmp_path / "run"), "--seed", "3", "--init",
+               "random") == EXIT_OK
+    header, *rows = data_lines(tmp_path / "run" / "filters_aligned.csv")
+    assert header == "filter,shift,sign,aligned_error,recovered"
+    assert [r.split(",")[0] for r in rows] == ["0", "1"]
+    result = json.loads((tmp_path / "run" / "solve_result.json").read_text())
+    assert result["termination"] == "grad_tol"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -218,6 +255,19 @@ def test_sweep_threads_do_not_change_results(tmp_path):
         (tmp_path / "b" / "sweep_raw.csv").read_bytes()
 
 
+def test_sweep_cdl_needs_no_m_grid(tmp_path):
+    assert main(["sweep", "--objective", "phi_CDL", "--n-grid", "16",
+                 "--k-grid", "1,2", "--p-grid", "400", "--repeats", "2",
+                 "--seed", "4", "--out-dir", str(tmp_path)]) == EXIT_OK
+    header, *rows = data_lines(tmp_path / "sweep_raw.csv")
+    assert header == "n,m,p,theta,K,repeat,seed,error,success"
+    assert len(rows) == 4
+    for row in rows:
+        fields = row.split(",")
+        assert fields[4] in ("1", "2")
+        assert fields[-1] == ("1" if float(fields[-2]) < EPS_CDL else "0")
+
+
 def test_sweep_spec_validation():
     good = SweepSpec((3,), (4,), (0,), (0.1,), (1,), 2, "phi_T",
                      SolveConfig(), 0.05)
@@ -231,6 +281,13 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec((3,), (4,), (0,), (0.1,), (1,), 2, "phi_DL", SolveConfig(),
                   0.05)
+    with pytest.raises(ValueError):
+        SweepSpec((3,), (0,), (0,), (0.1,), (1,), 2, "phi_T", SolveConfig(),
+                  0.05)
+    # m is unused for phi_CDL; cmd_sweep fills in (0,) when --m-grid is absent
+    cdl = SweepSpec((16,), (0,), (400,), (0.1,), (1,), 2, "phi_CDL",
+                    SolveConfig(), 0.1)
+    assert cdl.cells() == [(16, 0, 400, 0.1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +348,20 @@ def test_threads_env_fallback(monkeypatch):
 def test_unknown_arguments_exit_usage():
     assert main(["bogus"]) == EXIT_USAGE
     assert main(["solve", "--no-such-flag"]) == EXIT_USAGE
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sphere4; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(sphere4.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def console_script(name: str) -> list:

@@ -136,12 +136,15 @@ def test_coherence_zero_column():
         coherence(Dictionary(A))
 
 
+@pytest.mark.filterwarnings("error")
 def test_spikiness_examples():
     v = np.array([1.0] + [0.1] * 7)
     assert spikiness(v) == pytest.approx(10.0)
     assert spikiness([1.0, 1.0]) == pytest.approx(1.0)
     assert spikiness([0.9, -0.3, 0.05]) == pytest.approx(3.0)
     assert spikiness([2.0, 0.0, 0.0]) == np.inf
+    # the ratio overflows double range: the vector is as spiky as it gets
+    assert spikiness([1e300, 1e-300]) == np.inf
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from sphere4.cdl import ConvProblem, build_preconditioner, circ_embed, synth_cdl
+from sphere4.cdl import (
+    ConvProblem,
+    Preconditioner,
+    build_preconditioner,
+    circ_embed,
+    synth_cdl,
+)
 from sphere4.model import (
     Dictionary,
     FilterBank,
+    ObservationSet,
     SpherePoint,
     make_filter_bank,
     make_untf,
@@ -13,13 +20,15 @@ from sphere4.model import (
     synth_odl,
 )
 from sphere4.objectives import OdlObjective
-from sphere4.optimize import SolveConfig
+from sphere4.optimize import SolveConfig, init_cdl
 from sphere4.recovery import (
     EPS_CDL,
     SUCCESS_THRESHOLD,
     DictionaryCoverage,
     RecoveryOutcome,
     align_shift,
+    cdl_score,
+    cdl_start,
     recover_filters,
     recover_full,
     recovery_error,
@@ -308,6 +317,43 @@ def test_recover_filters_requires_ground_truth():
     blind = ConvProblem(prob.measurements, prob.preconditioner, prob.theta)
     with pytest.raises(ValueError):
         recover_filters(blind)
+
+
+def test_recover_filters_rejects_all_zero_measurements():
+    prob = spike_code_problem(8, 10, seed=1)
+    silent = ConvProblem(ObservationSet(np.zeros((8, 10))),
+                         prob.preconditioner, prob.theta,
+                         filters=prob.filters)
+    with pytest.raises(ValueError, match="every measurement is zero"):
+        recover_filters(silent)
+
+
+def test_cdl_start_draws_only_nonzero_measurements():
+    prob = spike_code_problem(8, 10, seed=1)
+    Y = np.zeros((8, 10))
+    Y[:, 6] = prob.measurements.entries[:, 6]
+    lone = ConvProblem(ObservationSet(Y), prob.preconditioner, prob.theta,
+                       filters=prob.filters)
+    want = init_cdl(lone.measurements, lone.preconditioner, ell=6)
+    for seed in range(5):
+        got = cdl_start(lone, stream(seed, "lone-measurement"))
+        assert np.array_equal(got.coords, want.coords)
+
+
+def test_cdl_score_aligns_every_filter():
+    bank = make_filter_bank(16, 2, seed=5)
+    flat = Preconditioner(np.full(16, 2.0), "main_text", 2)
+    prob = ConvProblem(ObservationSet(stream(6).standard_normal((16, 4))),
+                       flat, 0.1, filters=bank)
+    q = SpherePoint.project(-np.roll(bank.filters[1], 3))
+    score = cdl_score(q, prob)
+    assert score.trials_used == 1
+    assert score.recovered == {1}
+    assert (score.shifts[1], score.signs[1]) == (3, -1.0)
+    assert score.aligned_errors[1] <= 1e-12
+    shift, sign, err = align_shift(q.coords, bank.filters[0])
+    assert (score.shifts[0], score.signs[0]) == (shift, sign)
+    assert score.aligned_errors[0] == pytest.approx(err, abs=1e-12)
 
 
 def test_recover_filters_reports_unrecovered():
