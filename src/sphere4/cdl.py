@@ -163,23 +163,6 @@ class Preconditioner:
     def dense(self) -> np.ndarray:
         return self.as_circulant().dense()
 
-    def to_json(self) -> dict:
-        return {
-            "spectrum_weights": [float(x) for x in self.spectrum_weights],
-            "scale_convention": self.scale_convention,
-            "K": int(self.K),
-            "floored": bool(self.floored),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Preconditioner":
-        return cls(
-            np.asarray(obj["spectrum_weights"], dtype=float),
-            obj["scale_convention"],
-            int(obj["K"]),
-            bool(obj.get("floored", False)),
-        )
-
 
 def build_preconditioner(
     Y: ObservationSet, theta: float, K: int, convention: str = "main_text"
@@ -191,7 +174,11 @@ def build_preconditioner(
     appendix_h, so that in the large-p limit K^{-1} (PA_0)(PA_0)^T = I
     under main_text. Zero (or near-zero) bins are floored at EPS_SPEC
     times the max bin and flagged, since the inverse square root is
-    otherwise undefined.
+    otherwise undefined. The spectrum is taken of Y divided by the power
+    of two of its largest magnitude, and the weights are scaled back, so
+    measurements near the ends of the float range neither overflow nor
+    underflow; scaling by a power of two is exact, so other inputs keep
+    their bits.
     """
     if Y.p < 1:
         raise ValueError("need at least one measurement")
@@ -200,12 +187,14 @@ def build_preconditioner(
     if not np.any(Y.entries):
         raise ValueError("every measurement is zero")
     n = Y.n
-    power = (np.abs(np.fft.fft(Y.entries, axis=0)) ** 2).mean(axis=1)
+    _, e = np.frexp(np.max(np.abs(Y.entries)))
+    scaled = np.ldexp(Y.entries, -e)
+    power = (np.abs(np.fft.fft(scaled, axis=0)) ** 2).mean(axis=1)
     scale = theta * K * n if convention == "main_text" else theta * n
     power = power / scale
     floor = EPS_SPEC * power.max()
     floored = bool(np.any(power < floor))
-    weights = 1.0 / np.sqrt(np.maximum(power, floor))
+    weights = np.ldexp(1.0 / np.sqrt(np.maximum(power, floor)), -e)
     return Preconditioner(weights, convention, K, floored)
 
 
@@ -325,15 +314,6 @@ class CdlObjective(_QuarticObjective):
         """sum_i C_{P y_i} w_i = sum_i P y_i conv w_i for a p x n array w."""
         acc = (self._spectra * np.fft.rfft(w, axis=1)).sum(axis=0)
         return np.fft.irfft(acc, n=self.n)
-
-    # Z has n p entries, and numpy's z**3 and z**4 call libm pow per entry at
-    # about a hundred times the cost of a multiply: multiply instead.
-    def _fourth_sum(self, z) -> float:
-        z2 = z * z
-        return float(np.vdot(z2, z2))
-
-    def _cube(self, z) -> np.ndarray:
-        return z * z * z
 
 
 def deprecondition(q_star, P: Preconditioner) -> SpherePoint:

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,9 +94,9 @@ def _write_table(path: Path, columns, rows, provenance) -> None:
 
 
 def _provenance(command: str, args: argparse.Namespace,
-                skip=("out_dir", "threads", "func", "command",
+                skip=("out_dir", "func", "command",
                       "data_dir", "estimate", "truth")) -> list:
-    # semantic parameters only: no paths, no worker counts, no False flags,
+    # semantic parameters only: no paths, no False flags,
     # so a rerun elsewhere yields byte-identical files
     parts = []
     for key in sorted(vars(args)):
@@ -112,13 +111,6 @@ def _provenance(command: str, args: argparse.Namespace,
     return [f"command: {command} " + " ".join(parts),
             f"seed: {args.seed}",
             f"version: {__version__}"]
-
-
-def _resolve_threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SPHERE4_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _int_list(text: str) -> tuple:
@@ -388,18 +380,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     prov = _provenance("sweep", args)
     cells = spec.cells()
-    threads = _resolve_threads(args)
     for ci, cell in enumerate(cells):
         if ci in completed:
             continue
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(
-                    lambda r: _run_repeat(spec, cell, r, args.seed),
-                    range(spec.repeats)))
-        else:
-            rows = [_run_repeat(spec, cell, r, args.seed)
-                    for r in range(spec.repeats)]
+        rows = [_run_repeat(spec, cell, r, args.seed)
+                for r in range(spec.repeats)]
         _write_table(_cell_path(out, ci), RAW_SWEEP_COLUMNS, rows, ())
         completed.add(ci)
         _atomic_write(manifest_path, json.dumps(
@@ -484,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out-dir", default=".")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: SPHERE4_THREADS or 1)")
 
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--method", choices=("power", "rgd"), default="power")

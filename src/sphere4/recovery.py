@@ -9,7 +9,6 @@ unwound and aligned over each filter's shift/sign orbit (cdl_score).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +91,6 @@ class DictionaryCoverage:
 def recover_full(D: Dictionary, config: SolveConfig | None = None,
                  trial_budget: int = 1, *, objective=None, seed_base: int = 0,
                  threshold: float = SUCCESS_THRESHOLD, tie_tol: float = 1e-12,
-                 parallelism: int | None = None,
                  trial_fn=None) -> DictionaryCoverage:
     """Run independent solves until every column was seen or budget is hit.
 
@@ -100,9 +98,7 @@ def recover_full(D: Dictionary, config: SolveConfig | None = None,
     smaller budget's trial log is a prefix of a larger one's. `objective`
     defaults to the asymptotic objective on D itself; pass a finite-sample
     objective to recover from data. `trial_fn(seed) -> point` replaces the
-    whole solve when supplied (the test harness uses this). `parallelism`
-    runs trials in waves of that many threads; coverage is checked between
-    waves, so early stopping is wave-granular there.
+    whole solve when supplied (the test harness uses this).
     """
     if trial_budget < 1:
         raise ValueError("trial_budget must be at least 1")
@@ -118,31 +114,16 @@ def recover_full(D: Dictionary, config: SolveConfig | None = None,
                 stream(seed, "trial-init").standard_normal(D.n))
             return solve(objective, q0, config).q_star
 
-    def run_one(t: int) -> RecoveryOutcome:
-        q = trial_fn(seed_base + t)
-        return recovery_error(q, D, threshold=threshold, tie_tol=tie_tol)
-
-    m = D.m
     outcomes: list[RecoveryOutcome] = []
     covered: set = set()
-    if parallelism is None or parallelism <= 1:
-        for t in range(trial_budget):
-            out = run_one(t)
-            outcomes.append(out)
-            if out.success:
-                covered.add(out.best_index)
-            if len(covered) == m:
+    for t in range(trial_budget):
+        out = recovery_error(trial_fn(seed_base + t), D, threshold=threshold,
+                             tie_tol=tie_tol)
+        outcomes.append(out)
+        if out.success:
+            covered.add(out.best_index)
+            if len(covered) == D.m:
                 break
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            t = 0
-            while t < trial_budget and len(covered) < m:
-                wave = range(t, min(t + parallelism, trial_budget))
-                for out in pool.map(run_one, wave):
-                    outcomes.append(out)
-                    if out.success:
-                        covered.add(out.best_index)
-                t = wave.stop
     return DictionaryCoverage(
         recovered=frozenset(covered),
         trials_used=len(outcomes),

@@ -168,6 +168,19 @@ def test_preconditioner_rejects_all_zero_measurements():
         build_preconditioner(ObservationSet(np.zeros((8, 5))), 0.1, 1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-660, -20, 0, 20, 660])
+def test_preconditioner_exact_under_power_of_two_scaling(k):
+    # at |k| = 660 the power spectrum of Y 2^k under- or overflows unless
+    # Y is rescaled first; a power-of-two rescale is exact, so are the weights
+    Y = synth_cdl(make_filter_bank(16, 2, seed=25), 0.2, 30, seed=26).measurements
+    base = build_preconditioner(Y, 0.2, 2)
+    scaled = build_preconditioner(ObservationSet(np.ldexp(Y.entries, k)), 0.2, 2)
+    assert np.array_equal(scaled.spectrum_weights,
+                          np.ldexp(base.spectrum_weights, -k))
+    assert scaled.floored == base.floored
+
+
 def test_preconditioner_conventions_differ_by_exactly_sqrt_K():
     bank = make_filter_bank(16, 3, seed=14)
     prob = synth_cdl(bank, 0.15, 40, seed=15)
@@ -202,15 +215,6 @@ def test_preconditioner_joint_pass_diagonalization():
     joint = np.real(np.fft.ifft(P.spectrum_weights * C.spectrum * np.fft.fft(v)))
     twostep = P.dense() @ (C.dense() @ v)
     assert np.linalg.norm(joint - twostep) <= 1e-10 * np.linalg.norm(v)
-
-
-def test_preconditioner_serialization_roundtrip():
-    bank = make_filter_bank(8, 2, seed=21)
-    P = synth_cdl(bank, 0.2, 25, seed=22).preconditioner
-    back = Preconditioner.from_json(P.to_json())
-    assert np.array_equal(back.spectrum_weights, P.spectrum_weights)
-    assert back.scale_convention == P.scale_convention
-    assert back.K == P.K
 
 
 def test_cdl_value_and_grad_match_dense_path():

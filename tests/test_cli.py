@@ -4,7 +4,6 @@ import os
 import shutil
 import subprocess
 import sys
-from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,6 @@ from sphere4.cli import (
     EXIT_OK,
     EXIT_USAGE,
     SweepSpec,
-    _resolve_threads,
     main,
 )
 from sphere4.model import save_matrix, stream
@@ -248,13 +246,6 @@ def test_sweep_manifest_guards_parameter_drift(tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_sweep_threads_do_not_change_results(tmp_path):
-    assert main(sweep_args(tmp_path / "a")) == EXIT_OK
-    assert main(sweep_args(tmp_path / "b", "--threads", "3")) == EXIT_OK
-    assert (tmp_path / "a" / "sweep_raw.csv").read_bytes() == \
-        (tmp_path / "b" / "sweep_raw.csv").read_bytes()
-
-
 def test_sweep_cdl_needs_no_m_grid(tmp_path):
     assert main(["sweep", "--objective", "phi_CDL", "--n-grid", "16",
                  "--k-grid", "1,2", "--p-grid", "400", "--repeats", "2",
@@ -334,15 +325,6 @@ def test_align_command(tmp_path):
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-
-def test_threads_env_fallback(monkeypatch):
-    ns = Namespace(threads=None)
-    monkeypatch.setenv("SPHERE4_THREADS", "3")
-    assert _resolve_threads(ns) == 3
-    monkeypatch.delenv("SPHERE4_THREADS")
-    assert _resolve_threads(ns) == 1
-    assert _resolve_threads(Namespace(threads=7)) == 7
 
 
 def test_unknown_arguments_exit_usage():

@@ -36,17 +36,25 @@ def test_tensor_value_identity_dictionary():
 def test_odl_value_matches_scalar_loop():
     D = make_untf(3, 4, seed=1)
     theta, p = 0.1, 50
-    X = sample_bg(4, p, theta, seed=2)
-    Y = synth_odl(D, X)
-    obj = OdlObjective(Y, theta)
+    Y = synth_odl(D, sample_bg(4, p, theta, seed=2))
     q = SpherePoint.project(stream(3).standard_normal(3))
-    # oracle: direct scalar summation of the defining formula
-    acc = 0.0
-    for k in range(p):
-        acc += float(q.coords @ Y.entries[:, k]) ** 4
-    ref = -acc / (12.0 * theta * (1.0 - theta) * p)
-    assert obj.value(q) == pytest.approx(ref, rel=1e-13)
-    assert obj.value(q) <= 0.0
+    # (objective, its samples as columns, c): the tensor objective treats
+    # the dictionary columns as its samples, with c = 1/4
+    cases = [(OdlObjective(Y, theta), Y.entries,
+              1.0 / (12.0 * theta * (1.0 - theta) * p)),
+             (TensorObjective(D), D.entries, 0.25)]
+    for obj, B, c in cases:
+        # oracle: direct scalar summation of the defining formulas
+        acc = 0.0
+        grad = np.zeros(3)
+        for k in range(B.shape[1]):
+            t = float(q.coords @ B[:, k])
+            acc += t ** 4
+            grad += t ** 3 * B[:, k]
+        assert obj.value(q) == pytest.approx(-c * acc, rel=1e-13)
+        assert obj.value(q) <= 0.0
+        ref = -4.0 * c * grad
+        assert np.linalg.norm(obj.grad(q) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_odl_theta_contract():

@@ -140,18 +140,6 @@ def test_recover_full_smaller_budget_is_a_prefix():
     assert small.recovered <= large.recovered
 
 
-def test_recover_full_parallel_matches_sequential():
-    # a budget too small for full coverage, so early stopping cannot make
-    # the wave-granular parallel path diverge from the sequential one
-    D = Dictionary(np.eye(16))
-    cfg = SolveConfig(max_iters=5000, grad_tol=1e-10)
-    seq = recover_full(D, cfg, 12, seed_base=3)
-    par = recover_full(D, cfg, 12, seed_base=3, parallelism=4)
-    assert seq.per_trial == par.per_trial
-    assert seq.recovered == par.recovered
-    assert seq.trials_used == par.trials_used
-
-
 def test_recover_full_validates_budget():
     D = Dictionary(np.eye(2))
     with pytest.raises(ValueError):
