@@ -91,28 +91,13 @@ class CirculantOp:
     def n(self) -> int:
         return self.generator.size
 
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        s = np.fft.fft(self.generator)
-        s.setflags(write=False)
-        return s
-
     def matvec(self, v) -> np.ndarray:
         """C_v x = v conv x."""
         return conv(self.generator, v)
 
-    def rmatvec(self, v) -> np.ndarray:
-        """C_v^T q = rev(v) conv q, the circular cross-correlation."""
-        v = np.asarray(v, dtype=float).reshape(-1)
-        return np.fft.irfft(np.conj(np.fft.rfft(self.generator)) * np.fft.rfft(v), n=self.n)
-
     def dense(self) -> np.ndarray:
         i = np.arange(self.n)
         return self.generator[(i[:, None] - i) % self.n]
-
-    def singular_values(self) -> np.ndarray:
-        """Per-frequency-bin singular values |fft(v)| (unsorted)."""
-        return np.abs(self.spectrum)
 
 
 @dataclass(frozen=True)
@@ -178,7 +163,7 @@ def build_preconditioner(
     of two of its largest magnitude, and the weights are scaled back, so
     measurements near the ends of the float range neither overflow nor
     underflow; scaling by a power of two is exact, so other inputs keep
-    their bits.
+    their bits. Subnormal measurements, whose weights overflow, raise.
     """
     if Y.p < 1:
         raise ValueError("need at least one measurement")
@@ -194,7 +179,10 @@ def build_preconditioner(
     power = power / scale
     floor = EPS_SPEC * power.max()
     floored = bool(np.any(power < floor))
-    weights = np.ldexp(1.0 / np.sqrt(np.maximum(power, floor)), -e)
+    weights = 1.0 / np.sqrt(np.maximum(power, floor))
+    if np.frexp(weights.max())[1] - e > np.finfo(float).maxexp:
+        raise ValueError("measurements are too small to whiten")
+    weights = np.ldexp(weights, -e)
     return Preconditioner(weights, convention, K, floored)
 
 

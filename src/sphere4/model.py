@@ -144,10 +144,6 @@ class Dictionary:
             np.linalg.norm((n / m) * (self.entries @ self.entries.T) - np.eye(n))
         )
 
-    @cached_property
-    def unit_norm_error(self) -> float:
-        return float(np.abs(np.linalg.norm(self.entries, axis=0) - 1.0).max())
-
 
 @dataclass(frozen=True)
 class SparseCode:
@@ -268,12 +264,13 @@ def make_untf(
     best = A
     best_res = np.inf
     for _ in range(max_iters):
-        res = np.linalg.norm(scale * (A @ A.T) - eye)
+        G = A @ A.T
+        res = np.linalg.norm(scale * G - eye)
         if res < best_res:
             best, best_res = A, res
         if res <= tol_untf:
             return Dictionary(A, untf_converged=True)
-        w, V = np.linalg.eigh((A @ A.T) / scale)
+        w, V = np.linalg.eigh(G / scale)
         # floor keeps the inverse root finite on near-rank-deficient iterates
         w = np.maximum(w, 1e-14 * w[-1])
         A = (V * (1.0 / np.sqrt(w))) @ V.T @ A

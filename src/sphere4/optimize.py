@@ -5,7 +5,8 @@ P_sphere(-grad phi(q)) and the retracted gradient step
 P_sphere(q - tau * rgrad phi(q)). The two coincide exactly at
 tau = -1/(q^T grad phi(q)), which is positive because the objectives are
 degree-4 homogeneous with negative values, so q^T grad phi = 4 phi < 0.
-The solver treats them interchangeably behind one loop.
+The solver treats them interchangeably behind one loop on plain arrays; it
+builds a SpherePoint only for the start, the result and each escape attempt.
 """
 
 from __future__ import annotations
@@ -112,14 +113,24 @@ class SolveResult:
         return json.dumps(payload)
 
 
-def _power_point(q: SpherePoint, g: np.ndarray) -> SpherePoint:
-    """P_sphere(-g) for the Euclidean gradient g at q; see power_step."""
-    if not np.any(g):
-        return q
+def _unit(v: np.ndarray) -> np.ndarray:
+    """SpherePoint.project(v).coords, skipping its checks where they cannot fail.
+
+    sqrt(v @ v) is np.linalg.norm of a 1-d real array. Once it is finite and
+    its square a normal float, v / norm has finite entries and unit norm.
+    """
+    nrm = np.sqrt(v @ v)
+    if not 1e-150 <= nrm < np.inf:
+        return SpherePoint.project(v).coords
+    return v / nrm
+
+
+def _power_point(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """P_sphere(-g) for a nonzero Euclidean gradient g at x; see power_step."""
     d = -g
-    if float(d @ q.coords) < 0.0:
+    if float(d @ x) < 0.0:
         d = -d
-    return SpherePoint.project(d)
+    return _unit(d)
 
 
 def power_step(obj, q: SpherePoint) -> SpherePoint:
@@ -130,7 +141,8 @@ def power_step(obj, q: SpherePoint) -> SpherePoint:
     is returned unchanged, same object, so callers can detect it by
     identity.
     """
-    return _power_point(q, obj.grad(q))
+    g = obj.grad(q)
+    return SpherePoint(_power_point(q.coords, g)) if np.any(g) else q
 
 
 def rgd_step(obj, q: SpherePoint, tau: float) -> SpherePoint:
@@ -222,9 +234,9 @@ def escape_saddle(obj, q: SpherePoint, curv_tol: float, step: float,
         return None
     if lam >= -curv_tol:
         return None
-    plus = SpherePoint.project(x + step * v)
-    minus = SpherePoint.project(x - step * v)
-    return plus if obj.value(plus) <= obj.value(minus) else minus
+    plus = _unit(x + step * v)
+    minus = _unit(x - step * v)
+    return SpherePoint(plus if obj.value(plus) <= obj.value(minus) else minus)
 
 
 def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
@@ -244,19 +256,21 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
     if cfg is None:
         cfg = SolveConfig()
     q = q0 if isinstance(q0, SpherePoint) else SpherePoint.project(np.asarray(q0, dtype=float))
-    val, g = obj.evaluate(q)
+    x = q.coords
+    val, g = obj.evaluate(x)
     trace = [float(val)]
     iterations = 0
     escapes = 0
     termination = "max_iters"
 
     while True:
-        x = q.coords
         rg = g - x * (x @ g)
         gn = float(np.linalg.norm(rg))
         if gn <= cfg.grad_tol:
             moved = None
             if cfg.escape is not None and iterations < cfg.max_iters:
+                # a first-order point may be the result, so wrap it here
+                q = q if x is q.coords else SpherePoint(x)
                 moved = escape_saddle(obj, q, cfg.escape.curv_tol,
                                       cfg.escape.step, seed=cfg.seed + escapes)
                 if moved is not None:
@@ -266,7 +280,7 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
             if moved is None:
                 termination = "grad_tol"
                 break
-            q, g = moved, g_moved
+            q, x, g = moved, moved.coords, g_moved
             escapes += 1
             iterations += 1
             trace.append(float(val))
@@ -282,18 +296,18 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
 
         pol = cfg.step_policy
         if cfg.method == "power":
-            cand = _power_point(q, g)
+            cand = _power_point(x, g)
             val, g_cand = obj.evaluate(cand)
             if not val <= trace[-1] + 1e-12 * max(1.0, abs(trace[-1])):
                 termination = "nonmonotone"
                 break
         elif isinstance(pol, FixedStep):
-            cand = SpherePoint.project(x - pol.tau * rg)
+            cand = _unit(x - pol.tau * rg)
             val, g_cand = obj.evaluate(cand)
         else:
             tau = pol.alpha0
             while True:
-                cand = SpherePoint.project(x - tau * rg)
+                cand = _unit(x - tau * rg)
                 val, g_cand = obj.evaluate(cand)
                 if val <= trace[-1] - pol.c1 * tau * gn * gn:
                     break
@@ -304,12 +318,12 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
             if cand is None:
                 termination = "stalled"
                 break
-        q, g = cand, g_cand
+        x, g = cand, g_cand
         iterations += 1
         trace.append(float(val))
 
     return SolveResult(
-        q_star=q,
+        q_star=q if x is q.coords else SpherePoint(x),
         iterations=iterations,
         final_grad_norm=gn,
         objective_trace=np.array(trace),

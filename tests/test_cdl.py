@@ -92,15 +92,20 @@ def test_circulant_matvec_paths_agree():
         for _ in range(5):
             v = rng.standard_normal(n)
             assert np.linalg.norm(C.matvec(v) - D @ v) <= 1e-10 * np.linalg.norm(v)
-            assert np.linalg.norm(C.rmatvec(v) - D.T @ v) <= 1e-10 * np.linalg.norm(v)
+            # C_v^T = C_rev(v), the identity CdlObjective.correlate rests on
+            CT = CirculantOp(cyclic_reversal(g))
+            assert np.linalg.norm(CT.matvec(v) - D.T @ v) <= 1e-10 * np.linalg.norm(v)
 
 
 def test_circulant_singular_values():
+    # FilterBank's per-bin singular values against the dense stacked matrix
     rng = stream(6)
-    g = rng.standard_normal(12)
-    C = CirculantOp(g)
-    ref = np.linalg.svd(C.dense(), compute_uv=False)
-    assert np.allclose(np.sort(C.singular_values())[::-1], ref, atol=1e-10)
+    for K in (1, 2):
+        bank = FilterBank(rng.standard_normal((K, 12)))
+        stacked = np.hstack([CirculantOp(f).dense() for f in bank.filters])
+        ref = np.linalg.svd(stacked, compute_uv=False)
+        assert bank.sigma_min == pytest.approx(ref[-1], rel=1e-10)
+        assert bank.kappa == pytest.approx(ref[0] / ref[-1], rel=1e-10)
 
 
 def test_circ_embed_impulse_filter():
@@ -181,6 +186,14 @@ def test_preconditioner_exact_under_power_of_two_scaling(k):
     assert scaled.floored == base.floored
 
 
+@pytest.mark.filterwarnings("error")
+def test_preconditioner_rejects_subnormal_measurements():
+    # the weights, about 1e309, are not representable
+    Y = np.full((8, 5), 1e-310) * np.arange(1, 41).reshape(8, 5)
+    with pytest.raises(ValueError, match="too small to whiten"):
+        build_preconditioner(ObservationSet(Y), 0.1, 1)
+
+
 def test_preconditioner_conventions_differ_by_exactly_sqrt_K():
     bank = make_filter_bank(16, 3, seed=14)
     prob = synth_cdl(bank, 0.15, 40, seed=15)
@@ -212,7 +225,7 @@ def test_preconditioner_joint_pass_diagonalization():
     P = prob.preconditioner
     C = CirculantOp(rng.standard_normal(12))
     v = rng.standard_normal(12)
-    joint = np.real(np.fft.ifft(P.spectrum_weights * C.spectrum * np.fft.fft(v)))
+    joint = np.real(np.fft.ifft(P.spectrum_weights * np.fft.fft(C.generator) * np.fft.fft(v)))
     twostep = P.dense() @ (C.dense() @ v)
     assert np.linalg.norm(joint - twostep) <= 1e-10 * np.linalg.norm(v)
 

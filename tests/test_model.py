@@ -42,7 +42,7 @@ def test_untf_residuals_16x48():
     D = make_untf(16, 48, seed=1)
     assert D.untf_converged
     assert D.frame_residual <= 1e-10
-    assert D.unit_norm_error <= 1e-10
+    assert np.abs(np.linalg.norm(D.entries, axis=0) - 1.0).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n,m", [(3, 4), (5, 10), (8, 24), (10, 30), (6, 36)])
@@ -52,6 +52,42 @@ def test_untf_welch_bound_grid(n, m):
     assert D.untf_converged
     assert D.frame_residual <= 1e-10
     assert D.coherence >= welch_bound(n, m) - 1e-9
+
+
+def two_gram_untf(n, m, seed, max_iters=5000, tol_untf=1e-10):
+    """make_untf's loop as it was, forming A A^T for the residual and again
+    for the eigendecomposition."""
+    rng = stream(seed, "untf")
+    A = rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, m))
+    A = A / np.linalg.norm(A, axis=0)
+    eye = np.eye(n)
+    scale = n / m
+    best = A
+    best_res = np.inf
+    for _ in range(max_iters):
+        res = np.linalg.norm(scale * (A @ A.T) - eye)
+        if res < best_res:
+            best, best_res = A, res
+        if res <= tol_untf:
+            return A, True
+        w, V = np.linalg.eigh((A @ A.T) / scale)
+        w = np.maximum(w, 1e-14 * w[-1])
+        A = (V * (1.0 / np.sqrt(w))) @ V.T @ A
+        A = A / np.linalg.norm(A, axis=0)
+    res = np.linalg.norm(scale * (A @ A.T) - eye)
+    if res < best_res:
+        best, best_res = A, res
+    return best, bool(best_res <= tol_untf)
+
+
+@pytest.mark.parametrize("n,m,seed,max_iters", [
+    (8, 16, 3, 5000), (16, 32, 4, 5000), (6, 18, 5, 5000), (16, 32, 6, 7)])
+def test_make_untf_bit_identical_to_two_gram_loop(n, m, seed, max_iters):
+    D = make_untf(n, m, seed=seed, max_iters=max_iters)
+    ref, converged = two_gram_untf(n, m, seed, max_iters=max_iters)
+    assert np.array_equal(D.entries, ref)
+    assert D.untf_converged is converged
+    assert converged is (max_iters == 5000)
 
 
 def test_untf_shape_contract():

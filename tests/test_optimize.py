@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sphere4.cdl import Preconditioner, effective_dictionary, synth_cdl
+from sphere4.cdl import CdlObjective, Preconditioner, effective_dictionary, synth_cdl
 from sphere4.model import (
     Dictionary,
     ObservationSet,
@@ -249,6 +249,67 @@ def test_solve_escape_identical_to_reference_loop_when_taken(obj):
     assert np.array_equal(res.objective_trace, np.array(trace))
     assert np.array_equal(res.q_star.coords, q.coords)
     assert (res.iterations, res.termination) == (iterations, termination)
+
+
+@pytest.mark.parametrize("cfg", [
+    SolveConfig(), SolveConfig(method="rgd", step_policy=Backtracking())],
+    ids=["power", "rgd-bt"])
+def test_solve_cdl_bit_identical_to_reference_loop(cfg):
+    prob = synth_cdl(make_filter_bank(16, 2, seed=122), 0.2, 400, seed=123)
+    obj = CdlObjective.from_problem(prob)
+    rng = stream(124)
+    for ell in range(3):
+        starts = (init_cdl(prob.measurements, prob.preconditioner, ell=ell),
+                  SpherePoint.project(rng.standard_normal(obj.n)))
+        for q0 in starts:
+            res = solve(obj, q0, cfg)
+            q, trace, iterations, termination, escapes = reference_solve(obj, q0, cfg)
+            assert np.array_equal(res.objective_trace, np.array(trace))
+            assert np.array_equal(res.q_star.coords, q.coords)
+            assert (res.iterations, res.termination) == (iterations, termination)
+
+
+class ScriptedObjective:
+    """Stub whose value falls by one per evaluation while its gradient
+    runs through `grads`, repeating the last."""
+
+    def __init__(self, grads):
+        self.grads = [np.array(g, dtype=float) for g in grads]
+        self.calls = 0
+
+    def evaluate(self, q):
+        self.calls += 1
+        return -float(self.calls), self.grads[min(self.calls, len(self.grads)) - 1]
+
+
+@pytest.mark.parametrize("method", ["power", "rgd"])
+def test_solve_raises_when_gradient_turns_nan(method):
+    obj = ScriptedObjective([[0.0, 1.0, 0.0], [np.nan, 0.0, 0.0]])
+    q0 = SpherePoint.project(np.array([1.0, 0.0, 0.0]))
+    cfg = SolveConfig(method=method, step_policy=FixedStep(0.5))
+    with pytest.raises(ValueError, match="zero or non-finite"):
+        solve(obj, q0, cfg)
+    assert obj.calls == 2
+
+
+@pytest.mark.parametrize("method", ["power", "rgd"])
+def test_solve_stops_when_gradient_turns_zero(method):
+    obj = ScriptedObjective([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    q0 = SpherePoint.project(np.array([1.0, 0.0, 0.0]))
+    res = solve(obj, q0, SolveConfig(method=method, step_policy=FixedStep(0.5)))
+    assert (res.termination, res.iterations, res.final_grad_norm) == ("grad_tol", 1, 0.0)
+    assert res.objective_trace.tolist() == [-1.0, -2.0]
+    step = [0.0, -1.0, 0.0] if method == "power" else [2.0, -1.0, 0.0] / np.sqrt(5.0)
+    assert np.array_equal(res.q_star.coords, step)
+
+
+def test_solve_power_rejects_off_sphere_point_from_tiny_gradient():
+    # |g|^2 = 1e-320 is subnormal, so g / |g| misses the unit sphere and the
+    # power step raises as SpherePoint.project does
+    obj = ScriptedObjective([[0.0, 1e-160, 0.0]])
+    q0 = SpherePoint.project(np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="unit l2 norm"):
+        solve(obj, q0, SolveConfig(grad_tol=1e-300))
 
 
 class RisingObjective:
