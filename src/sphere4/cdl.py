@@ -75,7 +75,7 @@ def cyclic_reversal(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CirculantOp:
-    """The circulant matrix C_v with column j = s_j[v], applied via FFT."""
+    """The circulant matrix C_v with column j = s_j[v]; conv applies it."""
 
     generator: np.ndarray
 
@@ -90,10 +90,6 @@ class CirculantOp:
     @property
     def n(self) -> int:
         return self.generator.size
-
-    def matvec(self, v) -> np.ndarray:
-        """C_v x = v conv x."""
-        return conv(self.generator, v)
 
     def dense(self) -> np.ndarray:
         i = np.arange(self.n)
@@ -141,12 +137,6 @@ class Preconditioner:
         return np.real(
             np.fft.ifft(np.fft.fft(v, axis=-1) / self.spectrum_weights, axis=-1)
         )
-
-    def as_circulant(self) -> CirculantOp:
-        return CirculantOp(np.real(np.fft.ifft(self.spectrum_weights)))
-
-    def dense(self) -> np.ndarray:
-        return self.as_circulant().dense()
 
 
 def build_preconditioner(

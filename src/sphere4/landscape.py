@@ -196,17 +196,7 @@ def critical_point_report(D: Dictionary, q, grad_tol: float = 1e-6,
         curv_tol = 1e-8 * z44
 
     grad_norm = float(np.linalg.norm(obj.rgrad(x)))
-    H = obj.rhess(x)
-    # push the retraction direction (a structural zero eigenvalue) upward
-    # so the dense minimum is the tangent-restricted one
-    shift = 10.0 * (1.0 + float(np.abs(H).sum()))
-    evals, evecs = np.linalg.eigh(H + shift * np.outer(x, x))
-    hess_min_eig = float(evals[0])
-    vec = evecs[:, 0]
-    vec -= x * float(x @ vec)
-    nv = float(np.linalg.norm(vec))
-    if nv > 0.0:
-        vec /= nv
+    hess_min_eig, vec, _ = obj.curvature(x).min_eig()
 
     unit_ips = (A.T @ x) / np.sqrt(col_sq)
     best_index = int(np.argmax(np.abs(unit_ips)))

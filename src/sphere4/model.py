@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -87,10 +86,6 @@ class SpherePoint:
     def n(self) -> int:
         return self.coords.size
 
-    def correlations(self, D: "Dictionary") -> np.ndarray:
-        """zeta(q) = A^T q, the per-column correlation vector."""
-        return D.entries.T @ self.coords
-
 
 @dataclass(frozen=True)
 class Dictionary:
@@ -123,10 +118,6 @@ class Dictionary:
     @property
     def m(self) -> int:
         return self.entries.shape[1]
-
-    @property
-    def overcompleteness(self) -> Fraction:
-        return Fraction(self.m, self.n)
 
     @cached_property
     def gram(self) -> np.ndarray:

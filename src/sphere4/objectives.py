@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Dictionary, ObservationSet, SpherePoint, sample_bg, synth_odl
+from .model import Dictionary, ObservationSet, SpherePoint, sample_bg, stream, synth_odl
 
 __all__ = [
     "TensorObjective",
@@ -53,6 +53,67 @@ def _coords(q) -> np.ndarray:
 def retract(x: np.ndarray) -> np.ndarray:
     """Metric projection onto the sphere, x / ||x||."""
     return x / np.linalg.norm(x)
+
+
+def tangent_min_eig(matvec, q: np.ndarray, seed: int = 0, max_iters: int = 200,
+                    tol: float = 1e-8) -> tuple[float, np.ndarray, bool]:
+    """Smallest eigenpair of a symmetric operator on the tangent space at q.
+
+    Lanczos with full reorthogonalization, started from a random tangent
+    vector. `matvec` need not project its output onto the tangent space;
+    that happens here. Returns (eigenvalue, unit eigenvector, converged);
+    `converged` means the Ritz residual fell below `tol` or the Krylov
+    space exhausted the tangent space.
+    """
+    q = np.asarray(q, dtype=float)
+    n = q.size
+    dim = n - 1
+    if dim == 0:
+        return 0.0, np.zeros(n), True
+
+    def project(v: np.ndarray) -> np.ndarray:
+        return v - q * float(q @ v)
+
+    rng = stream(seed, "lanczos")
+    v = project(rng.standard_normal(n))
+    for _ in range(10):
+        nv = float(np.linalg.norm(v))
+        if nv > 1e-12:
+            break
+        v = project(rng.standard_normal(n))
+    v /= np.linalg.norm(v)
+
+    depth = min(max_iters, dim)
+    V = np.empty((depth, n))
+    V[0] = v
+    alphas, betas = [], []
+    for k in range(depth):
+        w = project(np.asarray(matvec(V[k]), dtype=float))
+        a = float(V[k] @ w)
+        alphas.append(a)
+        w -= a * V[k]
+        if betas:
+            w -= betas[-1] * V[k - 1]
+        w -= V[: k + 1].T @ (V[: k + 1] @ w)
+        w = project(w)
+        beta = float(np.linalg.norm(w))
+        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        evals, evecs = np.linalg.eigh(T)
+        resid = beta * abs(float(evecs[-1, 0]))
+        if resid <= tol * max(1.0, abs(float(evals[0]))) or beta <= 1e-14:
+            converged = True
+            break
+        if k + 1 == depth:
+            converged = depth == dim
+            break
+        betas.append(beta)
+        V[k + 1] = w / beta
+
+    vec = project(V[: k + 1].T @ evecs[:, 0])
+    nv = float(np.linalg.norm(vec))
+    if nv > 0.0:
+        vec /= nv
+    return float(evals[0]), vec, converged
 
 
 class _QuarticObjective:
@@ -99,22 +160,26 @@ class _QuarticObjective:
         g = self.grad(q)
         return g - q * (q @ g)
 
+    def curvature(self, q) -> "_Curvature":
+        """The tangent-curvature operator at unit q; see _Curvature."""
+        return _Curvature(self, _coords(q))
+
     def rhess_vec(self, q, v) -> np.ndarray:
         """Riemannian Hessian action on v without materializing a matrix."""
-        q = _coords(q)
-        v = np.asarray(v, dtype=float).reshape(-1)
-        z = self.correlate(q)
-        w = v - q * (q @ v)
-        hw = -12.0 * self.c * self.adjoint((z**2) * self.correlate(w))
-        qg = -4.0 * self.c * self._fourth_sum(z)  # q^T grad = 4 phi(q)
-        out = hw - qg * w
-        return out - q * (q @ out)
+        return self.curvature(q).matvec(np.asarray(v, dtype=float).reshape(-1))
 
 
 class _BasisObjective(_QuarticObjective):
     """The quartic kernel on an explicit n x m basis matrix B."""
 
     basis: np.ndarray
+
+    def __post_init__(self):
+        # |z_i| <= ||b_i|| at unit q, so 16 c sum ||b_i||^4 bounds every kernel entry
+        with np.errstate(over="ignore"):
+            s = np.einsum("ij,ij->j", self.basis, self.basis)
+            if not 16.0 * self.c * float(s @ s) < np.inf:
+                raise ValueError("basis too large: the quartic kernel overflows")
 
     @property
     def n(self) -> int:
@@ -127,22 +192,55 @@ class _BasisObjective(_QuarticObjective):
         return self.basis @ w
 
     def rhess(self, q) -> np.ndarray:
-        """Dense Riemannian Hessian P (Hess_e - (q^T grad) I) P.
+        """Dense Riemannian Hessian P (Hess_e - (q^T grad) I) P, n <= 4096."""
+        return self.curvature(q).dense()
 
-        Refused for n > 4096: at that size the n x n matrix is a misuse,
-        use rhess_vec instead.
-        """
-        if self.n > DENSE_HESSIAN_LIMIT:
-            raise ValueError(
-                f"dense Hessian refused for n={self.n} > {DENSE_HESSIAN_LIMIT}; "
-                "use rhess_vec"
-            )
-        q = _coords(q)
-        z = self.correlate(q)
-        he = -12.0 * self.c * ((self.basis * (z**2)) @ self.basis.T)
-        qg = -4.0 * self.c * self._fourth_sum(z)  # q^T grad = 4 phi(q)
-        proj = np.eye(self.n) - np.outer(q, q)
-        return proj @ (he - qg * np.eye(self.n)) @ proj
+
+class _Curvature:
+    """The tangent Hessian P (Hess_e - 4 phi I) P of a quartic objective at x.
+
+    Z^2 and x^T grad = 4 phi(x) are formed once, so an action costs two
+    passes. The smallest eigenpair comes from one dense eigh on an explicit
+    basis with n <= DENSE_HESSIAN_LIMIT, otherwise from Lanczos.
+    """
+
+    def __init__(self, obj: _QuarticObjective, x: np.ndarray):
+        self.obj, self.x = obj, x
+        self.z2 = obj.correlate(x) ** 2
+        self.qg = -4.0 * obj.c * float(np.vdot(self.z2, self.z2))
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        x, obj = self.x, self.obj
+        w = v - x * (x @ v)
+        out = -12.0 * obj.c * obj.adjoint(self.z2 * obj.correlate(w)) - self.qg * w
+        return out - x * (x @ out)
+
+    def dense(self) -> np.ndarray:
+        obj, x, n = self.obj, self.x, self.obj.n
+        if n > DENSE_HESSIAN_LIMIT:
+            raise ValueError(f"dense Hessian refused for n={n} > "
+                             f"{DENSE_HESSIAN_LIMIT}; use rhess_vec")
+        he = -12.0 * obj.c * ((obj.basis * self.z2) @ obj.basis.T)
+        proj = np.eye(n) - np.outer(x, x)
+        return proj @ (he - self.qg * np.eye(n)) @ proj
+
+    def min_eig(self, seed: int = 0) -> tuple[float, np.ndarray, bool]:
+        """(smallest tangent eigenvalue, unit eigenvector, converged)."""
+        x = self.x
+        if not (isinstance(self.obj, _BasisObjective)
+                and 1 < x.size <= DENSE_HESSIAN_LIMIT):
+            return tangent_min_eig(self.matvec, x, seed=seed)
+        H = self.dense()
+        # push the retraction direction (a structural zero eigenvalue) upward
+        # so the dense minimum is the tangent-restricted one
+        shift = 10.0 * (1.0 + float(np.abs(H).sum()))
+        evals, evecs = np.linalg.eigh(H + shift * np.outer(x, x))
+        vec = evecs[:, 0]
+        vec -= x * float(x @ vec)
+        nv = float(np.linalg.norm(vec))
+        if nv > 0.0:
+            vec /= nv
+        return float(evals[0]), vec, True
 
 
 @dataclass(frozen=True)
@@ -175,6 +273,7 @@ class OdlObjective(_BasisObjective):
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
+        super().__post_init__()
 
     @property
     def basis(self) -> np.ndarray:

@@ -12,6 +12,7 @@ builds a SpherePoint only for the start, the result and each escape attempt.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from .cdl import Preconditioner
 from .model import ObservationSet, SpherePoint, stream
+from .objectives import tangent_min_eig
 
 __all__ = [
     "FixedStep",
@@ -152,71 +154,6 @@ def rgd_step(obj, q: SpherePoint, tau: float) -> SpherePoint:
     return SpherePoint.project(q.coords - tau * obj.rgrad(q))
 
 
-def tangent_min_eig(matvec, q: np.ndarray, seed: int = 0, max_iters: int = 200,
-                    tol: float = 1e-8) -> tuple[float, np.ndarray, bool]:
-    """Smallest eigenpair of a symmetric operator on the tangent space at q.
-
-    Lanczos with full reorthogonalization, started from a random tangent
-    vector. `matvec` need not project its output onto the tangent space;
-    that happens here. Returns (eigenvalue, unit eigenvector, converged);
-    `converged` means the Ritz residual fell below `tol` or the Krylov
-    space exhausted the tangent space.
-    """
-    q = np.asarray(q, dtype=float)
-    n = q.size
-    dim = n - 1
-    if dim == 0:
-        return 0.0, np.zeros(n), True
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return v - q * float(q @ v)
-
-    rng = stream(seed, "lanczos")
-    v = project(rng.standard_normal(n))
-    for _ in range(10):
-        nv = float(np.linalg.norm(v))
-        if nv > 1e-12:
-            break
-        v = project(rng.standard_normal(n))
-    v /= np.linalg.norm(v)
-
-    depth = min(max_iters, dim)
-    V = np.empty((depth, n))
-    V[0] = v
-    alphas: list[float] = []
-    betas: list[float] = []
-    converged = False
-    k = 0
-    for k in range(depth):
-        w = project(np.asarray(matvec(V[k]), dtype=float))
-        a = float(V[k] @ w)
-        alphas.append(a)
-        w -= a * V[k]
-        if betas:
-            w -= betas[-1] * V[k - 1]
-        w -= V[: k + 1].T @ (V[: k + 1] @ w)
-        w = project(w)
-        beta = float(np.linalg.norm(w))
-        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        evals, evecs = np.linalg.eigh(T)
-        resid = beta * abs(float(evecs[-1, 0]))
-        if resid <= tol * max(1.0, abs(float(evals[0]))) or beta <= 1e-14:
-            converged = True
-            break
-        if k + 1 == depth:
-            converged = depth == dim
-            break
-        betas.append(beta)
-        V[k + 1] = w / beta
-
-    vec = V[: k + 1].T @ evecs[:, 0]
-    vec = project(vec)
-    nv = float(np.linalg.norm(vec))
-    if nv > 0.0:
-        vec /= nv
-    return float(evals[0]), vec, converged
-
-
 def escape_saddle(obj, q: SpherePoint, curv_tol: float, step: float,
                   seed: int = 0) -> SpherePoint | None:
     """Move off a strict saddle along the most negative curvature direction.
@@ -227,7 +164,7 @@ def escape_saddle(obj, q: SpherePoint, curv_tol: float, step: float,
     reported as a warning and treated conservatively).
     """
     x = q.coords
-    lam, v, ok = tangent_min_eig(lambda u: obj.rhess_vec(x, u), x, seed=seed)
+    lam, v, ok = obj.curvature(x).min_eig(seed)
     if not ok:
         warnings.warn("tangent eigensolver did not converge; no escape taken",
                       stacklevel=2)
@@ -251,7 +188,8 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
 
     `obj` provides evaluate(q) -> (value, Euclidean gradient), called once
     per iterate (once per trial point in a line search), plus value and
-    rhess_vec when escape is enabled.
+    curvature(q).min_eig when escape is enabled. A non-finite gradient
+    raises ValueError.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -264,7 +202,11 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
     termination = "max_iters"
 
     while True:
-        rg = g - x * (x @ g)
+        # any non-finite g makes x.g non-finite; vdot, unlike @, won't warn on 0*inf
+        xg = np.vdot(x, g)
+        if not math.isfinite(xg):
+            raise ValueError("cannot project a zero or non-finite vector")
+        rg = g - x * xg
         gn = float(np.linalg.norm(rg))
         if gn <= cfg.grad_tol:
             moved = None

@@ -91,10 +91,10 @@ def test_circulant_matvec_paths_agree():
         D = C.dense()
         for _ in range(5):
             v = rng.standard_normal(n)
-            assert np.linalg.norm(C.matvec(v) - D @ v) <= 1e-10 * np.linalg.norm(v)
+            assert np.linalg.norm(conv(g, v) - D @ v) <= 1e-10 * np.linalg.norm(v)
             # C_v^T = C_rev(v), the identity CdlObjective.correlate rests on
-            CT = CirculantOp(cyclic_reversal(g))
-            assert np.linalg.norm(CT.matvec(v) - D.T @ v) <= 1e-10 * np.linalg.norm(v)
+            assert (np.linalg.norm(conv(cyclic_reversal(g), v) - D.T @ v)
+                    <= 1e-10 * np.linalg.norm(v))
 
 
 def test_circulant_singular_values():
@@ -226,7 +226,8 @@ def test_preconditioner_joint_pass_diagonalization():
     C = CirculantOp(rng.standard_normal(12))
     v = rng.standard_normal(12)
     joint = np.real(np.fft.ifft(P.spectrum_weights * np.fft.fft(C.generator) * np.fft.fft(v)))
-    twostep = P.dense() @ (C.dense() @ v)
+    Pdense = CirculantOp(np.real(np.fft.ifft(P.spectrum_weights))).dense()
+    twostep = Pdense @ (C.dense() @ v)
     assert np.linalg.norm(joint - twostep) <= 1e-10 * np.linalg.norm(v)
 
 
@@ -261,6 +262,23 @@ def test_cdl_rhess_vec_against_dense_and_symmetry():
             float(v @ obj.rhess_vec(q, w)), rel=1e-10, abs=1e-12
         )
     assert np.linalg.norm(obj.rhess_vec(q, q.copy())) <= 1e-12
+
+
+def test_cdl_curvature_lanczos_matches_dense_stacked():
+    bank = make_filter_bank(12, 3, seed=26)
+    prob = synth_cdl(bank, 0.25, 6, seed=27)
+    obj = CdlObjective.from_problem(prob)
+    dense = dense_stacked_objective(obj)
+    rng = stream(29)
+    for trial in range(4):
+        q = retract(rng.standard_normal(12))
+        lam, vec, ok = obj.curvature(q).min_eig(seed=trial)
+        ref, _, ref_ok = dense.curvature(q).min_eig()
+        assert ok and ref_ok
+        assert lam == pytest.approx(ref, rel=1e-7, abs=1e-12)
+        assert abs(float(vec @ q)) <= 1e-10
+        hv = dense.rhess(q) @ vec
+        assert abs(float(vec @ hv) - lam) <= 1e-9 * max(1.0, abs(lam))
 
 
 @pytest.mark.parametrize("n", [15, 16])

@@ -420,3 +420,23 @@ def test_report_dataclass_is_frozen():
     assert isinstance(rep, LandscapeReport)
     with pytest.raises(AttributeError):
         rep.region = "elsewhere"
+
+
+def test_report_curvature_fields_match_dense_reference():
+    # the shifted dense eigensolve critical_point_report ran inline before the
+    # curvature operator, on a random point and on a solved one per frame
+    rng = stream(70)
+    for seed in (71, 72, 73):
+        D = make_untf(8, 16, seed=seed)
+        q0 = SpherePoint.project(rng.standard_normal(8))
+        for q in (q0, solve(TensorObjective(D), q0).q_star):
+            x = q.coords
+            H = TensorObjective(D).rhess(x)
+            shift = 10.0 * (1.0 + float(np.abs(H).sum()))
+            evals, evecs = np.linalg.eigh(H + shift * np.outer(x, x))
+            vec = evecs[:, 0]
+            vec -= x * float(x @ vec)
+            vec /= float(np.linalg.norm(vec))
+            rep = critical_point_report(D, q)
+            assert rep.hess_min_eig == float(evals[0])
+            assert np.array_equal(rep.hess_min_vec, vec)

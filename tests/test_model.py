@@ -248,12 +248,6 @@ def test_sphere_point_contract():
         SpherePoint.project(np.zeros(3))
 
 
-def test_sphere_point_correlations():
-    D = make_untf(3, 4, seed=2)
-    q = SpherePoint.project(np.array([1.0, -2.0, 0.5]))
-    assert np.allclose(q.correlations(D), D.entries.T @ q.coords)
-
-
 def test_filter_bank_basics():
     bank = make_filter_bank(16, 3, seed=4)
     assert bank.K == 3 and bank.n == 16

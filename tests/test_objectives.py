@@ -17,6 +17,7 @@ from sphere4.objectives import (
     fd_directional,
     fd_quadratic,
     retract,
+    tangent_min_eig,
 )
 
 
@@ -192,6 +193,95 @@ def test_rgrad_at_columns_bounded_by_coherence():
         assert np.linalg.norm(g) <= ceiling + 1e-12
 
 
+def reference_rhess_vec(obj, q, v):
+    """rhess_vec as written before the curvature operator: Z recomputed."""
+    z = obj.correlate(q)
+    w = v - q * (q @ v)
+    hw = -12.0 * obj.c * obj.adjoint((z**2) * obj.correlate(w))
+    qg = -4.0 * obj.c * obj._fourth_sum(z)
+    out = hw - qg * w
+    return out - q * (q @ out)
+
+
+def reference_rhess(obj, q):
+    """rhess as written before the curvature operator."""
+    z = obj.correlate(q)
+    he = -12.0 * obj.c * ((obj.basis * (z**2)) @ obj.basis.T)
+    qg = -4.0 * obj.c * obj._fourth_sum(z)
+    proj = np.eye(obj.n) - np.outer(q, q)
+    return proj @ (he - qg * np.eye(obj.n)) @ proj
+
+
+def basis_objective(kind: str, n: int, seed: int):
+    D = make_untf(n, 2 * n, seed=seed)
+    if kind == "tensor":
+        return TensorObjective(D)
+    return OdlObjective(synth_odl(D, sample_bg(2 * n, 400, 0.2, seed=seed + 1)), 0.2)
+
+
+@pytest.mark.parametrize("kind", ["tensor", "odl"])
+def test_rhess_views_bit_identical_to_reference(kind):
+    rng = stream(60)
+    for trial in range(4):
+        obj = basis_objective(kind, 4 + 3 * trial, seed=610 + trial)
+        q = retract(rng.standard_normal(obj.n))
+        assert np.array_equal(obj.rhess(q), reference_rhess(obj, q))
+        for _ in range(3):
+            v = rng.standard_normal(obj.n)
+            assert np.array_equal(obj.rhess_vec(q, v), reference_rhess_vec(obj, q, v))
+
+
+@pytest.mark.parametrize("kind", ["tensor", "odl"])
+def test_min_eig_dense_matches_lanczos(kind):
+    rng = stream(62)
+    for trial in range(6):
+        obj = basis_objective(kind, 3 + 3 * trial, seed=630 + trial)
+        q = retract(rng.standard_normal(obj.n))
+        curv = obj.curvature(q)
+        lam, vec, ok = curv.min_eig(seed=trial)
+        ref, _, ref_ok = tangent_min_eig(curv.matvec, q, seed=trial)
+        assert ok and ref_ok
+        assert lam == pytest.approx(ref, rel=1e-7, abs=1e-12)
+        assert abs(float(vec @ q)) <= 1e-10
+        assert float(np.linalg.norm(vec)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(float(vec @ curv.matvec(vec)) - lam) <= 1e-9 * max(1.0, abs(lam))
+
+
+def test_min_eig_dense_matches_lanczos_at_exact_saddle():
+    # phi = -(1/4) sum q_i^4 at (e1 + e2)/sqrt(2): the tangent Hessian is -1
+    # along e1 - e2 and +1/2 along e3, e4
+    obj = TensorObjective(Dictionary(np.eye(4)))
+    q = retract(np.array([1.0, 1.0, 0.0, 0.0]))
+    curv = obj.curvature(q)
+    lam, vec, ok = curv.min_eig()
+    ref, ref_vec, ref_ok = tangent_min_eig(curv.matvec, q)
+    assert ok and ref_ok
+    assert lam == pytest.approx(-1.0, rel=1e-12)
+    assert ref == pytest.approx(lam, rel=1e-7)
+    assert abs(float(vec @ q)) <= 1e-10
+    assert abs(abs(float(vec @ ref_vec)) - 1.0) <= 1e-7
+    assert abs(float(vec @ curv.matvec(vec)) - lam) <= 1e-12
+
+
+def test_min_eig_on_a_zero_dimensional_tangent_space():
+    obj = TensorObjective(Dictionary(np.ones((1, 2))))
+    lam, vec, ok = obj.curvature(np.array([1.0])).min_eig()
+    assert (lam, vec.tolist(), ok) == (0.0, [0.0], True)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_basis_raises_typed_error():
+    huge = 1e110 * np.arange(1.0, 10.0).reshape(3, 3)
+    with pytest.raises(ValueError, match="overflow"):
+        OdlObjective(ObservationSet(huge), 0.2)
+    with pytest.raises(ValueError, match="overflow"):
+        TensorObjective(Dictionary(huge))
+    # data far above unit scale that still fits evaluates finitely
+    obj = OdlObjective(ObservationSet(huge * 1e-50), 0.2)
+    val, g = obj.evaluate(retract(np.ones(3)))
+    assert np.isfinite(val) and np.all(np.isfinite(g))
+
+
 def test_dense_hessian_guard():
     Y = ObservationSet(np.zeros((4097, 2)))
     obj = OdlObjective(Y, 0.1)
@@ -200,6 +290,9 @@ def test_dense_hessian_guard():
     # the matrix-free path still works at that size
     q = retract(np.ones(4097))
     assert np.linalg.norm(obj.rhess_vec(q, np.ones(4097))) >= 0.0
+    # and the curvature operator falls back to Lanczos there
+    lam, _, ok = obj.curvature(q).min_eig()
+    assert (lam, ok) == (0.0, True)
 
 
 def test_expectation_gap_theta_limit():

@@ -292,6 +292,17 @@ def test_solve_raises_when_gradient_turns_nan(method):
     assert obj.calls == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["power", "rgd"])
+def test_solve_raises_when_gradient_turns_infinite(method):
+    obj = ScriptedObjective([[0.0, 1.0, 0.0], [np.inf, 0.0, 0.0]])
+    q0 = SpherePoint.project(np.array([1.0, 0.0, 0.0]))
+    cfg = SolveConfig(method=method, step_policy=FixedStep(0.5))
+    with pytest.raises(ValueError, match="cannot project a zero or non-finite vector"):
+        solve(obj, q0, cfg)
+    assert obj.calls == 2
+
+
 @pytest.mark.parametrize("method", ["power", "rgd"])
 def test_solve_stops_when_gradient_turns_zero(method):
     obj = ScriptedObjective([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
