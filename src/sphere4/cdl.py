@@ -283,10 +283,13 @@ class CdlObjective(_QuarticObjective):
         s.setflags(write=False)
         return s
 
+    @cached_property
+    def _conj_spectra(self) -> np.ndarray:
+        return np.conj(self._spectra)
+
     def correlate(self, q: np.ndarray) -> np.ndarray:
         """Z[i] = C_{P y_i}^T q = rev(P y_i) conv q, a p x n array."""
-        return np.fft.irfft(np.conj(self._spectra) * np.fft.rfft(q), n=self.n,
-                            axis=1)
+        return np.fft.irfft(self._conj_spectra * np.fft.rfft(q), n=self.n, axis=1)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         """sum_i C_{P y_i} w_i = sum_i P y_i conv w_i for a p x n array w."""

@@ -118,21 +118,18 @@ class SolveResult:
 def _unit(v: np.ndarray) -> np.ndarray:
     """SpherePoint.project(v).coords, skipping its checks where they cannot fail.
 
-    sqrt(v @ v) is np.linalg.norm of a 1-d real array. Once it is finite and
+    sqrt(v.dot(v)) is np.linalg.norm of a 1-d real array. Once it is finite and
     its square a normal float, v / norm has finite entries and unit norm.
     """
-    nrm = np.sqrt(v @ v)
+    nrm = math.sqrt(v.dot(v))
     if not 1e-150 <= nrm < np.inf:
         return SpherePoint.project(v).coords
     return v / nrm
 
 
-def _power_point(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """P_sphere(-g) for a nonzero Euclidean gradient g at x; see power_step."""
-    d = -g
-    if float(d @ x) < 0.0:
-        d = -d
-    return _unit(d)
+def _power_point(g: np.ndarray, xg) -> np.ndarray:
+    """P_sphere(-g), or P_sphere(g) when xg = x.g > 0; see power_step."""
+    return _unit(g if xg > 0.0 else -g)
 
 
 def power_step(obj, q: SpherePoint) -> SpherePoint:
@@ -144,7 +141,7 @@ def power_step(obj, q: SpherePoint) -> SpherePoint:
     identity.
     """
     g = obj.grad(q)
-    return SpherePoint(_power_point(q.coords, g)) if np.any(g) else q
+    return SpherePoint(_power_point(g, np.vdot(q.coords, g))) if np.any(g) else q
 
 
 def rgd_step(obj, q: SpherePoint, tau: float) -> SpherePoint:
@@ -200,6 +197,7 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
     iterations = 0
     escapes = 0
     termination = "max_iters"
+    power, pol, grad_tol = cfg.method == "power", cfg.step_policy, cfg.grad_tol
 
     while True:
         # any non-finite g makes x.g non-finite; vdot, unlike @, won't warn on 0*inf
@@ -207,8 +205,8 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
         if not math.isfinite(xg):
             raise ValueError("cannot project a zero or non-finite vector")
         rg = g - x * xg
-        gn = float(np.linalg.norm(rg))
-        if gn <= cfg.grad_tol:
+        gn = math.sqrt(rg.dot(rg))
+        if gn <= grad_tol:
             moved = None
             if cfg.escape is not None and iterations < cfg.max_iters:
                 # a first-order point may be the result, so wrap it here
@@ -236,9 +234,8 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
                 termination = "stalled"
                 break
 
-        pol = cfg.step_policy
-        if cfg.method == "power":
-            cand = _power_point(x, g)
+        if power:
+            cand = _power_point(g, xg)
             val, g_cand = obj.evaluate(cand)
             if not val <= trace[-1] + 1e-12 * max(1.0, abs(trace[-1])):
                 termination = "nonmonotone"

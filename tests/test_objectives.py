@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from sphere4.cdl import CdlObjective, synth_cdl
 from sphere4.model import (
     Dictionary,
     ObservationSet,
     SpherePoint,
+    make_filter_bank,
     make_untf,
     sample_bg,
     stream,
@@ -165,10 +167,12 @@ def test_evaluate_matches_value_and_grad_bitwise():
     rng = stream(22)
     D = make_untf(6, 12, seed=23)
     objs = [TensorObjective(D),
-            OdlObjective(synth_odl(D, sample_bg(12, 400, 0.2, seed=24)), 0.2)]
+            OdlObjective(synth_odl(D, sample_bg(12, 400, 0.2, seed=24)), 0.2),
+            CdlObjective.from_problem(
+                synth_cdl(make_filter_bank(8, 2, seed=25), 0.2, 200, seed=26))]
     for obj in objs:
         for _ in range(5):
-            q = SpherePoint.project(rng.standard_normal(6))
+            q = SpherePoint.project(rng.standard_normal(obj.n))
             val, g = obj.evaluate(q)
             assert val == obj.value(q)
             assert np.array_equal(g, obj.grad(q))

@@ -281,6 +281,24 @@ class ScriptedObjective:
         self.calls += 1
         return -float(self.calls), self.grads[min(self.calls, len(self.grads)) - 1]
 
+    def grad(self, q):
+        return self.evaluate(q)[1]
+
+
+@pytest.mark.parametrize("g0, flip", [
+    ([2.0, 1.0, 0.0], True), ([0.0, 3.0, 4.0], False), ([-2.0, 1.0, 0.0], False)],
+    ids=["xg-positive", "xg-zero", "xg-negative"])
+def test_solve_power_first_iterate_is_power_step(g0, flip):
+    # a quartic objective has x.g = 4 phi < 0, so only a stub reaches the
+    # sign flip (x.g > 0) and the tie (x.g = 0) of the power update
+    q0 = SpherePoint.project(np.array([1.0, 0.0, 0.0]))
+    res = solve(ScriptedObjective([g0]), q0, SolveConfig(max_iters=1))
+    step = power_step(ScriptedObjective([g0]), q0)
+    d = np.array(g0) if flip else -np.array(g0)
+    assert res.iterations == 1
+    assert np.array_equal(res.q_star.coords, step.coords)
+    assert np.array_equal(step.coords, d / np.linalg.norm(d))
+
 
 @pytest.mark.parametrize("method", ["power", "rgd"])
 def test_solve_raises_when_gradient_turns_nan(method):
