@@ -24,10 +24,20 @@ def pytest_addoption(parser):
 
 
 class SolveDigest:
+    """Wraps SolveResult.__init__ for the session and restores it at the end."""
+
     def __init__(self, path: str):
+        from sphere4.optimize import SolveResult
+
         self.out = open(path, "w", encoding="ascii")
-        self.test = "<collection>"
-        self.count = 0
+        self.test, self.count = "<collection>", 0
+        self.cls, self.init = SolveResult, SolveResult.__init__
+
+        def logged_init(res, *args, **kwargs):
+            self.init(res, *args, **kwargs)
+            self.record(res)
+
+        SolveResult.__init__ = logged_init
 
     def record(self, res) -> None:
         trace = hashlib.sha256(res.objective_trace.tobytes()).hexdigest()
@@ -43,21 +53,11 @@ class SolveDigest:
         yield
 
     def pytest_unconfigure(self):
+        self.cls.__init__ = self.init
         self.out.close()
 
 
 def pytest_configure(config):
     path = config.getoption("--solve-digest")
-    if path is None:
-        return
-    from sphere4.optimize import SolveResult
-
-    digest = SolveDigest(path)
-    init = SolveResult.__init__
-
-    def logged_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        digest.record(self)
-
-    SolveResult.__init__ = logged_init
-    config.pluginmanager.register(digest, "solve-digest")
+    if path is not None:
+        config.pluginmanager.register(SolveDigest(path), "solve-digest")
