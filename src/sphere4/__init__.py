@@ -51,9 +51,7 @@ from .model import (
 )
 from .objectives import OdlObjective, TensorObjective, expectation_gap, retract
 from .optimize import (
-    Backtracking,
     EscapeConfig,
-    FixedStep,
     SolveConfig,
     SolveResult,
     escape_saddle,

@@ -194,15 +194,17 @@ def _load_gen(data_dir: Path) -> dict:
     meta_path = data_dir / "gen.json"
     if not meta_path.exists():
         raise ValueError(f"no gen.json under {data_dir}")
-    return json.loads(meta_path.read_text())
+    meta = json.loads(meta_path.read_text())
+    if (not isinstance(meta, dict) or meta.get("model") not in ("odl", "cdl")
+            or "theta" not in meta):
+        raise ValueError(f"{meta_path} is not a gen.json: it needs an object "
+                         "with a model (odl or cdl) and a theta")
+    return meta
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    prov = _provenance("solve", args)
-    cfg = _solve_config(args)
-
     data = Path(args.data_dir) if args.data_dir else None
     if data is not None:
         meta = _load_gen(data)
@@ -212,6 +214,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if model is None or theta is None or args.n is None or args.p is None:
             raise ValueError("without --data-dir, solve needs --model, --n, "
                              "--theta and --p")
+    if args.init is None:
+        # an explicit --model picks the default even when --data-dir is given
+        args.init = "data" if (args.model or model) == "cdl" else "random"
+    if model == "odl" and args.init == "data":
+        raise ValueError("--init data applies to the cdl model only")
+    prov = _provenance("solve", args)
+    cfg = _solve_config(args)
 
     if model == "odl":
         if data is not None:
@@ -223,8 +232,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 raise ValueError("--m is required for the odl model")
             D = make_untf(args.n, args.m, seed=seed)
             obs = synth_odl(D, sample_bg(args.m, args.p, theta, seed=seed))
-        if args.init == "data":
-            raise ValueError("--init data applies to the cdl model only")
         objective = OdlObjective(obs, theta)
         q0 = SpherePoint.project(stream(seed, "cli-solve").standard_normal(D.n))
         res = solve(objective, q0, cfg)
@@ -547,14 +554,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "init", None) is None and args.command == "solve":
-        model = args.model
-        if model is None and args.data_dir:
-            try:
-                model = _load_gen(Path(args.data_dir)).get("model")
-            except (ValueError, OSError, json.JSONDecodeError):
-                model = None
-        args.init = "data" if model == "cdl" else "random"
     try:
         return args.func(args)
     except ValueError as exc:

@@ -42,6 +42,11 @@ CLASS_INDETERMINATE = "indeterminate"
 
 BOUNDARY_TOL = 1e-12
 
+# critical_point_report: curvature above -CURV_REL_TOL * ||zeta||_4^4 reads
+# PSD, and a cubic residual within RESID_TOL * alpha_i^(3/2) reads a root
+CURV_REL_TOL = 1e-8
+RESID_TOL = 1e-4
+
 # the certificate constant must exceed 2^6; the integer above the floor
 XI_DL_DEFAULT = 65.0
 
@@ -164,9 +169,8 @@ class LandscapeReport:
                 self.classification, self.best_index, self.inner_product)
 
 
-def critical_point_report(D: Dictionary, q, grad_tol: float = 1e-6,
-                          curv_tol: float | None = None,
-                          resid_tol: float = 1e-4) -> LandscapeReport:
+def critical_point_report(D: Dictionary, q,
+                          grad_tol: float = 1e-6) -> LandscapeReport:
     """Classify a point as near-solution, strict saddle, or neither.
 
     At a critical point every correlation zeta_i is a root of the scalar
@@ -180,8 +184,7 @@ def critical_point_report(D: Dictionary, q, grad_tol: float = 1e-6,
     near_solution; verified negative curvature reads strict_saddle;
     anything else (including a PSD point with two big coordinates, which
     high-coherence frames do produce) is reported indeterminate rather
-    than forced into a theory bucket. curv_tol defaults to
-    1e-8 * ||zeta||_4^4.
+    than forced into a theory bucket.
     """
     x = _coords(q)
     A = D.entries
@@ -192,8 +195,7 @@ def critical_point_report(D: Dictionary, q, grad_tol: float = 1e-6,
     alphas = z44 / col_sq
     cubes = zeta**3
     betas = (A.T @ (A @ cubes) - col_sq * cubes) / col_sq
-    if curv_tol is None:
-        curv_tol = 1e-8 * z44
+    curv_tol = CURV_REL_TOL * z44
 
     grad_norm = float(np.linalg.norm(obj.rgrad(x)))
     hess_min_eig, vec, _ = obj.curvature(x).min_eig()
@@ -208,7 +210,7 @@ def critical_point_report(D: Dictionary, q, grad_tol: float = 1e-6,
         classification = CLASS_NON_CRITICAL
     else:
         residuals = np.abs(cubes - alphas * zeta + betas)
-        cubic_ok = bool(np.all(residuals <= resid_tol * alphas**1.5))
+        cubic_ok = bool(np.all(residuals <= RESID_TOL * alphas**1.5))
         big = np.abs(zeta) > 2.0 * np.abs(betas) / alphas
         nbig = int(np.count_nonzero(big))
         if not cubic_ok or nbig == 0:

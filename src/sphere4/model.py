@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 UNIT_TOL = 1e-12
+# make_untf stops once the frame residual ||(n/m) A A^T - I||_F is this small
+UNTF_TOL = 1e-10
 
 
 def stream(seed, *path) -> np.random.Generator:
@@ -227,26 +229,20 @@ class FilterBank:
         return float(self._bin_singular_values.max() / smin)
 
 
-def make_untf(
-    n: int,
-    m: int,
-    seed: int,
-    max_iters: int = 5000,
-    tol_untf: float = 1e-10,
-) -> Dictionary:
+def make_untf(n: int, m: int, seed: int, max_iters: int = 5000) -> Dictionary:
     """Generate a unit-norm tight frame by alternating projections.
 
     Starts from N(0, 1/n) entries and alternates (i) left-preconditioning
     by ((m/n) A A^T)^{-1/2} with (ii) column l2-normalization until the
-    frame residual ||(n/m) A A^T - I||_F drops below tol_untf. Columns are
+    frame residual ||(n/m) A A^T - I||_F drops below UNTF_TOL. Columns are
     exactly unit after every normalization pass, so the residual alone is
     the convergence test. On hitting max_iters the best iterate is
     returned with untf_converged=False.
     """
     if m < n:
         raise ValueError(f"need m >= n, got n={n}, m={m}")
-    if max_iters < 1 or tol_untf <= 0:
-        raise ValueError("max_iters must be >= 1 and tol_untf > 0")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     rng = stream(seed, "untf")
     A = rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, m))
     A = A / np.linalg.norm(A, axis=0)
@@ -259,7 +255,7 @@ def make_untf(
         res = np.linalg.norm(scale * G - eye)
         if res < best_res:
             best, best_res = A, res
-        if res <= tol_untf:
+        if res <= UNTF_TOL:
             return Dictionary(A, untf_converged=True)
         w, V = np.linalg.eigh(G / scale)
         # floor keeps the inverse root finite on near-rank-deficient iterates
@@ -269,7 +265,7 @@ def make_untf(
     res = np.linalg.norm(scale * (A @ A.T) - eye)
     if res < best_res:
         best, best_res = A, res
-    return Dictionary(best, untf_converged=bool(best_res <= tol_untf))
+    return Dictionary(best, untf_converged=bool(best_res <= UNTF_TOL))
 
 
 def sample_bg(m: int, p: int, theta: float, seed: int) -> SparseCode:

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 DENSE_HESSIAN_LIMIT = 4096
+# tangent_min_eig: Krylov depth cap and relative Ritz-residual tolerance
+LANCZOS_MAX_ITERS = 200
+LANCZOS_TOL = 1e-8
 
 
 def _coords(q) -> np.ndarray:
@@ -55,15 +58,15 @@ def retract(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def tangent_min_eig(matvec, q: np.ndarray, seed: int = 0, max_iters: int = 200,
-                    tol: float = 1e-8) -> tuple[float, np.ndarray, bool]:
+def tangent_min_eig(matvec, q: np.ndarray,
+                    seed: int = 0) -> tuple[float, np.ndarray, bool]:
     """Smallest eigenpair of a symmetric operator on the tangent space at q.
 
     Lanczos with full reorthogonalization, started from a random tangent
     vector. `matvec` need not project its output onto the tangent space;
     that happens here. Returns (eigenvalue, unit eigenvector, converged);
-    `converged` means the Ritz residual fell below `tol` or the Krylov
-    space exhausted the tangent space.
+    `converged` means the relative Ritz residual fell below LANCZOS_TOL or
+    the Krylov space exhausted the tangent space.
     """
     q = np.asarray(q, dtype=float)
     n = q.size
@@ -83,7 +86,7 @@ def tangent_min_eig(matvec, q: np.ndarray, seed: int = 0, max_iters: int = 200,
         v = project(rng.standard_normal(n))
     v /= np.linalg.norm(v)
 
-    depth = min(max_iters, dim)
+    depth = min(LANCZOS_MAX_ITERS, dim)
     V = np.empty((depth, n))
     V[0] = v
     alphas, betas = [], []
@@ -100,7 +103,8 @@ def tangent_min_eig(matvec, q: np.ndarray, seed: int = 0, max_iters: int = 200,
         T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         evals, evecs = np.linalg.eigh(T)
         resid = beta * abs(float(evecs[-1, 0]))
-        if resid <= tol * max(1.0, abs(float(evals[0]))) or beta <= 1e-14:
+        if (resid <= LANCZOS_TOL * max(1.0, abs(float(evals[0])))
+                or beta <= 1e-14):
             converged = True
             break
         if k + 1 == depth:

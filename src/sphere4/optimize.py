@@ -23,8 +23,6 @@ from .model import ObservationSet, SpherePoint, stream
 from .objectives import tangent_min_eig
 
 __all__ = [
-    "FixedStep",
-    "Backtracking",
     "EscapeConfig",
     "SolveConfig",
     "SolveResult",
@@ -38,33 +36,12 @@ __all__ = [
 
 STALL_WINDOW = 20
 STALL_REL_TOL = 1e-15
+# rgd's Armijo line search: shrink tau from TAU0 until the value falls by
+# C1 * tau * |rgrad|^2; below MIN_BACKTRACK_TAU the solve ends "stalled"
+BACKTRACK_TAU0 = 1.0
+BACKTRACK_SHRINK = 0.5
+ARMIJO_C1 = 1e-4
 MIN_BACKTRACK_TAU = 1e-16
-
-
-@dataclass(frozen=True)
-class FixedStep:
-    """Constant stepsize policy for the gradient method."""
-
-    tau: float
-
-    def __post_init__(self) -> None:
-        if self.tau <= 0.0:
-            raise ValueError("stepsize must be positive")
-
-
-@dataclass(frozen=True)
-class Backtracking:
-    """Armijo backtracking line search parameters."""
-
-    alpha0: float = 1.0
-    shrink: float = 0.5
-    c1: float = 1e-4
-
-    def __post_init__(self) -> None:
-        if self.alpha0 <= 0.0:
-            raise ValueError("initial stepsize must be positive")
-        if not 0.0 < self.shrink < 1.0 or not 0.0 < self.c1 < 1.0:
-            raise ValueError("shrink and c1 must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -80,7 +57,6 @@ class SolveConfig:
     method: str = "power"
     max_iters: int = 10_000
     grad_tol: float = 1e-8
-    step_policy: FixedStep | Backtracking = Backtracking()
     escape: EscapeConfig | None = None
     seed: int = 0
 
@@ -197,7 +173,7 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
     iterations = 0
     escapes = 0
     termination = "max_iters"
-    power, pol, grad_tol = cfg.method == "power", cfg.step_policy, cfg.grad_tol
+    power, grad_tol = cfg.method == "power", cfg.grad_tol
 
     while True:
         # any non-finite g makes x.g non-finite; vdot, unlike @, won't warn on 0*inf
@@ -240,17 +216,14 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
             if not val <= trace[-1] + 1e-12 * max(1.0, abs(trace[-1])):
                 termination = "nonmonotone"
                 break
-        elif isinstance(pol, FixedStep):
-            cand = _unit(x - pol.tau * rg)
-            val, g_cand = obj.evaluate(cand)
         else:
-            tau = pol.alpha0
+            tau = BACKTRACK_TAU0
             while True:
                 cand = _unit(x - tau * rg)
                 val, g_cand = obj.evaluate(cand)
-                if val <= trace[-1] - pol.c1 * tau * gn * gn:
+                if val <= trace[-1] - ARMIJO_C1 * tau * gn * gn:
                     break
-                tau *= pol.shrink
+                tau *= BACKTRACK_SHRINK
                 if tau < MIN_BACKTRACK_TAU:
                     cand = None
                     break

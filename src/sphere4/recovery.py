@@ -21,6 +21,7 @@ from .optimize import SolveConfig, init_cdl, solve
 __all__ = [
     "SUCCESS_THRESHOLD",
     "EPS_CDL",
+    "TIE_TOL",
     "RecoveryOutcome",
     "DictionaryCoverage",
     "FilterRecovery",
@@ -38,6 +39,9 @@ SUCCESS_THRESHOLD = 5e-2
 # operational bar on the aligned l2 error of a recovered filter
 EPS_CDL = 0.1
 
+# inner products this close to the best count as ties in recovery_error
+TIE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class RecoveryOutcome:
@@ -48,14 +52,12 @@ class RecoveryOutcome:
     success: bool
 
 
-def recovery_error(q, D: Dictionary,
-                   threshold: float = SUCCESS_THRESHOLD,
-                   tie_tol: float = 1e-12) -> RecoveryOutcome:
+def recovery_error(q, D: Dictionary) -> RecoveryOutcome:
     """rho_e = 1 - max_i |<q, a_i/||a_i||>|, with the achieving index.
 
-    Sign-symmetric by construction. Ties within tie_tol of the best inner
-    product resolve to the lowest column index so duplicated columns score
-    stably.
+    Sign-symmetric by construction; a trial succeeds when rho_e is below
+    SUCCESS_THRESHOLD. Ties within TIE_TOL of the best inner product
+    resolve to the lowest column index so duplicated columns score stably.
     """
     x = _coords(q)
     norms = np.linalg.norm(D.entries, axis=0)
@@ -63,10 +65,10 @@ def recovery_error(q, D: Dictionary,
         raise ValueError("recovery error needs nonzero columns")
     inners = np.abs(D.entries.T @ x) / norms
     top = float(np.max(inners))
-    best = int(np.argmax(inners >= top - tie_tol))
+    best = int(np.argmax(inners >= top - TIE_TOL))
     # rounding can push a unit inner product past 1; the metric lives in [0,1]
     rho = min(max(1.0 - top, 0.0), 1.0)
-    return RecoveryOutcome(rho_e=rho, best_index=best, success=rho < threshold)
+    return RecoveryOutcome(rho, best, rho < SUCCESS_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -77,20 +79,9 @@ class DictionaryCoverage:
     trials_used: int
     per_trial: tuple
 
-    def csv_rows(self, seed_base: int = 0) -> list:
-        rows = []
-        seen: set = set()
-        for t, out in enumerate(self.per_trial):
-            if out.success:
-                seen.add(out.best_index)
-            rows.append((t, seed_base + t, out.rho_e, out.best_index,
-                         out.success, len(seen)))
-        return rows
-
 
 def recover_full(D: Dictionary, config: SolveConfig | None = None,
                  trial_budget: int = 1, *, objective=None, seed_base: int = 0,
-                 threshold: float = SUCCESS_THRESHOLD, tie_tol: float = 1e-12,
                  trial_fn=None) -> DictionaryCoverage:
     """Run independent solves until every column was seen or budget is hit.
 
@@ -117,8 +108,7 @@ def recover_full(D: Dictionary, config: SolveConfig | None = None,
     outcomes: list[RecoveryOutcome] = []
     covered: set = set()
     for t in range(trial_budget):
-        out = recovery_error(trial_fn(seed_base + t), D, threshold=threshold,
-                             tie_tol=tie_tol)
+        out = recovery_error(trial_fn(seed_base + t), D)
         outcomes.append(out)
         if out.success:
             covered.add(out.best_index)
@@ -187,8 +177,7 @@ def cdl_start(problem: ConvProblem, rng: np.random.Generator) -> SpherePoint:
                     ell=int(usable[rng.integers(usable.size)]))
 
 
-def cdl_score(q_star, problem: ConvProblem,
-              eps_cdl: float = EPS_CDL) -> FilterRecovery:
+def cdl_score(q_star, problem: ConvProblem) -> FilterRecovery:
     """One trial's FilterRecovery: q_star with the whitening undone,
     aligned against every ground-truth filter in turn."""
     a_est = deprecondition(q_star, problem.preconditioner).coords
@@ -199,20 +188,20 @@ def cdl_score(q_star, problem: ConvProblem,
         aligned_errors=errors,
         shifts=np.array(shifts),
         signs=np.array(signs),
-        recovered=frozenset(np.flatnonzero(errors <= eps_cdl).tolist()),
+        recovered=frozenset(np.flatnonzero(errors <= EPS_CDL).tolist()),
         trials_used=1,
     )
 
 
 def recover_filters(problem: ConvProblem, config: SolveConfig | None = None,
-                    trial_budget: int | None = None, *, seed_base: int = 0,
-                    eps_cdl: float = EPS_CDL) -> FilterRecovery:
+                    trial_budget: int | None = None, *,
+                    seed_base: int = 0) -> FilterRecovery:
     """Repeated data-initialized solves, unwound and aligned per filter.
 
     Each trial starts from a preconditioned measurement (cdl_start), solves
     the convolutional objective, and is scored against every ground-truth
     filter (cdl_score); a filter counts recovered once its best aligned
-    error drops to eps_cdl. Stops early when all K filters are recovered.
+    error drops to EPS_CDL. Stops early when all K filters are recovered.
     The default budget is 10 trials per filter.
     """
     if problem.filters is None:
@@ -232,16 +221,15 @@ def recover_filters(problem: ConvProblem, config: SolveConfig | None = None,
     trials = 0
     for t in range(trial_budget):
         q0 = cdl_start(problem, stream(seed_base + t, "trial-measurement"))
-        trial = cdl_score(solve(objective, q0, config).q_star, problem,
-                          eps_cdl)
+        trial = cdl_score(solve(objective, q0, config).q_star, problem)
         trials = t + 1
         better = trial.aligned_errors < best_err
         best_err[better] = trial.aligned_errors[better]
         best_shift[better] = trial.shifts[better]
         best_sign[better] = trial.signs[better]
-        if bool(np.all(best_err <= eps_cdl)):
+        if bool(np.all(best_err <= EPS_CDL)):
             break
-    recovered = frozenset(int(k) for k in range(K) if best_err[k] <= eps_cdl)
+    recovered = frozenset(int(k) for k in range(K) if best_err[k] <= EPS_CDL)
     return FilterRecovery(
         aligned_errors=best_err,
         shifts=best_shift,

@@ -158,6 +158,32 @@ def test_solve_data_init_rejected_for_odl(tmp_path):
     gen_odl(tmp_path)
     assert run("solve", "--data-dir", str(tmp_path), "--out-dir",
                str(tmp_path / "run"), "--init", "data") == EXIT_USAGE
+    # the flag is rejected before the data is read, not as an i/o error
+    (tmp_path / "observations.csv").unlink()
+    assert run("solve", "--data-dir", str(tmp_path), "--out-dir",
+               str(tmp_path / "run"), "--init", "data") == EXIT_USAGE
+
+
+@pytest.mark.parametrize("meta", [{"theta": 0.1, "n": 3}, ["odl", 0.1]],
+                         ids=["no-model", "list"])
+def test_solve_malformed_gen_json_is_usage_error(tmp_path, capsys, meta):
+    gen_odl(tmp_path)
+    (tmp_path / "gen.json").write_text(json.dumps(meta))
+    assert run("solve", "--data-dir", str(tmp_path), "--out-dir",
+               str(tmp_path / "run")) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solve_init_default_follows_data_dir_model(tmp_path):
+    gen_odl(tmp_path / "odl")
+    gen_cdl(tmp_path / "cdl")
+    for model, init, table in (("odl", "random", "recovery.csv"),
+                               ("cdl", "data", "filters_aligned.csv")):
+        assert run("solve", "--data-dir", str(tmp_path / model), "--out-dir",
+                   str(tmp_path / f"run-{model}"), "--max-iters", "3",
+                   "--grad-tol", "1e-14") == EXIT_NONCONVERGED
+        header = (tmp_path / f"run-{model}" / table).read_text().splitlines()[0]
+        assert f" --init={init} " in header
 
 
 def test_solve_cdl_writes_alignment(tmp_path):
