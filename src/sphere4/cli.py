@@ -14,9 +14,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
-import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .model import (
     FilterBank,
     ObservationSet,
     SpherePoint,
+    _atomic_write,
     load_matrix,
     make_filter_bank,
     make_untf,
@@ -74,18 +74,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_table(path: Path, columns, rows, provenance) -> None:
     lines = [f"# {line}" for line in provenance]
     lines.append(",".join(columns))
@@ -113,18 +101,30 @@ def _provenance(command: str, args: argparse.Namespace,
             f"version: {__version__}"]
 
 
-def _int_list(text: str) -> tuple:
-    try:
-        return tuple(int(v) for v in text.split(",") if v != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") from exc
+def _list_of(kind):
+    """argparse type: a comma-separated list of `kind` values, as a tuple."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(v) for v in text.split(",") if v != "")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"not a list of {kind.__name__}: {text!r}") from exc
+    return parse
 
 
-def _float_list(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(",") if v != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a float list: {text!r}") from exc
+def _synth(model: str, n: int, size, theta: float, p: int, seed: int,
+           convention: str):
+    """The one instance recipe: (D, X, Y) for odl with `size` = m, and the
+    ConvProblem for cdl with `size` = K."""
+    if size is None:
+        flag = "--m" if model == "odl" else "--k"
+        raise ValueError(f"{flag} is required for the {model} model")
+    if model == "odl":
+        D = make_untf(n, size, seed=seed)
+        X = sample_bg(size, p, theta, seed=seed)
+        return D, X, synth_odl(D, X)
+    return synth_cdl(make_filter_bank(n, size, seed=seed), theta, p,
+                     seed=seed, convention=convention)
 
 
 # ---------------------------------------------------------------------------
@@ -133,44 +133,24 @@ def _float_list(text: str) -> tuple:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     prov = _provenance("gen", args)
-    meta = {
-        "model": args.model,
-        "n": args.n,
-        "theta": args.theta,
-        "p": args.p,
-        "seed": args.seed,
-        "version": __version__,
-    }
+    meta = {"model": args.model, "n": args.n, "theta": args.theta,
+            "p": args.p, "seed": args.seed, "version": __version__}
     if args.model == "odl":
-        if args.m is None:
-            raise ValueError("--m is required for the odl model")
-        D = make_untf(args.n, args.m, seed=args.seed)
-        X = sample_bg(args.m, args.p, args.theta, seed=args.seed)
-        Y = synth_odl(D, X)
-        save_matrix(out / "dictionary.csv", D.entries, "dictionary",
-                    seed=args.seed, provenance=prov)
-        save_matrix(out / "codes.csv", X.entries, "codes", seed=args.seed,
-                    theta=args.theta, provenance=prov)
-        save_matrix(out / "observations.csv", Y.entries, "observations",
-                    seed=args.seed, theta=args.theta, provenance=prov)
+        D, X, Y = _synth("odl", args.n, args.m, args.theta, args.p, args.seed,
+                         args.convention)
+        matrices = {"dictionary": D.entries, "codes": X.entries,
+                    "observations": Y.entries}
         meta["m"] = args.m
     else:
-        if args.k is None:
-            raise ValueError("--k is required for the cdl model")
-        bank = make_filter_bank(args.n, args.k, seed=args.seed)
-        problem = synth_cdl(bank, args.theta, args.p, seed=args.seed,
-                            convention=args.convention)
-        save_matrix(out / "filters.csv", bank.filters, "filters",
-                    seed=args.seed, provenance=prov)
-        save_matrix(out / "codes.csv", problem.codes.entries, "codes",
-                    seed=args.seed, theta=args.theta, provenance=prov)
-        save_matrix(out / "measurements.csv", problem.measurements.entries,
-                    "measurements", seed=args.seed, theta=args.theta,
-                    provenance=prov)
-        meta["K"] = args.k
-        meta["convention"] = args.convention
+        problem = _synth("cdl", args.n, args.k, args.theta, args.p, args.seed,
+                         args.convention)
+        matrices = {"filters": problem.filters.filters,
+                    "codes": problem.codes.entries,
+                    "measurements": problem.measurements.entries}
+        meta.update(K=args.k, convention=args.convention)
+    for name, entries in matrices.items():
+        save_matrix(out / f"{name}.csv", entries, prov)
     _atomic_write(out / "gen.json", json.dumps(meta, indent=2) + "\n")
     print(f"wrote {args.model} instance to {out}")
     return EXIT_OK
@@ -202,11 +182,19 @@ def _load_gen(data_dir: Path) -> dict:
     return meta
 
 
+# the flags that describe an instance; with --data-dir, gen.json does
+INSTANCE_FLAGS = ("model", "n", "m", "k", "theta", "p", "convention")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     data = Path(args.data_dir) if args.data_dir else None
     if data is not None:
+        given = [f"--{k}" for k in INSTANCE_FLAGS
+                 if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"{' '.join(given)} cannot be combined with "
+                             "--data-dir, whose gen.json fixes the instance")
         meta = _load_gen(data)
         model, theta, seed = meta["model"], meta["theta"], args.seed
     else:
@@ -214,9 +202,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if model is None or theta is None or args.n is None or args.p is None:
             raise ValueError("without --data-dir, solve needs --model, --n, "
                              "--theta and --p")
+        if args.convention is None:
+            args.convention = "main_text"
     if args.init is None:
-        # an explicit --model picks the default even when --data-dir is given
-        args.init = "data" if (args.model or model) == "cdl" else "random"
+        args.init = "data" if model == "cdl" else "random"
     if model == "odl" and args.init == "data":
         raise ValueError("--init data applies to the cdl model only")
     prov = _provenance("solve", args)
@@ -224,14 +213,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     if model == "odl":
         if data is not None:
-            A, _ = load_matrix(data / "dictionary.csv")
-            Y, _ = load_matrix(data / "observations.csv")
-            D, obs = Dictionary(A), ObservationSet(Y)
+            D = Dictionary(load_matrix(data / "dictionary.csv"))
+            obs = ObservationSet(load_matrix(data / "observations.csv"))
         else:
-            if args.m is None:
-                raise ValueError("--m is required for the odl model")
-            D = make_untf(args.n, args.m, seed=seed)
-            obs = synth_odl(D, sample_bg(args.m, args.p, theta, seed=seed))
+            D, _, obs = _synth("odl", args.n, args.m, theta, args.p, seed,
+                               args.convention)
         objective = OdlObjective(obs, theta)
         q0 = SpherePoint.project(stream(seed, "cli-solve").standard_normal(D.n))
         res = solve(objective, q0, cfg)
@@ -241,17 +227,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
                        outcome.success)], prov)
     else:
         if data is not None:
-            obs = ObservationSet(load_matrix(data / "measurements.csv")[0])
-            bank = FilterBank(load_matrix(data / "filters.csv")[0])
+            obs = ObservationSet(load_matrix(data / "measurements.csv"))
+            bank = FilterBank(load_matrix(data / "filters.csv"))
             P = build_preconditioner(obs, theta, bank.K,
                                      meta.get("convention", "main_text"))
             problem = ConvProblem(obs, P, theta, filters=bank)
         else:
-            if args.k is None:
-                raise ValueError("--k is required for the cdl model")
-            bank = make_filter_bank(args.n, args.k, seed=seed)
-            problem = synth_cdl(bank, theta, args.p, seed=seed,
-                                convention=args.convention)
+            problem = _synth("cdl", args.n, args.k, theta, args.p, seed,
+                             args.convention)
         objective = CdlObjective.from_problem(problem)
         if args.init == "random":
             q0 = SpherePoint.project(
@@ -335,18 +318,17 @@ def _run_repeat(spec: SweepSpec, cell, repeat: int, seed_base: int):
     n, m, p, theta, K = cell
     rseed = _repeat_seed(seed_base, cell, repeat)
     if spec.objective in ("phi_T", "phi_DL"):
-        D = make_untf(n, m, seed=rseed)
         if spec.objective == "phi_T":
+            D = make_untf(n, m, seed=rseed)
             objective = TensorObjective(D)
         else:
-            objective = OdlObjective(
-                synth_odl(D, sample_bg(m, p, theta, seed=rseed)), theta)
+            D, _, Y = _synth("odl", n, m, theta, p, rseed, "main_text")
+            objective = OdlObjective(Y, theta)
         q0 = SpherePoint.project(stream(rseed, "sweep-q0").standard_normal(n))
         res = solve(objective, q0, spec.config)
         err = recovery_error(res.q_star, D).rho_e
     else:
-        problem = synth_cdl(make_filter_bank(n, K, seed=rseed), theta, p,
-                            seed=rseed)
+        problem = _synth("cdl", n, K, theta, p, rseed, "main_text")
         q0 = cdl_start(problem, stream(rseed, "sweep-ell"))
         res = solve(CdlObjective.from_problem(problem), q0, spec.config)
         err = float(cdl_score(res.q_star, problem).aligned_errors.min())
@@ -359,7 +341,7 @@ def _cell_path(out: Path, index: int) -> Path:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
-    (out / "cells").mkdir(parents=True, exist_ok=True)
+    (out / "cells").mkdir(exist_ok=True)
     if args.success_bar is None:
         args.success_bar = EPS_CDL if args.objective == "phi_CDL" else SUCCESS_THRESHOLD
     if args.objective != "phi_CDL" and not args.m_grid:
@@ -376,27 +358,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         success_bar=args.success_bar,
     )
 
+    # a shard is written atomically once its cell is done, so under a
+    # matching manifest an existing shard is a finished cell
     manifest_path = out / "sweep_manifest.json"
-    completed: set = set()
-    if manifest_path.exists():
+    resume = manifest_path.exists()
+    if resume:
         manifest = json.loads(manifest_path.read_text())
-        if manifest.get("spec") != spec.key():
+        if not isinstance(manifest, dict) or manifest.get("spec") != spec.key():
             raise ValueError("out-dir holds a sweep with different parameters; "
                              "choose a fresh directory")
-        completed = set(manifest["completed"])
+    else:
+        _atomic_write(manifest_path,
+                      json.dumps({"spec": spec.key()}, indent=2) + "\n")
 
     prov = _provenance("sweep", args)
     cells = spec.cells()
     for ci, cell in enumerate(cells):
-        if ci in completed:
+        if resume and _cell_path(out, ci).exists():
             continue
         rows = [_run_repeat(spec, cell, r, args.seed)
                 for r in range(spec.repeats)]
         _write_table(_cell_path(out, ci), RAW_SWEEP_COLUMNS, rows, ())
-        completed.add(ci)
-        _atomic_write(manifest_path, json.dumps(
-            {"spec": spec.key(), "completed": sorted(completed)},
-            indent=2) + "\n")
 
     raw_rows = []
     rate_rows = []
@@ -420,7 +402,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_landscape(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     prov = _provenance("landscape", args)
     D = make_untf(args.n, args.m, seed=args.seed)
     cfg = _solve_config(args)
@@ -438,9 +419,7 @@ def cmd_landscape(args: argparse.Namespace) -> int:
     else:
         _write_table(out / "landscape.csv", REPORT_CSV_COLUMNS,
                      [r.csv_row(seed=s) for s, r in enumerate(reports)], prov)
-    counts: dict = {}
-    for r in reports:
-        counts[r.classification] = counts.get(r.classification, 0) + 1
+    counts = Counter(r.classification for r in reports)
     print(" ".join(f"{k}:{v}" for k, v in sorted(counts.items())))
     return EXIT_OK
 
@@ -451,10 +430,8 @@ def cmd_landscape(args: argparse.Namespace) -> int:
 
 def cmd_align(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    est, _ = load_matrix(args.estimate)
-    true, _ = load_matrix(args.truth)
-    shift, sign, err = align_shift(est.ravel(), true.ravel())
+    shift, sign, err = align_shift(load_matrix(args.estimate).ravel(),
+                                   load_matrix(args.truth).ravel())
     result = {"shift": shift, "sign": sign, "error": err,
               "recovered": err <= EPS_CDL}
     if args.format == "json":
@@ -475,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out-dir", default=".")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
 
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--method", choices=("power", "rgd"), default="power")
@@ -503,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser("solve", parents=[common, solver],
                         help="one solve on generated or synthesized data")
-    sv.add_argument("--data-dir", help="directory produced by gen")
+    sv.add_argument("--data-dir", help="directory produced by gen; its "
+                    "gen.json fixes the instance, so instance flags are refused")
     sv.add_argument("--model", choices=("odl", "cdl"))
     sv.add_argument("--n", type=int)
     sv.add_argument("--m", type=int)
@@ -511,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--theta", type=float)
     sv.add_argument("--p", type=int)
     sv.add_argument("--convention", choices=("main_text", "appendix_h"),
-                    default="main_text")
+                    help="inline instances only (default: main_text)")
     sv.add_argument("--init", choices=("random", "data"), default=None,
                     help="start point (default: data for cdl, random for odl)")
     sv.add_argument("--emit-trace", action="store_true")
@@ -521,16 +501,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="success rates over a parameter grid")
     sw.add_argument("--objective", choices=("phi_T", "phi_DL", "phi_CDL"),
                     default="phi_T")
-    sw.add_argument("--n-grid", type=_int_list, required=True)
-    sw.add_argument("--m-grid", type=_int_list, default=())
-    sw.add_argument("--p-grid", type=_int_list, default=(0,))
-    sw.add_argument("--theta-grid", type=_float_list, default=(0.1,))
-    sw.add_argument("--k-grid", type=_int_list, default=(1,))
+    sw.add_argument("--n-grid", type=_list_of(int), required=True)
+    sw.add_argument("--m-grid", type=_list_of(int), default=())
+    sw.add_argument("--p-grid", type=_list_of(int), default=(0,))
+    sw.add_argument("--theta-grid", type=_list_of(float), default=(0.1,))
+    sw.add_argument("--k-grid", type=_list_of(int), default=(1,))
     sw.add_argument("--repeats", type=int, default=12)
     sw.add_argument("--success-bar", type=float, default=None)
     sw.set_defaults(func=cmd_sweep)
 
-    ls = sub.add_parser("landscape", parents=[common, solver],
+    ls = sub.add_parser("landscape", parents=[common, solver, fmt],
                         help="critical point reports at sampled points")
     ls.add_argument("--n", type=int, required=True)
     ls.add_argument("--m", type=int, required=True)
@@ -539,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="report at solver endpoints instead of raw samples")
     ls.set_defaults(func=cmd_landscape)
 
-    al = sub.add_parser("align", parents=[common],
+    al = sub.add_parser("align", parents=[common, fmt],
                         help="shift/sign alignment of two saved filters")
     al.add_argument("estimate")
     al.add_argument("truth")
@@ -555,6 +535,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

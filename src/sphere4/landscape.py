@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dictionary, SpherePoint
+from .model import Dictionary
 from .objectives import TensorObjective, _coords
+from .recovery import _nearest_column
 
 __all__ = [
     "RegionParams",
@@ -93,13 +94,12 @@ class RegionDecision:
     threshold: float
 
 
-def classify_region(D: Dictionary, q, params: RegionParams | None = None,
-                    cdl_mode: bool = False) -> RegionDecision:
+def classify_region(D: Dictionary, q,
+                    params: RegionParams | None = None) -> RegionDecision:
     """Which side of the landscape split q falls on, with both sides.
 
     Compares phi(q) against -xi * mu^(2/3) * kappa^(4/3) * ||zeta||_3^2
-    (the kappa factor only in cdl_mode). Values within 1e-12 of the
-    threshold are labeled boundary.
+    (kappa = 1 by default). Values within 1e-12 of it are labeled boundary.
     """
     if params is None:
         params = RegionParams(XI_DL_DEFAULT, D.coherence)
@@ -107,9 +107,7 @@ def classify_region(D: Dictionary, q, params: RegionParams | None = None,
     zeta = D.entries.T @ x
     value = -0.25 * float(np.sum(zeta**4))
     norm3sq = float(np.sum(np.abs(zeta) ** 3)) ** (2.0 / 3.0)
-    scale = params.mu ** (2.0 / 3.0) * norm3sq
-    if cdl_mode:
-        scale *= params.kappa ** (4.0 / 3.0)
+    scale = params.mu ** (2.0 / 3.0) * norm3sq * params.kappa ** (4.0 / 3.0)
     threshold = -params.xi * scale if scale > 0.0 else -0.0
     if abs(value - threshold) <= BOUNDARY_TOL:
         label = REGION_BOUNDARY
@@ -200,9 +198,7 @@ def critical_point_report(D: Dictionary, q,
     grad_norm = float(np.linalg.norm(obj.rgrad(x)))
     hess_min_eig, vec, _ = obj.curvature(x).min_eig()
 
-    unit_ips = (A.T @ x) / np.sqrt(col_sq)
-    best_index = int(np.argmax(np.abs(unit_ips)))
-    inner_product = float(abs(unit_ips[best_index]))
+    inner_product, best_index = _nearest_column(A, x)
 
     region = classify_region(D, x).label
 

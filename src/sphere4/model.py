@@ -11,8 +11,10 @@ platform-reproducible stream.
 
 from __future__ import annotations
 
-import json
+import os
+import tempfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -239,8 +241,8 @@ def make_untf(n: int, m: int, seed: int, max_iters: int = 5000) -> Dictionary:
     the convergence test. On hitting max_iters the best iterate is
     returned with untf_converged=False.
     """
-    if m < n:
-        raise ValueError(f"need m >= n, got n={n}, m={m}")
+    if not 1 <= n <= m:
+        raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     rng = stream(seed, "untf")
@@ -273,6 +275,8 @@ def sample_bg(m: int, p: int, theta: float, seed: int) -> SparseCode:
 
     Masked entries are exact zeros. Deterministic for a fixed seed.
     """
+    if m < 1 or p < 1:
+        raise ValueError(f"need m >= 1 and p >= 1, got m={m}, p={p}")
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     rng = stream(seed, "bg")
@@ -322,6 +326,8 @@ def make_filter_bank(n: int, K: int, seed: int) -> FilterBank:
     circulant spectrum has a zero bin, so sigma_min > 0 holds by
     construction.
     """
+    if n < 1 or K < 1:
+        raise ValueError(f"need n >= 1 and K >= 1, got n={n}, K={K}")
     rng = stream(seed, "filters")
     for _ in range(100):
         F = rng.standard_normal(size=(K, n))
@@ -332,41 +338,39 @@ def make_filter_bank(n: int, K: int, seed: int) -> FilterBank:
     raise RuntimeError("could not draw a filter bank with sigma_min > 0")
 
 
-def save_matrix(
-    path,
-    entries: np.ndarray,
-    kind: str,
-    seed: int | None = None,
-    theta: float | None = None,
-    provenance: tuple[str, ...] = (),
-) -> None:
-    """Write a matrix as CSV (17 significant digits) plus a JSON sidecar.
+@contextmanager
+def _atomic_open(path: Path):
+    """A text handle on a temporary file that replaces `path` only once the
+    block completes; on any error the temporary is removed."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
-    The sidecar (same stem, .json) records shape and kind, and seed/theta
-    when given. Provenance lines go into the CSV header as comments.
+
+def _atomic_write(path: Path, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
+def save_matrix(path, entries: np.ndarray,
+                provenance: tuple[str, ...] = ()) -> None:
+    """Write a matrix as CSV at 17 significant digits, atomically.
+
+    Provenance lines go into the header as `# ` comments. Rows stream to
+    the file, so no copy of the text is held in memory.
     """
-    path = Path(path)
-    arr = np.atleast_2d(np.asarray(entries, dtype=float))
-    np.savetxt(
-        path,
-        arr,
-        fmt="%.17g",
-        delimiter=",",
-        header="\n".join(provenance),
-        comments="# ",
-    )
-    meta = {"rows": arr.shape[0], "cols": arr.shape[1], "kind": kind}
-    if seed is not None:
-        meta["seed"] = int(seed)
-    if theta is not None:
-        meta["theta"] = float(theta)
-    path.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
+    with _atomic_open(Path(path)) as fh:
+        np.savetxt(fh, np.atleast_2d(np.asarray(entries, dtype=float)),
+                   fmt="%.17g", delimiter=",", header="\n".join(provenance),
+                   comments="# ")
 
 
-def load_matrix(path) -> tuple[np.ndarray, dict | None]:
-    """Read a CSV matrix written by save_matrix; returns (array, sidecar)."""
-    path = Path(path)
-    arr = np.loadtxt(path, delimiter=",", ndmin=2)
-    sidecar = path.with_suffix(".json")
-    meta = json.loads(sidecar.read_text()) if sidecar.exists() else None
-    return arr, meta
+def load_matrix(path) -> np.ndarray:
+    """Read a CSV matrix written by save_matrix."""
+    return np.loadtxt(path, delimiter=",", ndmin=2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdl import Preconditioner
-from .model import ObservationSet, SpherePoint, stream
+from .model import ObservationSet, SpherePoint
 from .objectives import tangent_min_eig
 
 __all__ = [
@@ -245,17 +245,14 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
 
 
 def init_cdl(measurements: ObservationSet, P: Preconditioner,
-             ell: int | None = None, seed: int = 0) -> SpherePoint:
-    """Data-driven start: a preconditioned measurement, normalized.
+             ell: int) -> SpherePoint:
+    """Data-driven start: preconditioned measurement `ell`, normalized.
 
-    `ell` is a 0-based column index into the measurements; when omitted it
-    is drawn uniformly with the given seed. A zero sample is an error, the
-    caller should pick another index.
+    `ell` is a 0-based column index into the measurements. A zero sample
+    is an error; `recovery.cdl_start` draws among the nonzero ones.
     """
     Y = measurements.entries
     p = Y.shape[1]
-    if ell is None:
-        ell = int(stream(seed, "init-draw").integers(p))
     if not 0 <= ell < p:
         raise ValueError(f"measurement index {ell} outside [0, {p})")
     v = P.apply(Y[:, ell])

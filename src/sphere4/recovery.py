@@ -52,6 +52,16 @@ class RecoveryOutcome:
     success: bool
 
 
+def _nearest_column(A: np.ndarray, x: np.ndarray) -> tuple[float, int]:
+    """max_i |<x, a_i/||a_i||>| and the lowest index within TIE_TOL of it."""
+    norms = np.linalg.norm(A, axis=0)
+    if np.any(norms == 0.0):
+        raise ValueError("recovery error needs nonzero columns")
+    inners = np.abs(A.T @ x) / norms
+    top = float(np.max(inners))
+    return top, int(np.argmax(inners >= top - TIE_TOL))
+
+
 def recovery_error(q, D: Dictionary) -> RecoveryOutcome:
     """rho_e = 1 - max_i |<q, a_i/||a_i||>|, with the achieving index.
 
@@ -59,13 +69,7 @@ def recovery_error(q, D: Dictionary) -> RecoveryOutcome:
     SUCCESS_THRESHOLD. Ties within TIE_TOL of the best inner product
     resolve to the lowest column index so duplicated columns score stably.
     """
-    x = _coords(q)
-    norms = np.linalg.norm(D.entries, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("recovery error needs nonzero columns")
-    inners = np.abs(D.entries.T @ x) / norms
-    top = float(np.max(inners))
-    best = int(np.argmax(inners >= top - TIE_TOL))
+    top, best = _nearest_column(D.entries, _coords(q))
     # rounding can push a unit inner product past 1; the metric lives in [0,1]
     rho = min(max(1.0 - top, 0.0), 1.0)
     return RecoveryOutcome(rho, best, rho < SUCCESS_THRESHOLD)
@@ -127,14 +131,18 @@ def align_shift(a_est, a_true) -> tuple[int, float, float]:
     Both inputs are normalized first. Minimizes
     || s * roll(a_true, l) - a_est || over l in {0..n-1}, s in {+-1}; the
     correlation over all shifts comes from one FFT pass. Ties go to the
-    lowest shift.
+    lowest shift. A filter of zero or non-finite norm has no orbit to align
+    and raises ValueError.
     """
     u = np.asarray(a_est, dtype=float).reshape(-1)
     v = np.asarray(a_true, dtype=float).reshape(-1)
     if u.shape != v.shape:
         raise ValueError("filters must share a length")
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if not (0.0 < nu < np.inf and 0.0 < nv < np.inf):
+        raise ValueError("filters must have a nonzero finite norm")
+    u = u / nu
+    v = v / nv
     corr = np.fft.irfft(np.fft.rfft(u) * np.conj(np.fft.rfft(v)), n=u.size)
     shift = int(np.argmax(np.abs(corr)))
     sign = 1.0 if corr[shift] >= 0.0 else -1.0

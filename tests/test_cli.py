@@ -49,15 +49,15 @@ def test_gen_odl_is_reproducible_bytewise(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_gen_odl_sidecars(tmp_path):
+def test_gen_odl_writes_no_sidecars(tmp_path):
+    # gen.json is the one record of the instance; matrices carry no .json
     out = gen_odl(tmp_path)
-    meta = json.loads((out / "dictionary.json").read_text())
-    assert (meta["rows"], meta["cols"], meta["kind"]) == (3, 4, "dictionary")
-    codes_meta = json.loads((out / "codes.json").read_text())
-    assert codes_meta["theta"] == 0.1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "codes.csv", "dictionary.csv", "gen.json", "observations.csv"]
+    assert np.loadtxt(out / "dictionary.csv", delimiter=",").shape == (3, 4)
     top = json.loads((out / "gen.json").read_text())
-    assert top["model"] == "odl"
-    assert top["m"] == 4
+    assert (top["model"], top["n"], top["m"], top["theta"], top["p"]) == \
+        ("odl", 3, 4, 0.1, 2000)
 
 
 def test_gen_cdl_files(tmp_path):
@@ -67,8 +67,8 @@ def test_gen_cdl_files(tmp_path):
     filters = np.loadtxt(tmp_path / "filters.csv", delimiter=",", ndmin=2)
     assert filters.shape == (2, 16)
     # solve --data-dir rebuilds the whitener from the measurements
-    assert not (tmp_path / "preconditioner.csv").exists()
-    assert not (tmp_path / "preconditioner.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "codes.csv", "filters.csv", "gen.json", "measurements.csv"]
     meta = json.loads((tmp_path / "gen.json").read_text())
     assert meta["K"] == 2
     assert meta["convention"] == "main_text"
@@ -82,6 +82,36 @@ def test_gen_odl_without_m_is_usage_error(tmp_path):
 def test_gen_invalid_shape_is_usage_error(tmp_path):
     assert run("gen", "--model", "odl", "--n", "5", "--m", "4", "--theta",
                "0.1", "--p", "100", "--out-dir", str(tmp_path)) == EXIT_USAGE
+
+
+SIZE_BELOW_ONE = {
+    "gen-odl-n0": ["gen", "--model", "odl", "--n", "0", "--m", "4",
+                   "--theta", "0.1", "--p", "50"],
+    "gen-odl-p0": ["gen", "--model", "odl", "--n", "3", "--m", "4",
+                   "--theta", "0.1", "--p", "0"],
+    "gen-cdl-k0": ["gen", "--model", "cdl", "--n", "16", "--k", "0",
+                   "--theta", "0.1", "--p", "50"],
+    "solve-odl-p0": ["solve", "--model", "odl", "--n", "3", "--m", "4",
+                     "--theta", "0.1", "--p", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", SIZE_BELOW_ONE.values(), ids=SIZE_BELOW_ONE)
+def test_size_below_one_is_usage_error(tmp_path, capsys, argv):
+    assert run(*argv, "--out-dir", str(tmp_path)) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: need ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "sweep"])
+def test_format_is_refused_where_it_does_not_act(tmp_path, command):
+    argv = {"gen": ["gen", "--model", "odl", "--n", "3", "--m", "4",
+                    "--theta", "0.1", "--p", "50"],
+            "solve": ["solve", "--model", "odl", "--n", "3", "--m", "4",
+                      "--theta", "0.1", "--p", "50"],
+            "sweep": sweep_args(tmp_path)[:-2]}[command]
+    assert run(*argv, "--format", "csv", "--out-dir", str(tmp_path)) == \
+        EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +216,38 @@ def test_solve_init_default_follows_data_dir_model(tmp_path):
         assert f" --init={init} " in header
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--model", "odl"), ("--n", "3"), ("--m", "4"), ("--k", "2"),
+    ("--theta", "0.1"), ("--p", "100"), ("--convention", "appendix_h")])
+def test_solve_data_dir_refuses_instance_flags(tmp_path, capsys, flag, value):
+    gen_cdl(tmp_path)
+    assert run("solve", "--data-dir", str(tmp_path), flag, value, "--out-dir",
+               str(tmp_path / "run")) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {flag} cannot")
+    # refused before any file is read: a missing directory gives the same
+    assert run("solve", "--data-dir", str(tmp_path / "absent"), flag, value,
+               "--out-dir", str(tmp_path / "run")) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {flag} cannot")
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_solve_header_records_only_flags_that_act(tmp_path):
+    gen_cdl(tmp_path / "data")
+    assert run("solve", "--data-dir", str(tmp_path / "data"), "--max-iters",
+               "3", "--out-dir", str(tmp_path / "r1")) == EXIT_NONCONVERGED
+    header = (tmp_path / "r1" / "filters_aligned.csv").read_text()
+    assert header.startswith("# command: solve --grad-tol=1e-08 --init=data "
+                             "--max-iters=3 --method=power --seed=0\n")
+    # an inline solve records its resolved convention
+    assert run("solve", "--model", "odl", "--n", "3", "--m", "4", "--theta",
+               "0.1", "--p", "50", "--out-dir", str(tmp_path / "r2")) == \
+        EXIT_OK
+    header = (tmp_path / "r2" / "recovery.csv").read_text().splitlines()[0]
+    assert header == ("# command: solve --convention=main_text --grad-tol=1e-08 "
+                      "--init=random --m=4 --max-iters=10000 --method=power "
+                      "--model=odl --n=3 --p=50 --seed=0 --theta=0.1")
+
+
 def test_solve_cdl_writes_alignment(tmp_path):
     assert run("gen", "--model", "cdl", "--n", "16", "--k", "1", "--theta",
                "0.1", "--p", "2000", "--seed", "4", "--out-dir",
@@ -272,6 +334,30 @@ def test_sweep_manifest_guards_parameter_drift(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_sweep_resumes_only_under_its_manifest(tmp_path):
+    assert main(sweep_args(tmp_path)) == EXIT_OK
+    manifest = json.loads((tmp_path / "sweep_manifest.json").read_text())
+    assert list(manifest) == ["spec"]
+    raw = (tmp_path / "sweep_raw.csv").read_bytes()
+    shard = tmp_path / "cells" / "cell_0000.csv"
+    good = shard.read_text()
+    fake = good.replace(",1\n", ",0\n")
+    assert fake != good
+    # under a matching manifest a shard is a finished cell and is reused
+    shard.write_text(fake)
+    assert main(sweep_args(tmp_path)) == EXIT_OK
+    assert (tmp_path / "sweep_raw.csv").read_bytes() != raw
+    # without the manifest every cell is recomputed
+    shard.write_text(fake)
+    (tmp_path / "sweep_manifest.json").unlink()
+    assert main(sweep_args(tmp_path)) == EXIT_OK
+    assert shard.read_text() == good
+    assert (tmp_path / "sweep_raw.csv").read_bytes() == raw
+    # a manifest that is not a spec object is refused like a changed one
+    (tmp_path / "sweep_manifest.json").write_text("[]\n")
+    assert main(sweep_args(tmp_path)) == EXIT_USAGE
+
+
 def test_sweep_cdl_needs_no_m_grid(tmp_path):
     assert main(["sweep", "--objective", "phi_CDL", "--n-grid", "16",
                  "--k-grid", "1,2", "--p-grid", "400", "--repeats", "2",
@@ -334,12 +420,24 @@ def test_landscape_at_solution_json(tmp_path):
     assert all(r["grad_norm"] < 1e-6 for r in payload)
 
 
+@pytest.mark.parametrize("zero_first", [True, False], ids=["est", "truth"])
+def test_align_zero_filter_is_usage_error(tmp_path, capsys, zero_first):
+    save_matrix(tmp_path / "zero.csv", np.zeros((1, 8)))
+    save_matrix(tmp_path / "f.csv", stream(4, "cli-align").standard_normal((1, 8)))
+    files = ["zero.csv", "f.csv"] if zero_first else ["f.csv", "zero.csv"]
+    assert run("align", *(str(tmp_path / f) for f in files), "--format",
+               "json", "--out-dir", str(tmp_path / "out")) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: filters must have a nonzero finite norm\n")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_align_command(tmp_path):
     rng = stream(3, "cli-align")
     a = rng.standard_normal(16)
     a /= np.linalg.norm(a)
-    save_matrix(tmp_path / "est.csv", np.roll(a, 5)[None, :], "filter")
-    save_matrix(tmp_path / "true.csv", a[None, :], "filter")
+    save_matrix(tmp_path / "est.csv", np.roll(a, 5)[None, :])
+    save_matrix(tmp_path / "true.csv", a[None, :])
     assert run("align", str(tmp_path / "est.csv"), str(tmp_path / "true.csv"),
                "--format", "json", "--out-dir", str(tmp_path)) == EXIT_OK
     result = json.loads((tmp_path / "align.json").read_text())
@@ -351,6 +449,42 @@ def test_align_command(tmp_path):
 
 # ---------------------------------------------------------------------------
 # plumbing
+
+
+RERUN = {
+    "gen-odl": ["gen", "--model", "odl", "--n", "3", "--m", "4", "--theta",
+                "0.1", "--p", "200", "--seed", "1"],
+    "gen-cdl": ["gen", "--model", "cdl", "--n", "16", "--k", "2", "--theta",
+                "0.1", "--p", "200", "--seed", "3"],
+    "solve-power": ["solve", "--model", "odl", "--n", "3", "--m", "4",
+                    "--theta", "0.1", "--p", "500", "--seed", "2"],
+    "solve-rgd-escape-trace": ["solve", "--model", "odl", "--n", "3", "--m",
+                               "6", "--theta", "0.2", "--p", "500", "--seed",
+                               "2", "--method", "rgd", "--escape",
+                               "--emit-trace"],
+    "landscape-csv": ["landscape", "--n", "4", "--m", "8", "--samples", "3",
+                      "--at-solution", "--seed", "1"],
+    "landscape-json": ["landscape", "--n", "4", "--m", "8", "--samples", "2",
+                       "--format", "json", "--seed", "1"],
+    "align": ["align", "{in}/est.csv", "{in}/true.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", RERUN.values(), ids=RERUN)
+def test_rerun_into_a_fresh_directory_is_bytewise_identical(tmp_path, argv):
+    a = stream(5, "cli-rerun").standard_normal(12)
+    (tmp_path / "in").mkdir()
+    save_matrix(tmp_path / "in" / "est.csv", np.roll(a, 3)[None, :])
+    save_matrix(tmp_path / "in" / "true.csv", a[None, :])
+    argv = [v.replace("{in}", str(tmp_path / "in")) for v in argv]
+    files = {}
+    for run_dir in ("a", "b"):
+        assert run(*argv, "--out-dir", str(tmp_path / run_dir)) == EXIT_OK
+        top = tmp_path / run_dir
+        files[run_dir] = {p.relative_to(top): p.read_bytes()
+                          for p in sorted(top.rglob("*")) if p.is_file()}
+    assert files["a"]
+    assert files["a"] == files["b"]
 
 
 def test_unknown_arguments_exit_usage():

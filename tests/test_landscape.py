@@ -27,6 +27,7 @@ from sphere4.landscape import (
 from sphere4.model import Dictionary, SpherePoint, make_untf, stream
 from sphere4.objectives import TensorObjective
 from sphere4.optimize import SolveConfig, solve
+from sphere4.recovery import recovery_error
 
 
 def simplex_frame(n: int) -> Dictionary:
@@ -136,17 +137,13 @@ def test_classify_region_manufactured_boundary():
     assert abs(dec.value - dec.threshold) <= BOUNDARY_TOL
 
 
-def test_classify_region_cdl_mode_scales_threshold_by_kappa():
+def test_classify_region_scales_threshold_by_kappa():
     D = make_untf(8, 12, seed=9)
     q = SpherePoint.project(stream(9, "kappa").standard_normal(8))
-    params = RegionParams(xi=1.5, mu=D.coherence, kappa=2.5)
-    plain = classify_region(D, q, params)
-    cdl = classify_region(D, q, params, cdl_mode=True)
-    assert cdl.threshold == pytest.approx(plain.threshold * 2.5 ** (4 / 3), rel=1e-12)
-    assert cdl.value == plain.value
-    # kappa = 1 makes both modes agree exactly
-    flat = RegionParams(xi=1.5, mu=D.coherence, kappa=1.0)
-    assert classify_region(D, q, flat, cdl_mode=True) == classify_region(D, q, flat)
+    flat = classify_region(D, q, RegionParams(xi=1.5, mu=D.coherence))
+    cdl = classify_region(D, q, RegionParams(xi=1.5, mu=D.coherence, kappa=2.5))
+    assert cdl.threshold == pytest.approx(flat.threshold * 2.5 ** (4 / 3), rel=1e-12)
+    assert cdl.value == flat.value
 
 
 def test_xi_cdl_default_and_validation():
@@ -219,6 +216,17 @@ def test_report_basis_vector_is_near_solution():
     assert np.allclose(rep.betas, 0.0, atol=1e-15)
     assert rep.hess_min_eig == pytest.approx(1.0, abs=1e-12)
     assert rep.region == REGION_CRITICAL
+
+
+def test_report_and_recovery_error_share_the_tie_rule():
+    # inner products 2 ulps apart: a tie within TIE_TOL goes to column 0
+    D = Dictionary(np.eye(3))
+    q = SpherePoint.project(np.array([1.0, 1.0 + 4e-16, 0.0]))
+    assert q.coords[1] > q.coords[0]
+    assert recovery_error(q, D).best_index == 0
+    rep = critical_point_report(D, q)
+    assert rep.best_index == 0
+    assert rep.inner_product == q.coords[1]
 
 
 def test_report_two_coordinate_saddle():

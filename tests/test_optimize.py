@@ -32,6 +32,7 @@ from sphere4.optimize import (
     solve,
     tangent_min_eig,
 )
+from sphere4.recovery import cdl_start
 
 
 def identity_objective(n: int) -> TensorObjective:
@@ -497,9 +498,6 @@ def test_init_cdl_draw_and_errors():
     rng = stream(113)
     Y = ObservationSet(rng.standard_normal((6, 5)))
     P = Preconditioner(np.ones(6), "main_text", K=1)
-    a = init_cdl(Y, P, seed=9)
-    b = init_cdl(Y, P, seed=9)
-    assert np.array_equal(a.coords, b.coords)
     with pytest.raises(ValueError):
         init_cdl(Y, P, ell=5)
     with pytest.raises(ValueError):
@@ -538,7 +536,7 @@ def test_init_cdl_lands_in_spiky_region():
 
     wins = 0
     for t in range(100):
-        q = init_cdl(prob.measurements, prob.preconditioner, seed=1000 + t)
+        q = cdl_start(prob, stream(1000 + t, "trial-measurement"))
         zeta = A.T @ q.coords
         assert spikiness(zeta) > 1.0
         if np.sum(zeta**4) > bar:

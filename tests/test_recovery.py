@@ -243,6 +243,17 @@ def test_align_shift_length_mismatch():
         align_shift(np.ones(4), np.ones(5))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.zeros(4), np.array([1.0, np.inf, 0, 0]),
+                                 np.array([1.0, np.nan, 0, 0])],
+                         ids=["zero", "inf", "nan"])
+def test_align_shift_rejects_zero_or_non_finite_filter(bad):
+    good = np.array([1.0, 2.0, 0.0, -1.0])
+    for pair in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="nonzero finite norm"):
+            align_shift(*pair)
+
+
 # ---------------------------------------------------------------------------
 # filter recovery
 
