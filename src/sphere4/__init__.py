@@ -17,7 +17,6 @@ from .cdl import (
     build_preconditioner,
     circ_embed,
     conv,
-    cyclic_reversal,
     deprecondition,
     effective_dictionary,
     synth_cdl,
@@ -31,7 +30,6 @@ from .landscape import (
     critical_point_report,
     cubic_root_intervals,
     negative_curvature_certificate,
-    xi_cdl,
 )
 from .model import (
     Dictionary,
@@ -43,13 +41,13 @@ from .model import (
     load_matrix,
     make_filter_bank,
     make_untf,
+    retract,
     sample_bg,
     save_matrix,
-    spikiness,
     stream,
     synth_odl,
 )
-from .objectives import OdlObjective, TensorObjective, expectation_gap, retract
+from .objectives import OdlObjective, TensorObjective, expectation_gap
 from .optimize import (
     EscapeConfig,
     SolveConfig,

@@ -45,7 +45,6 @@ __all__ = [
     "ConvProblem",
     "CdlObjective",
     "conv",
-    "cyclic_reversal",
     "circ_embed",
     "synth_cdl",
     "build_preconditioner",
@@ -65,12 +64,6 @@ def conv(a, b) -> np.ndarray:
         raise ValueError("conv needs equal-length vectors")
     n = a.shape[-1]
     return np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), n=n)
-
-
-def cyclic_reversal(v) -> np.ndarray:
-    """rev(v)[k] = v[-k mod n], i.e. [v_0, v_{n-1}, ..., v_1]."""
-    v = np.asarray(v, dtype=float)
-    return np.roll(v[::-1], 1)
 
 
 @dataclass(frozen=True)

@@ -402,15 +402,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_landscape(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
+    # the solver flags read None here unless given; they act only on a solve
+    defaults = vars(_solver_parser().parse_args([]))
+    given = [f"--{k.replace('_', '-')}" for k in defaults
+             if getattr(args, k) is not None]
+    if given and not args.at_solution:
+        raise ValueError(f"{' '.join(given)} cannot be used without "
+                         "--at-solution, since raw samples run no solve")
+    if args.at_solution:
+        vars(args).update((k, v) for k, v in defaults.items()
+                          if getattr(args, k) is None)
     prov = _provenance("landscape", args)
     D = make_untf(args.n, args.m, seed=args.seed)
-    cfg = _solve_config(args)
     reports = []
     for s in range(args.samples):
         q = SpherePoint.project(
             stream(args.seed, "landscape", s).standard_normal(args.n))
         if args.at_solution:
-            q = solve(TensorObjective(D), q, cfg).q_star
+            q = solve(TensorObjective(D), q, _solve_config(args)).q_star
         reports.append(critical_point_report(D, q))
     if args.format == "json":
         payload = [json.loads(r.to_json()) for r in reports]
@@ -448,6 +457,16 @@ def cmd_align(args: argparse.Namespace) -> int:
 # parser
 
 
+def _solver_parser() -> argparse.ArgumentParser:
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--method", choices=("power", "rgd"), default="power")
+    solver.add_argument("--max-iters", type=int, default=10_000)
+    solver.add_argument("--grad-tol", type=float, default=1e-8)
+    solver.add_argument("--escape", action="store_true",
+                        help="enable second-order saddle escapes")
+    return solver
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -455,13 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--method", choices=("power", "rgd"), default="power")
-    solver.add_argument("--max-iters", type=int, default=10_000)
-    solver.add_argument("--grad-tol", type=float, default=1e-8)
-    solver.add_argument("--escape", action="store_true",
-                        help="enable second-order saddle escapes")
 
     parser = argparse.ArgumentParser(
         prog="sphere4",
@@ -480,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="main_text")
     gen.set_defaults(func=cmd_gen)
 
-    sv = sub.add_parser("solve", parents=[common, solver],
+    sv = sub.add_parser("solve", parents=[common, _solver_parser()],
                         help="one solve on generated or synthesized data")
     sv.add_argument("--data-dir", help="directory produced by gen; its "
                     "gen.json fixes the instance, so instance flags are refused")
@@ -497,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--emit-trace", action="store_true")
     sv.set_defaults(func=cmd_solve)
 
-    sw = sub.add_parser("sweep", parents=[common, solver],
+    sw = sub.add_parser("sweep", parents=[common, _solver_parser()],
                         help="success rates over a parameter grid")
     sw.add_argument("--objective", choices=("phi_T", "phi_DL", "phi_CDL"),
                     default="phi_T")
@@ -510,14 +522,17 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--success-bar", type=float, default=None)
     sw.set_defaults(func=cmd_sweep)
 
-    ls = sub.add_parser("landscape", parents=[common, solver, fmt],
+    # each command gets its own _solver_parser, so these None defaults stay here
+    ls = sub.add_parser("landscape", parents=[common, _solver_parser(), fmt],
                         help="critical point reports at sampled points")
     ls.add_argument("--n", type=int, required=True)
     ls.add_argument("--m", type=int, required=True)
     ls.add_argument("--samples", type=int, default=1)
     ls.add_argument("--at-solution", action="store_true",
-                    help="report at solver endpoints instead of raw samples")
-    ls.set_defaults(func=cmd_landscape)
+                    help="report at solver endpoints instead of raw samples; "
+                    "the solver flags act only with it")
+    ls.set_defaults(func=cmd_landscape, method=None, max_iters=None,
+                    grad_tol=None, escape=None)
 
     al = sub.add_parser("align", parents=[common, fmt],
                         help="shift/sign alignment of two saved filters")

@@ -25,7 +25,6 @@ __all__ = [
     "LandscapeReport",
     "CurvatureCertificate",
     "XI_DL_DEFAULT",
-    "xi_cdl",
     "classify_region",
     "cubic_root_intervals",
     "critical_point_report",
@@ -43,8 +42,10 @@ CLASS_INDETERMINATE = "indeterminate"
 
 BOUNDARY_TOL = 1e-12
 
-# critical_point_report: curvature above -CURV_REL_TOL * ||zeta||_4^4 reads
-# PSD, and a cubic residual within RESID_TOL * alpha_i^(3/2) reads a root
+# critical_point_report: a Riemannian gradient norm below GRAD_TOL reads
+# critical, curvature above -CURV_REL_TOL * ||zeta||_4^4 reads PSD, and a
+# cubic residual within RESID_TOL * alpha_i^(3/2) reads a root
+GRAD_TOL = 1e-6
 CURV_REL_TOL = 1e-8
 RESID_TOL = 1e-4
 
@@ -55,27 +56,12 @@ REPORT_CSV_COLUMNS = ("seed", "region", "grad_norm", "min_eig",
                       "classification", "best_index", "inner_product")
 
 
-def xi_cdl(c0: float = 6.0, eta: float = 2.0**-7) -> float:
-    """Certificate constant for the convolutional model, c0 * eta^(-2/3).
-
-    The defaults sit inside the regime the guarantees ask for (c0 > 5,
-    eta < 2^-6); both knobs stay exposed because only their combination is
-    pinned down.
-    """
-    if c0 <= 0.0:
-        raise ValueError("c0 must be positive")
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
-    return c0 * eta ** (-2.0 / 3.0)
-
-
 @dataclass(frozen=True)
 class RegionParams:
-    """Threshold knobs: certificate constant, coherence, conditioning."""
+    """Threshold knobs: certificate constant and coherence."""
 
     xi: float
     mu: float
-    kappa: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.xi > 0.0:
@@ -83,8 +69,6 @@ class RegionParams:
         # mu = 0 is the orthonormal limit; the threshold degenerates to 0
         if not 0.0 <= self.mu < 1.0:
             raise ValueError("mu must lie in [0, 1)")
-        if self.kappa < 1.0:
-            raise ValueError("kappa must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -98,8 +82,8 @@ def classify_region(D: Dictionary, q,
                     params: RegionParams | None = None) -> RegionDecision:
     """Which side of the landscape split q falls on, with both sides.
 
-    Compares phi(q) against -xi * mu^(2/3) * kappa^(4/3) * ||zeta||_3^2
-    (kappa = 1 by default). Values within 1e-12 of it are labeled boundary.
+    Compares phi(q) against -xi * mu^(2/3) * ||zeta||_3^2. Values within
+    1e-12 of it are labeled boundary.
     """
     if params is None:
         params = RegionParams(XI_DL_DEFAULT, D.coherence)
@@ -107,7 +91,7 @@ def classify_region(D: Dictionary, q,
     zeta = D.entries.T @ x
     value = -0.25 * float(np.sum(zeta**4))
     norm3sq = float(np.sum(np.abs(zeta) ** 3)) ** (2.0 / 3.0)
-    scale = params.mu ** (2.0 / 3.0) * norm3sq * params.kappa ** (4.0 / 3.0)
+    scale = params.mu ** (2.0 / 3.0) * norm3sq
     threshold = -params.xi * scale if scale > 0.0 else -0.0
     if abs(value - threshold) <= BOUNDARY_TOL:
         label = REGION_BOUNDARY
@@ -167,8 +151,7 @@ class LandscapeReport:
                 self.classification, self.best_index, self.inner_product)
 
 
-def critical_point_report(D: Dictionary, q,
-                          grad_tol: float = 1e-6) -> LandscapeReport:
+def critical_point_report(D: Dictionary, q) -> LandscapeReport:
     """Classify a point as near-solution, strict saddle, or neither.
 
     At a critical point every correlation zeta_i is a root of the scalar
@@ -186,6 +169,8 @@ def critical_point_report(D: Dictionary, q,
     """
     x = _coords(q)
     A = D.entries
+    # raises on a zero column before the cubic coefficients divide by it
+    inner_product, best_index = _nearest_column(A, x)
     obj = TensorObjective(D)
     zeta = A.T @ x
     col_sq = np.sum(A * A, axis=0)
@@ -198,11 +183,9 @@ def critical_point_report(D: Dictionary, q,
     grad_norm = float(np.linalg.norm(obj.rgrad(x)))
     hess_min_eig, vec, _ = obj.curvature(x).min_eig()
 
-    inner_product, best_index = _nearest_column(A, x)
-
     region = classify_region(D, x).label
 
-    if grad_norm >= grad_tol:
+    if grad_norm >= GRAD_TOL:
         classification = CLASS_NON_CRITICAL
     else:
         residuals = np.abs(cubes - alphas * zeta + betas)

@@ -11,6 +11,7 @@ platform-reproducible stream.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import zlib
@@ -32,7 +33,7 @@ __all__ = [
     "sample_bg",
     "synth_odl",
     "coherence",
-    "spikiness",
+    "retract",
     "make_filter_bank",
     "save_matrix",
     "load_matrix",
@@ -63,6 +64,24 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
     return a
 
 
+def retract(v: np.ndarray) -> np.ndarray:
+    """v / ||v|| for a contiguous 1-d real array v: the one normalizer onto
+    the sphere, behind SpherePoint.project and every solver step.
+
+    sqrt(v.dot(v)) is np.linalg.norm of such an array (a strided view's dot
+    rounds differently, so project passes a contiguous copy). A zero or
+    non-finite v raises ValueError, and so does a v whose squared norm
+    underflows so far that v / ||v|| misses the sphere.
+    """
+    nrm = math.sqrt(v.dot(v))
+    if not 0.0 < nrm < math.inf:
+        raise ValueError("cannot project a zero or non-finite vector")
+    u = v / nrm
+    if nrm < 1e-150 and abs(np.linalg.norm(u) - 1.0) > UNIT_TOL:
+        raise ValueError("v / ||v|| misses unit l2 norm: ||v||^2 underflows")
+    return u
+
+
 @dataclass(frozen=True)
 class SpherePoint:
     """A point q on the unit sphere S^{n-1}."""
@@ -79,12 +98,8 @@ class SpherePoint:
 
     @classmethod
     def project(cls, v) -> "SpherePoint":
-        """Metric projection v / ||v|| onto the sphere."""
-        v = np.asarray(v, dtype=float).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0 or not np.isfinite(nrm):
-            raise ValueError("cannot project a zero or non-finite vector")
-        return cls(v / nrm)
+        """Metric projection v / ||v|| onto the sphere; see retract."""
+        return cls(retract(np.asarray(v, dtype=float).ravel()))
 
     @property
     def n(self) -> int:
@@ -192,8 +207,8 @@ class FilterBank:
     """K circular filters of length n, stored as rows of `filters`.
 
     The stacked matrix of all cyclic shifts of all filters has, per
-    frequency bin j, squared singular value sum_k |fft(a_k)[j]|^2; its
-    extreme values give sigma_min and the condition number kappa.
+    frequency bin j, squared singular value sum_k |fft(a_k)[j]|^2; the
+    smallest of them gives sigma_min.
     """
 
     filters: np.ndarray
@@ -215,20 +230,9 @@ class FilterBank:
         return self.filters.shape[1]
 
     @cached_property
-    def _bin_singular_values(self) -> np.ndarray:
-        spec = np.fft.fft(self.filters, axis=1)
-        return np.sqrt((np.abs(spec) ** 2).sum(axis=0))
-
-    @cached_property
     def sigma_min(self) -> float:
-        return float(self._bin_singular_values.min())
-
-    @cached_property
-    def kappa(self) -> float:
-        smin = self.sigma_min
-        if smin <= 0.0:
-            raise ValueError("stacked circulant matrix is singular")
-        return float(self._bin_singular_values.max() / smin)
+        spec = np.fft.fft(self.filters, axis=1)
+        return float(np.sqrt((np.abs(spec) ** 2).sum(axis=0)).min())
 
 
 def make_untf(n: int, m: int, seed: int, max_iters: int = 5000) -> Dictionary:
@@ -301,22 +305,6 @@ def coherence(D: Dictionary) -> float:
     G = (A / norms).T @ (A / norms)
     np.fill_diagonal(G, 0.0)
     return float(np.abs(G).max())
-
-
-def spikiness(zeta) -> float:
-    """Ratio of the largest to second-largest entry magnitude (>= 1).
-
-    Returns +inf when the second-largest magnitude is zero, or so small
-    that the ratio overflows: the vector is maximally spiky and the ratio
-    is taken as the sentinel rather than an error.
-    """
-    z = np.abs(np.asarray(zeta, dtype=float).reshape(-1))
-    if z.size < 2:
-        raise ValueError("spikiness needs at least two entries")
-    second, first = np.partition(z, -2)[-2:].tolist()
-    if second == 0.0:
-        return np.inf
-    return first / second  # Python float division overflows to inf silently
 
 
 def make_filter_bank(n: int, K: int, seed: int) -> FilterBank:

@@ -16,11 +16,10 @@ and the Riemannian versions at unit q, writing P = I - q q^T, are
 
     rgrad = P grad,   rhess = P (Hess - (q^T grad) I) P,
 
-where q^T grad = 4 phi(q) because phi is homogeneous of degree 4. All
-difference quotients use the metric-projection retraction x -> x/||x||,
-which agrees with the sphere exponential map to second order, so the
-quadratic form of rhess is exactly what a second central difference of
-t -> phi(retract(q + t v)) measures.
+where q^T grad = 4 phi(q) because phi is homogeneous of degree 4. The
+projection retraction x -> x/||x|| (`model.retract`) agrees with the
+sphere exponential map to second order, so the quadratic form of rhess is
+what a second central difference of t -> phi(retract(q + t v)) measures.
 """
 
 from __future__ import annotations
@@ -30,14 +29,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Dictionary, ObservationSet, SpherePoint, sample_bg, stream, synth_odl
+from .model import (Dictionary, ObservationSet, SpherePoint, retract, sample_bg,
+                    stream, synth_odl)
 
 __all__ = [
     "TensorObjective",
     "OdlObjective",
     "expectation_gap",
-    "fd_directional",
-    "fd_quadratic",
     "retract",
 ]
 
@@ -51,11 +49,6 @@ def _coords(q) -> np.ndarray:
     if isinstance(q, SpherePoint):
         return q.coords
     return np.asarray(q, dtype=float).reshape(-1)
-
-
-def retract(x: np.ndarray) -> np.ndarray:
-    """Metric projection onto the sphere, x / ||x||."""
-    return x / np.linalg.norm(x)
 
 
 def tangent_min_eig(matvec, q: np.ndarray,
@@ -314,28 +307,3 @@ def expectation_gap(
     phi_t = -0.25 * float(np.sum(zeta**4))
     predicted = phi_t - theta / (4.0 * (1.0 - theta)) * float(np.sum(zeta**2)) ** 2
     return mc_mean, predicted
-
-
-def fd_directional(obj, q, v, h: float = 1e-5) -> float:
-    """Central difference of t -> phi(retract(q + t v)) at t = 0.
-
-    For tangent v this estimates <rgrad(q), v>. The step default sits near
-    the cube-root-epsilon optimum for first derivatives of 64-bit floats.
-    """
-    q = _coords(q)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    return (obj.value(retract(q + h * v)) - obj.value(retract(q - h * v))) / (2 * h)
-
-
-def fd_quadratic(obj, q, v, h: float = 1e-4) -> float:
-    """Second central difference of t -> phi(retract(q + t v)) at t = 0.
-
-    For unit tangent v this estimates v^T rhess(q) v, since the projection
-    retraction is second-order accurate.
-    """
-    q = _coords(q)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    f0 = obj.value(q)
-    fp = obj.value(retract(q + h * v))
-    fm = obj.value(retract(q - h * v))
-    return (fp - 2.0 * f0 + fm) / (h * h)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdl import Preconditioner
-from .model import ObservationSet, SpherePoint
+from .model import ObservationSet, SpherePoint, retract
 from .objectives import tangent_min_eig
 
 __all__ = [
@@ -91,21 +91,9 @@ class SolveResult:
         return json.dumps(payload)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    """SpherePoint.project(v).coords, skipping its checks where they cannot fail.
-
-    sqrt(v.dot(v)) is np.linalg.norm of a 1-d real array. Once it is finite and
-    its square a normal float, v / norm has finite entries and unit norm.
-    """
-    nrm = math.sqrt(v.dot(v))
-    if not 1e-150 <= nrm < np.inf:
-        return SpherePoint.project(v).coords
-    return v / nrm
-
-
 def _power_point(g: np.ndarray, xg) -> np.ndarray:
     """P_sphere(-g), or P_sphere(g) when xg = x.g > 0; see power_step."""
-    return _unit(g if xg > 0.0 else -g)
+    return retract(g if xg > 0.0 else -g)
 
 
 def power_step(obj, q: SpherePoint) -> SpherePoint:
@@ -144,8 +132,8 @@ def escape_saddle(obj, q: SpherePoint, curv_tol: float, step: float,
         return None
     if lam >= -curv_tol:
         return None
-    plus = _unit(x + step * v)
-    minus = _unit(x - step * v)
+    plus = retract(x + step * v)
+    minus = retract(x - step * v)
     return SpherePoint(plus if obj.value(plus) <= obj.value(minus) else minus)
 
 
@@ -219,7 +207,7 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
         else:
             tau = BACKTRACK_TAU0
             while True:
-                cand = _unit(x - tau * rg)
+                cand = retract(x - tau * rg)
                 val, g_cand = obj.evaluate(cand)
                 if val <= trace[-1] - ARMIJO_C1 * tau * gn * gn:
                     break

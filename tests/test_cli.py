@@ -420,6 +420,32 @@ def test_landscape_at_solution_json(tmp_path):
     assert all(r["grad_norm"] < 1e-6 for r in payload)
 
 
+@pytest.mark.parametrize("flags", [["--method", "rgd"], ["--max-iters", "5"],
+                                   ["--grad-tol", "1e-9"], ["--escape"]],
+                         ids=["method", "max-iters", "grad-tol", "escape"])
+def test_landscape_refuses_solver_flags_without_at_solution(tmp_path, capsys,
+                                                            flags):
+    assert run("landscape", "--n", "4", "--m", "8", *flags, "--out-dir",
+               str(tmp_path)) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {flags[0]} cannot")
+    assert list(tmp_path.iterdir()) == []
+    assert run("landscape", "--n", "4", "--m", "8", *flags, "--at-solution",
+               "--out-dir", str(tmp_path)) == EXIT_OK
+
+
+def test_landscape_header_records_solver_flags_only_at_solution(tmp_path):
+    assert run("landscape", "--n", "4", "--m", "8", "--out-dir",
+               str(tmp_path / "raw")) == EXIT_OK
+    assert (tmp_path / "raw" / "landscape.csv").read_text().startswith(
+        "# command: landscape --format=csv --m=8 --n=4 --samples=1 --seed=0\n")
+    # unset solver flags take the solve defaults, as in every other command
+    assert run("landscape", "--n", "4", "--m", "8", "--at-solution",
+               "--out-dir", str(tmp_path / "sol")) == EXIT_OK
+    assert (tmp_path / "sol" / "landscape.csv").read_text().startswith(
+        "# command: landscape --at-solution=True --format=csv --grad-tol=1e-08 "
+        "--m=8 --max-iters=10000 --method=power --n=4 --samples=1 --seed=0\n")
+
+
 @pytest.mark.parametrize("zero_first", [True, False], ids=["est", "truth"])
 def test_align_zero_filter_is_usage_error(tmp_path, capsys, zero_first):
     save_matrix(tmp_path / "zero.csv", np.zeros((1, 8)))

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import sphere4.landscape as landscape
 from sphere4.landscape import (
     BOUNDARY_TOL,
     CLASS_INDETERMINATE,
     CLASS_NEAR_SOLUTION,
     CLASS_NON_CRITICAL,
     CLASS_STRICT_SADDLE,
+    GRAD_TOL,
     REGION_BOUNDARY,
     REGION_CRITICAL,
     REGION_NEGATIVE_CURVATURE,
@@ -22,7 +24,6 @@ from sphere4.landscape import (
     critical_point_report,
     cubic_root_intervals,
     negative_curvature_certificate,
-    xi_cdl,
 )
 from sphere4.model import Dictionary, SpherePoint, make_untf, stream
 from sphere4.objectives import TensorObjective
@@ -64,15 +65,12 @@ def bisect_roots(alpha: float, beta: float, grid: int = 4001) -> np.ndarray:
 
 def test_region_params_validation():
     RegionParams(xi=1.0, mu=0.0)  # orthonormal limit is allowed
-    RegionParams(xi=65.0, mu=0.5, kappa=2.0)
     with pytest.raises(ValueError):
         RegionParams(xi=0.0, mu=0.1)
     with pytest.raises(ValueError):
         RegionParams(xi=1.0, mu=-0.1)
     with pytest.raises(ValueError):
         RegionParams(xi=1.0, mu=1.0)
-    with pytest.raises(ValueError):
-        RegionParams(xi=1.0, mu=0.1, kappa=0.5)
 
 
 def test_classify_region_value_and_threshold_formulas():
@@ -135,26 +133,6 @@ def test_classify_region_manufactured_boundary():
     dec = classify_region(D, q, RegionParams(xi=xi_star, mu=D.coherence))
     assert dec.label == REGION_BOUNDARY
     assert abs(dec.value - dec.threshold) <= BOUNDARY_TOL
-
-
-def test_classify_region_scales_threshold_by_kappa():
-    D = make_untf(8, 12, seed=9)
-    q = SpherePoint.project(stream(9, "kappa").standard_normal(8))
-    flat = classify_region(D, q, RegionParams(xi=1.5, mu=D.coherence))
-    cdl = classify_region(D, q, RegionParams(xi=1.5, mu=D.coherence, kappa=2.5))
-    assert cdl.threshold == pytest.approx(flat.threshold * 2.5 ** (4 / 3), rel=1e-12)
-    assert cdl.value == flat.value
-
-
-def test_xi_cdl_default_and_validation():
-    assert xi_cdl() == pytest.approx(6.0 * 2.0 ** (14 / 3), rel=1e-12)
-    assert xi_cdl(c0=1.0, eta=0.125) == pytest.approx(4.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        xi_cdl(c0=0.0)
-    with pytest.raises(ValueError):
-        xi_cdl(eta=1.0)
-    with pytest.raises(ValueError):
-        xi_cdl(eta=-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +233,27 @@ def test_report_random_point_is_non_critical():
     assert rep.grad_norm >= 1e-6
 
 
-def test_report_grad_tol_gates_classification():
-    # a tiny tolerance reads even a well-converged point as non-critical
+def test_report_grad_tol_gates_classification(monkeypatch):
+    # GRAD_TOL alone decides whether a converged point is read as critical
+    assert GRAD_TOL == 1e-6
     D = make_untf(10, 15, seed=3)
     obj = TensorObjective(D)
     q0 = SpherePoint.project(stream(11, "it").standard_normal(10))
     q = solve(obj, q0, SolveConfig(method="power", max_iters=50_000,
                                    grad_tol=1e-10)).q_star
-    strict = critical_point_report(D, q, grad_tol=1e-30)
-    assert strict.classification == CLASS_NON_CRITICAL
-    loose = critical_point_report(D, q, grad_tol=1e-6)
-    assert loose.classification == CLASS_NEAR_SOLUTION
+    rep = critical_point_report(D, q)
+    assert rep.grad_norm < GRAD_TOL
+    assert rep.classification == CLASS_NEAR_SOLUTION
+    monkeypatch.setattr(landscape, "GRAD_TOL", rep.grad_norm)
+    assert critical_point_report(D, q).classification == CLASS_NON_CRITICAL
+
+
+@pytest.mark.filterwarnings("error")
+def test_report_zero_column_raises_before_dividing():
+    # the typed error of the nearest-column rule, not a divide-by-zero warning
+    D = Dictionary(np.hstack([np.eye(3), np.zeros((3, 1))]))
+    with pytest.raises(ValueError, match="nonzero columns"):
+        critical_point_report(D, np.array([1.0, 0.0, 0.0]))
 
 
 def test_report_alphas_positive():

@@ -16,11 +16,11 @@ from sphere4.objectives import (
     OdlObjective,
     TensorObjective,
     expectation_gap,
-    fd_directional,
-    fd_quadratic,
     retract,
     tangent_min_eig,
 )
+
+from fd_oracles import fd_directional, fd_quadratic
 
 
 def random_tangent(rng, q):

@@ -12,7 +12,6 @@ from sphere4.model import (
     make_untf,
     sample_bg,
     stream,
-    spikiness,
     synth_odl,
 )
 from sphere4.objectives import OdlObjective, TensorObjective, retract
@@ -538,7 +537,6 @@ def test_init_cdl_lands_in_spiky_region():
     for t in range(100):
         q = cdl_start(prob, stream(1000 + t, "trial-measurement"))
         zeta = A.T @ q.coords
-        assert spikiness(zeta) > 1.0
         if np.sum(zeta**4) > bar:
             wins += 1
     assert wins >= 90
@@ -564,3 +562,14 @@ def test_names_the_benchmark_traces_still_resolve():
     import sphere4
 
     assert sphere4.SolveConfig(escape=sphere4.EscapeConfig()).escape is not None
+
+
+@pytest.mark.parametrize("module", ["model", "objectives", "cdl", "optimize",
+                                    "landscape", "recovery", "cli"])
+def test_every_name_in_all_resolves(module):
+    # a name deleted from a module must not stay behind in its __all__
+    import importlib
+
+    mod = importlib.import_module(f"sphere4.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
