@@ -30,6 +30,7 @@ from .model import (
     ObservationSet,
     SpherePoint,
     _atomic_write,
+    _untf_stack,
     load_matrix,
     make_filter_bank,
     make_untf,
@@ -287,6 +288,10 @@ class SweepSpec:
                 continue  # the filter bank fixes the shape, not m
             if any(v <= 0 for v in grid):
                 raise ValueError(f"{name} grid values must be positive")
+        # refused here, so no cell of the grid is run before the error
+        n, m = max(self.n_grid), min(self.m_grid)
+        if self.objective != "phi_CDL" and n > m:
+            raise ValueError(f"every cell needs m >= n, got n={n} > m={m}")
 
     def cells(self) -> list:
         return list(itertools.product(self.n_grid, self.m_grid, self.p_grid,
@@ -314,12 +319,13 @@ def _repeat_seed(seed_base: int, cell, repeat: int) -> int:
                  repeat)
     return int(rng.integers(2**62))
 
-def _run_repeat(spec: SweepSpec, cell, repeat: int, seed_base: int):
+def _run_repeat(spec: SweepSpec, cell, repeat: int, rseed: int,
+                frame: Dictionary | None):
+    """One repeat under seed `rseed`; `frame` is its phi_T frame, else None."""
     n, m, p, theta, K = cell
-    rseed = _repeat_seed(seed_base, cell, repeat)
     if spec.objective in ("phi_T", "phi_DL"):
         if spec.objective == "phi_T":
-            D = make_untf(n, m, seed=rseed)
+            D = frame
             objective = TensorObjective(D)
         else:
             D, _, Y = _synth("odl", n, m, theta, p, rseed, "main_text")
@@ -341,7 +347,6 @@ def _cell_path(out: Path, index: int) -> Path:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
-    (out / "cells").mkdir(exist_ok=True)
     if args.success_bar is None:
         args.success_bar = EPS_CDL if args.objective == "phi_CDL" else SUCCESS_THRESHOLD
     if args.objective != "phi_CDL" and not args.m_grid:
@@ -357,6 +362,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         config=_solve_config(args),
         success_bar=args.success_bar,
     )
+    (out / "cells").mkdir(exist_ok=True)
 
     # a shard is written atomically once its cell is done, so under a
     # matching manifest an existing shard is a finished cell
@@ -376,8 +382,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for ci, cell in enumerate(cells):
         if resume and _cell_path(out, ci).exists():
             continue
-        rows = [_run_repeat(spec, cell, r, args.seed)
-                for r in range(spec.repeats)]
+        seeds = [_repeat_seed(args.seed, cell, r) for r in range(spec.repeats)]
+        # a phi_T cell's frames are built as one stack
+        frames = (_untf_stack(cell[0], cell[1], seeds)
+                  if spec.objective == "phi_T" else [None] * len(seeds))
+        rows = [_run_repeat(spec, cell, r, rseed, frame)
+                for r, (rseed, frame) in enumerate(zip(seeds, frames))]
         _write_table(_cell_path(out, ci), RAW_SWEEP_COLUMNS, rows, ())
 
     raw_rows = []

@@ -274,6 +274,70 @@ def make_untf(n: int, m: int, seed: int, max_iters: int = 5000) -> Dictionary:
     return Dictionary(best, untf_converged=bool(best_res <= UNTF_TOL))
 
 
+def _untf_stack(n: int, m: int, seeds, max_iters: int = 5000) -> list:
+    """[make_untf(n, m, s, max_iters) for s in seeds], bit for bit, with the
+    frames iterated as one (T, n, m) stack. An empty list gives [].
+
+    Stacked matmul runs per frame the BLAS call of the scalar loop (syrk
+    for A A^T, ddot for the residual, gemm for the update), and eigh runs
+    LAPACK per matrix, so every frame keeps its bits. A frame leaves the
+    stack when it converges. One seed goes to make_untf, which is faster.
+    """
+    if not 1 <= n <= m:
+        raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    seeds = list(seeds)
+    if len(seeds) == 1:
+        return [make_untf(n, m, seeds[0], max_iters)]
+    out = [None] * len(seeds)
+    if not seeds:
+        return out
+    A = np.stack([stream(s, "untf").normal(0.0, 1.0 / np.sqrt(n), size=(n, m))
+                  for s in seeds])
+    A = A / np.linalg.norm(A, axis=1, keepdims=True)
+    eye = np.eye(n)
+    scale = n / m
+    live = np.arange(len(seeds))
+    best = A
+    best_res = np.full(len(seeds), np.inf)
+
+    def keep_best(A):
+        """Residuals of the stack A; tracks each frame's best iterate."""
+        nonlocal best
+        G = A @ A.transpose(0, 2, 1)
+        R = (scale * G - eye).reshape(len(A), -1)
+        res = np.sqrt((R[:, None, :] @ R[:, :, None]).ravel())
+        better = res < best_res
+        if better.all():
+            best = A
+        else:
+            best[better] = A[better]
+        best_res[better] = res[better]
+        return G, res
+
+    for _ in range(max_iters):
+        G, res = keep_best(A)
+        done = res <= UNTF_TOL
+        if done.any():
+            for i in np.flatnonzero(done):
+                out[live[i]] = Dictionary(A[i], untf_converged=True)
+            stay = ~done
+            if not stay.any():
+                return out
+            A, G, live = A[stay], G[stay], live[stay]
+            best, best_res = best[stay], best_res[stay]
+        w, V = np.linalg.eigh(G / scale)
+        # floor keeps the inverse root finite on near-rank-deficient iterates
+        w = np.maximum(w, 1e-14 * w[:, -1:])
+        A = (V * (1.0 / np.sqrt(w))[:, None, :]) @ V.transpose(0, 2, 1) @ A
+        A = A / np.linalg.norm(A, axis=1, keepdims=True)
+    keep_best(A)
+    for i, frame, res in zip(live, best, best_res):
+        out[i] = Dictionary(frame, untf_converged=bool(res <= UNTF_TOL))
+    return out
+
+
 def sample_bg(m: int, p: int, theta: float, seed: int) -> SparseCode:
     """Draw an m x p Bernoulli-Gaussian code: X = B .* G, B ~ Ber(theta).
 

@@ -15,11 +15,13 @@ from sphere4.cli import (
     EXIT_OK,
     EXIT_USAGE,
     SweepSpec,
+    _repeat_seed,
     main,
 )
-from sphere4.model import save_matrix, stream
-from sphere4.optimize import SolveConfig
-from sphere4.recovery import EPS_CDL
+from sphere4.model import SpherePoint, make_untf, save_matrix, stream
+from sphere4.objectives import TensorObjective
+from sphere4.optimize import SolveConfig, solve
+from sphere4.recovery import EPS_CDL, SUCCESS_THRESHOLD, recovery_error
 
 
 def run(*argv: str) -> int:
@@ -319,6 +321,36 @@ def test_sweep_rates_match_raw_exactly(tmp_path):
         assert float(rate) == recount / int(repeats)
 
 
+def test_sweep_phi_t_rows_match_per_repeat_reference(tmp_path):
+    # the cell's frames come from one stack; each row must still equal a
+    # repeat run alone through make_untf, solve and recovery_error
+    assert main(sweep_args(tmp_path)) == EXIT_OK
+    header, *rows = data_lines(tmp_path / "sweep_raw.csv")
+    assert header == "n,m,p,theta,K,repeat,seed,error,success"
+    assert len(rows) == 6
+    cfg = SolveConfig(max_iters=3000, grad_tol=1e-9, seed=5)
+    for row in rows:
+        n, m, p, theta, K, repeat, seed, error, success = row.split(",")
+        cell = (int(n), int(m), int(p), float(theta), int(K))
+        rseed = _repeat_seed(5, cell, int(repeat))
+        D = make_untf(int(n), int(m), seed=rseed)
+        q0 = SpherePoint.project(
+            stream(rseed, "sweep-q0").standard_normal(int(n)))
+        err = recovery_error(solve(TensorObjective(D), q0, cfg).q_star,
+                             D).rho_e
+        assert (seed, error, success) == (
+            str(rseed), "%.17g" % err, "1" if err < SUCCESS_THRESHOLD else "0")
+
+
+@pytest.mark.parametrize("objective", ["phi_T", "phi_DL"])
+def test_sweep_refuses_m_below_n_before_any_work(tmp_path, objective):
+    out = tmp_path / "out"
+    assert main(["sweep", "--objective", objective, "--n-grid", "8,12",
+                 "--m-grid", "16,10", "--p-grid", "200", "--repeats", "2",
+                 "--out-dir", str(out)]) == EXIT_USAGE
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_rerun_is_idempotent(tmp_path):
     assert main(sweep_args(tmp_path)) == EXIT_OK
     before = (tmp_path / "sweep_raw.csv").read_bytes()
@@ -387,6 +419,13 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec((3,), (0,), (0,), (0.1,), (1,), 2, "phi_T", SolveConfig(),
                   0.05)
+    # every (n, m) cell of the product needs m >= n; n == m is a cell
+    for objective in ("phi_T", "phi_DL"):
+        with pytest.raises(ValueError, match="m >= n"):
+            SweepSpec((8, 12), (16, 10), (200,), (0.1,), (1,), 2, objective,
+                      SolveConfig(), 0.05)
+    assert len(SweepSpec((3, 4), (4, 6), (200,), (0.1,), (1,), 2, "phi_DL",
+                         SolveConfig(), 0.05).cells()) == 4
     # m is unused for phi_CDL; cmd_sweep fills in (0,) when --m-grid is absent
     cdl = SweepSpec((16,), (0,), (400,), (0.1,), (1,), 2, "phi_CDL",
                     SolveConfig(), 0.1)

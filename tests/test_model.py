@@ -5,6 +5,7 @@ from sphere4.model import (
     Dictionary,
     ObservationSet,
     SpherePoint,
+    _untf_stack,
     coherence,
     load_matrix,
     make_filter_bank,
@@ -89,6 +90,61 @@ def test_make_untf_bit_identical_to_two_gram_loop(n, m, seed, max_iters):
 def test_untf_shape_contract():
     with pytest.raises(ValueError):
         make_untf(5, 4, seed=0)
+
+
+def assert_stack_matches_make_untf(n, m, seeds, max_iters):
+    stack = _untf_stack(n, m, seeds, max_iters)
+    assert len(stack) == len(seeds)
+    for seed, D in zip(seeds, stack):
+        ref = make_untf(n, m, seed, max_iters)
+        assert D.entries.tobytes() == ref.entries.tobytes()
+        assert D.untf_converged is ref.untf_converged
+    return [D.untf_converged for D in stack]
+
+
+@pytest.mark.parametrize("max_iters", [1, 3, 7, 5000])
+@pytest.mark.parametrize("n,m", [(1, 5), (3, 3), (6, 18), (8, 16), (12, 16),
+                                 (16, 32)])
+def test_untf_stack_bit_identical_to_make_untf(n, m, max_iters):
+    assert_stack_matches_make_untf(n, m, [11, 12, 13, 14, 15, 16], max_iters)
+
+
+def test_untf_stack_mixes_capped_and_converged_frames():
+    # at 8x16 these seeds converge after 64-82 updates, so a cap of 70 leaves
+    # frames at different iterations and others capped in one stack
+    flags = assert_stack_matches_make_untf(8, 16, range(6), 70)
+    assert sorted(flags) == [False] * 3 + [True] * 3
+
+
+@pytest.mark.parametrize("n,m", [(3, 5), (8, 16)])
+def test_untf_stack_keeps_each_frames_best_iterate(monkeypatch, n, m):
+    # squaring the eigenvalues overshoots each update, so residuals rise and
+    # fall and a capped frame's best iterate is seldom its last one
+    eigh = np.linalg.eigh
+
+    def overshoot(G):
+        w, V = eigh(G)
+        return w * w, V
+
+    monkeypatch.setattr(np.linalg, "eigh", overshoot)
+    flags = assert_stack_matches_make_untf(n, m, range(6), 9)
+    assert not any(flags)
+
+
+def test_untf_stack_of_one_and_of_none():
+    assert_stack_matches_make_untf(8, 16, [3], 5000)
+    assert _untf_stack(8, 16, []) == []
+
+
+@pytest.mark.parametrize("n,m,max_iters", [(0, 4, 10), (5, 4, 10),
+                                           (3, 4, 0)])
+def test_untf_stack_refuses_what_make_untf_refuses(n, m, max_iters):
+    with pytest.raises(ValueError) as ref:
+        make_untf(n, m, 0, max_iters)
+    for seeds in ([], [0], [0, 1]):
+        with pytest.raises(ValueError) as got:
+            _untf_stack(n, m, seeds, max_iters)
+        assert str(got.value) == str(ref.value)
 
 
 def test_dictionary_rejects_wide_transpose():
