@@ -43,7 +43,6 @@ from .objectives import OdlObjective, TensorObjective
 from .optimize import EscapeConfig, SolveConfig, solve
 from .recovery import (
     EPS_CDL,
-    SUCCESS_THRESHOLD,
     align_shift,
     cdl_score,
     cdl_start,
@@ -270,7 +269,6 @@ class SweepSpec:
     repeats: int
     objective: str
     config: SolveConfig
-    success_bar: float
 
     def __post_init__(self) -> None:
         if self.objective not in ("phi_T", "phi_DL", "phi_CDL"):
@@ -292,25 +290,13 @@ class SweepSpec:
         n, m = max(self.n_grid), min(self.m_grid)
         if self.objective != "phi_CDL" and n > m:
             raise ValueError(f"every cell needs m >= n, got n={n} > m={m}")
+        if self.objective != "phi_T" and not all(
+                0 < t < 1 for t in self.theta_grid):
+            raise ValueError("theta must lie in (0, 1)")
 
     def cells(self) -> list:
         return list(itertools.product(self.n_grid, self.m_grid, self.p_grid,
                                       self.theta_grid, self.k_grid))
-
-    def key(self) -> dict:
-        return {
-            "n_grid": list(self.n_grid),
-            "m_grid": list(self.m_grid),
-            "p_grid": list(self.p_grid),
-            "theta_grid": list(self.theta_grid),
-            "k_grid": list(self.k_grid),
-            "repeats": self.repeats,
-            "objective": self.objective,
-            "method": self.config.method,
-            "max_iters": self.config.max_iters,
-            "grad_tol": self.config.grad_tol,
-            "success_bar": self.success_bar,
-        }
 
 
 def _repeat_seed(seed_base: int, cell, repeat: int) -> int:
@@ -332,13 +318,15 @@ def _run_repeat(spec: SweepSpec, cell, repeat: int, rseed: int,
             objective = OdlObjective(Y, theta)
         q0 = SpherePoint.project(stream(rseed, "sweep-q0").standard_normal(n))
         res = solve(objective, q0, spec.config)
-        err = recovery_error(res.q_star, D).rho_e
+        outcome = recovery_error(res.q_star, D)
+        err, success = outcome.rho_e, outcome.success
     else:
         problem = _synth("cdl", n, K, theta, p, rseed, "main_text")
         q0 = cdl_start(problem, stream(rseed, "sweep-ell"))
         res = solve(CdlObjective.from_problem(problem), q0, spec.config)
-        err = float(cdl_score(res.q_star, problem).aligned_errors.min())
-    return (n, m, p, theta, K, repeat, rseed, err, err < spec.success_bar)
+        score = cdl_score(res.q_star, problem)
+        err, success = float(score.aligned_errors.min()), bool(score.recovered)
+    return (n, m, p, theta, K, repeat, rseed, err, success)
 
 
 def _cell_path(out: Path, index: int) -> Path:
@@ -347,8 +335,6 @@ def _cell_path(out: Path, index: int) -> Path:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
-    if args.success_bar is None:
-        args.success_bar = EPS_CDL if args.objective == "phi_CDL" else SUCCESS_THRESHOLD
     if args.objective != "phi_CDL" and not args.m_grid:
         raise ValueError("--m-grid is required for phi_T and phi_DL sweeps")
     spec = SweepSpec(
@@ -360,24 +346,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         objective=args.objective,
         config=_solve_config(args),
-        success_bar=args.success_bar,
     )
     (out / "cells").mkdir(exist_ok=True)
 
+    # the manifest is the sweep's provenance (seed, solver flags, version);
     # a shard is written atomically once its cell is done, so under a
     # matching manifest an existing shard is a finished cell
+    prov = _provenance("sweep", args)
     manifest_path = out / "sweep_manifest.json"
     resume = manifest_path.exists()
     if resume:
         manifest = json.loads(manifest_path.read_text())
-        if not isinstance(manifest, dict) or manifest.get("spec") != spec.key():
+        if not isinstance(manifest, dict) or manifest.get("spec") != prov:
             raise ValueError("out-dir holds a sweep with different parameters; "
                              "choose a fresh directory")
     else:
         _atomic_write(manifest_path,
-                      json.dumps({"spec": spec.key()}, indent=2) + "\n")
+                      json.dumps({"spec": prov}, indent=2) + "\n")
 
-    prov = _provenance("sweep", args)
     cells = spec.cells()
     for ci, cell in enumerate(cells):
         if resume and _cell_path(out, ci).exists():
@@ -412,6 +398,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_landscape(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
+    if args.samples < 1:
+        raise ValueError(f"need --samples >= 1, got {args.samples}")
     # the solver flags read None here unless given; they act only on a solve
     defaults = vars(_solver_parser().parse_args([]))
     given = [f"--{k.replace('_', '-')}" for k in defaults
@@ -529,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--theta-grid", type=_list_of(float), default=(0.1,))
     sw.add_argument("--k-grid", type=_list_of(int), default=(1,))
     sw.add_argument("--repeats", type=int, default=12)
-    sw.add_argument("--success-bar", type=float, default=None)
     sw.set_defaults(func=cmd_sweep)
 
     # each command gets its own _solver_parser, so these None defaults stay here

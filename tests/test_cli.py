@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -15,7 +16,9 @@ from sphere4.cli import (
     EXIT_OK,
     EXIT_USAGE,
     SweepSpec,
+    _provenance,
     _repeat_seed,
+    build_parser,
     main,
 )
 from sphere4.model import SpherePoint, make_untf, save_matrix, stream
@@ -95,6 +98,8 @@ SIZE_BELOW_ONE = {
                    "--theta", "0.1", "--p", "50"],
     "solve-odl-p0": ["solve", "--model", "odl", "--n", "3", "--m", "4",
                      "--theta", "0.1", "--p", "0"],
+    "landscape-samples0": ["landscape", "--n", "4", "--m", "8", "--samples",
+                           "0"],
 }
 
 
@@ -342,11 +347,22 @@ def test_sweep_phi_t_rows_match_per_repeat_reference(tmp_path):
             str(rseed), "%.17g" % err, "1" if err < SUCCESS_THRESHOLD else "0")
 
 
-@pytest.mark.parametrize("objective", ["phi_T", "phi_DL"])
-def test_sweep_refuses_m_below_n_before_any_work(tmp_path, objective):
+REFUSED_SWEEPS = {
+    "phi_T-m-below-n": ["--objective", "phi_T", "--n-grid", "8,12",
+                        "--m-grid", "16,10"],
+    "phi_DL-m-below-n": ["--objective", "phi_DL", "--n-grid", "8,12",
+                         "--m-grid", "16,10"],
+    "phi_DL-theta": ["--objective", "phi_DL", "--n-grid", "8", "--m-grid",
+                     "16", "--theta-grid", "0.1,1.5"],
+    "phi_CDL-theta": ["--objective", "phi_CDL", "--n-grid", "16",
+                      "--theta-grid", "0.1,1.5"],
+}
+
+
+@pytest.mark.parametrize("flags", REFUSED_SWEEPS.values(), ids=REFUSED_SWEEPS)
+def test_sweep_refused_before_any_work(tmp_path, flags):
     out = tmp_path / "out"
-    assert main(["sweep", "--objective", objective, "--n-grid", "8,12",
-                 "--m-grid", "16,10", "--p-grid", "200", "--repeats", "2",
+    assert main(["sweep", *flags, "--p-grid", "200", "--repeats", "2",
                  "--out-dir", str(out)]) == EXIT_USAGE
     assert list(out.iterdir()) == []
 
@@ -358,18 +374,49 @@ def test_sweep_rerun_is_idempotent(tmp_path):
     assert (tmp_path / "sweep_raw.csv").read_bytes() == before
 
 
-def test_sweep_manifest_guards_parameter_drift(tmp_path):
+@pytest.mark.parametrize("drift", [["--m-grid", "4"], ["--seed", "6"],
+                                   ["--escape"]], ids=["m-grid", "seed",
+                                                       "escape"])
+def test_sweep_manifest_guards_parameter_drift(tmp_path, drift):
     assert main(sweep_args(tmp_path)) == EXIT_OK
-    code = main(["sweep", "--objective", "phi_T", "--n-grid", "3", "--m-grid",
-                 "4", "--repeats", "3", "--seed", "5", "--out-dir",
-                 str(tmp_path)])
-    assert code == EXIT_USAGE
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    # the later flag wins, so this is the first sweep with one flag changed
+    assert main(sweep_args(tmp_path, *drift)) == EXIT_USAGE
+    after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert after == before
+
+
+def test_sweep_manifest_records_every_option():
+    # the manifest is _provenance("sweep", ...): an option left out of it
+    # would let a resumed sweep mix rows run under different values
+    parser = build_parser()
+    sweep = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices["sweep"]
+    base = ["sweep", "--n-grid", "3", "--m-grid", "4"]
+    manifest = _provenance("sweep", parser.parse_args(base))
+    options = [a for a in sweep._actions
+               if a.option_strings and a.dest not in ("help", "out_dir")]
+    assert {"--seed", "--escape", "--method", "--theta-grid"} <= {
+        a.option_strings[0] for a in options}
+    for action in options:
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            value = []
+        elif action.choices:
+            value = [next(c for c in action.choices if c != action.default)]
+        else:
+            value = ["7"]
+        assert action.type is None or action.type(*value) != action.default
+        changed = _provenance("sweep", parser.parse_args(base + [flag, *value]))
+        new = set(changed[0].split()) - set(manifest[0].split())
+        assert [t for t in new if t.startswith(flag + "=")], flag
 
 
 def test_sweep_resumes_only_under_its_manifest(tmp_path):
     assert main(sweep_args(tmp_path)) == EXIT_OK
     manifest = json.loads((tmp_path / "sweep_manifest.json").read_text())
-    assert list(manifest) == ["spec"]
+    assert manifest == {"spec": _provenance(
+        "sweep", build_parser().parse_args(sweep_args(tmp_path)))}
     raw = (tmp_path / "sweep_raw.csv").read_bytes()
     shard = tmp_path / "cells" / "cell_0000.csv"
     good = shard.read_text()
@@ -400,35 +447,38 @@ def test_sweep_cdl_needs_no_m_grid(tmp_path):
     for row in rows:
         fields = row.split(",")
         assert fields[4] in ("1", "2")
-        assert fields[-1] == ("1" if float(fields[-2]) < EPS_CDL else "0")
+        assert fields[-1] == ("1" if float(fields[-2]) <= EPS_CDL else "0")
 
 
 def test_sweep_spec_validation():
     good = SweepSpec((3,), (4,), (0,), (0.1,), (1,), 2, "phi_T",
-                     SolveConfig(), 0.05)
+                     SolveConfig())
     assert len(good.cells()) == 1
     with pytest.raises(ValueError):
-        SweepSpec((3,), (4,), (0,), (0.1,), (1,), 0, "phi_T", SolveConfig(),
-                  0.05)
+        SweepSpec((3,), (4,), (0,), (0.1,), (1,), 0, "phi_T", SolveConfig())
     with pytest.raises(ValueError):
-        SweepSpec((3,), (4,), (0,), (0.1,), (1,), 2, "phi_X", SolveConfig(),
-                  0.05)
+        SweepSpec((3,), (4,), (0,), (0.1,), (1,), 2, "phi_X", SolveConfig())
     with pytest.raises(ValueError):
-        SweepSpec((3,), (4,), (0,), (0.1,), (1,), 2, "phi_DL", SolveConfig(),
-                  0.05)
+        SweepSpec((3,), (4,), (0,), (0.1,), (1,), 2, "phi_DL", SolveConfig())
     with pytest.raises(ValueError):
-        SweepSpec((3,), (0,), (0,), (0.1,), (1,), 2, "phi_T", SolveConfig(),
-                  0.05)
+        SweepSpec((3,), (0,), (0,), (0.1,), (1,), 2, "phi_T", SolveConfig())
     # every (n, m) cell of the product needs m >= n; n == m is a cell
     for objective in ("phi_T", "phi_DL"):
         with pytest.raises(ValueError, match="m >= n"):
             SweepSpec((8, 12), (16, 10), (200,), (0.1,), (1,), 2, objective,
-                      SolveConfig(), 0.05)
+                      SolveConfig())
     assert len(SweepSpec((3, 4), (4, 6), (200,), (0.1,), (1,), 2, "phi_DL",
-                         SolveConfig(), 0.05).cells()) == 4
+                         SolveConfig()).cells()) == 4
+    # theta is a Bernoulli rate for the sample objectives, unused by phi_T
+    for objective, theta in (("phi_DL", 1.5), ("phi_CDL", 1.0)):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            SweepSpec((3,), (4,), (200,), (0.1, theta), (1,), 2, objective,
+                      SolveConfig())
+    assert len(SweepSpec((3,), (4,), (0,), (1.5,), (1,), 2, "phi_T",
+                         SolveConfig()).cells()) == 1
     # m is unused for phi_CDL; cmd_sweep fills in (0,) when --m-grid is absent
     cdl = SweepSpec((16,), (0,), (400,), (0.1,), (1,), 2, "phi_CDL",
-                    SolveConfig(), 0.1)
+                    SolveConfig())
     assert cdl.cells() == [(16, 0, 400, 0.1, 1)]
 
 
