@@ -25,7 +25,6 @@ from .landscape import (
     CurvatureCertificate,
     LandscapeReport,
     RegionDecision,
-    RegionParams,
     classify_region,
     critical_point_report,
     cubic_root_intervals,

@@ -275,11 +275,18 @@ class SweepSpec:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
+        ignored = {"phi_T": ("p", "theta", "K"), "phi_DL": ("K",),
+                   "phi_CDL": ("m",)}[self.objective]
         for name, grid in (("n", self.n_grid), ("m", self.m_grid),
                            ("p", self.p_grid), ("theta", self.theta_grid),
                            ("K", self.k_grid)):
             if len(grid) == 0:
                 raise ValueError(f"empty {name} grid")
+            if len(set(grid)) < len(grid):
+                raise ValueError(f"the {name} grid repeats a value")
+            if name in ignored and len(grid) > 1:
+                raise ValueError(f"{self.objective} does not use {name}; "
+                                 "its grid takes one value")
             if name == "p" and self.objective == "phi_T":
                 continue  # p is unused in the sample limit
             if name == "m" and self.objective == "phi_CDL":

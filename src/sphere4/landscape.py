@@ -15,16 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dictionary
-from .objectives import TensorObjective, _coords
+from .model import Dictionary, SpherePoint
+from .objectives import TensorObjective
 from .recovery import _nearest_column
 
 __all__ = [
-    "RegionParams",
     "RegionDecision",
     "LandscapeReport",
     "CurvatureCertificate",
-    "XI_DL_DEFAULT",
+    "XI_DL",
     "classify_region",
     "cubic_root_intervals",
     "critical_point_report",
@@ -50,25 +49,22 @@ CURV_REL_TOL = 1e-8
 RESID_TOL = 1e-4
 
 # the certificate constant must exceed 2^6; the integer above the floor
-XI_DL_DEFAULT = 65.0
+XI_DL = 65.0
 
 REPORT_CSV_COLUMNS = ("seed", "region", "grad_norm", "min_eig",
                       "classification", "best_index", "inner_product")
 
 
-@dataclass(frozen=True)
-class RegionParams:
-    """Threshold knobs: certificate constant and coherence."""
+def _unit_coords(q) -> np.ndarray:
+    """q's coordinates; a non-finite or non-unit q raises ValueError."""
+    return (q if isinstance(q, SpherePoint) else SpherePoint(q)).coords
 
-    xi: float
-    mu: float
 
-    def __post_init__(self) -> None:
-        if not self.xi > 0.0:
-            raise ValueError("xi must be positive")
-        # mu = 0 is the orthonormal limit; the threshold degenerates to 0
-        if not 0.0 <= self.mu < 1.0:
-            raise ValueError("mu must lie in [0, 1)")
+def _coherence(D: Dictionary) -> float:
+    """D's coherence mu; mu = 1 (a repeated column direction) has no split."""
+    if not D.coherence < 1.0:
+        raise ValueError("coherence must lie in [0, 1): a column repeats")
+    return D.coherence
 
 
 @dataclass(frozen=True)
@@ -78,21 +74,14 @@ class RegionDecision:
     threshold: float
 
 
-def classify_region(D: Dictionary, q,
-                    params: RegionParams | None = None) -> RegionDecision:
-    """Which side of the landscape split q falls on, with both sides.
-
-    Compares phi(q) against -xi * mu^(2/3) * ||zeta||_3^2. Values within
-    1e-12 of it are labeled boundary.
-    """
-    if params is None:
-        params = RegionParams(XI_DL_DEFAULT, D.coherence)
-    x = _coords(q)
-    zeta = D.entries.T @ x
-    value = -0.25 * float(np.sum(zeta**4))
+def _region(D: Dictionary, zeta: np.ndarray, z44: float) -> RegionDecision:
+    """The split of classify_region at zeta = A^T q, with z44 = ||zeta||_4^4."""
+    mu = _coherence(D)
+    value = -0.25 * z44
     norm3sq = float(np.sum(np.abs(zeta) ** 3)) ** (2.0 / 3.0)
-    scale = params.mu ** (2.0 / 3.0) * norm3sq
-    threshold = -params.xi * scale if scale > 0.0 else -0.0
+    # mu = 0 is the orthonormal limit; the threshold degenerates to 0
+    scale = mu ** (2.0 / 3.0) * norm3sq
+    threshold = -XI_DL * scale if scale > 0.0 else -0.0
     if abs(value - threshold) <= BOUNDARY_TOL:
         label = REGION_BOUNDARY
     elif value < threshold:
@@ -100,6 +89,22 @@ def classify_region(D: Dictionary, q,
     else:
         label = REGION_NEGATIVE_CURVATURE
     return RegionDecision(label, value, threshold)
+
+
+def classify_region(D: Dictionary, q) -> RegionDecision:
+    """Which side of the landscape split q falls on, with both sides.
+
+    Compares phi(q) against -XI_DL * mu^(2/3) * ||zeta||_3^2, mu = D's
+    coherence. Values within BOUNDARY_TOL of it are labeled boundary.
+    """
+    zeta = D.entries.T @ _unit_coords(q)
+    return _region(D, zeta, float(np.sum(zeta**4)))
+
+
+def _root_radius(alpha, beta):
+    """2|beta|/alpha: the radius around 0 and +-sqrt(alpha) within which
+    z^3 - alpha*z + beta has its roots, and past which a coordinate is big."""
+    return 2.0 * np.abs(beta) / alpha
 
 
 def cubic_root_intervals(alpha: float, beta: float) -> np.ndarray:
@@ -110,12 +115,14 @@ def cubic_root_intervals(alpha: float, beta: float) -> np.ndarray:
     |beta| <= alpha^(3/2)/4; beta = 0 degenerates the intervals to the
     exact roots {0, +-sqrt(alpha)}.
     """
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise ValueError("alpha and beta must be finite")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if abs(beta) > alpha**1.5 / 4.0:
         raise ValueError("|beta| exceeds alpha^(3/2)/4; roots need not "
                          "localize near {0, +-sqrt(alpha)}")
-    r = 2.0 * abs(beta) / alpha
+    r = _root_radius(alpha, beta)
     s = np.sqrt(alpha)
     return np.array([[-r, r], [s - r, s + r], [-s - r, -s + r]])
 
@@ -167,12 +174,12 @@ def critical_point_report(D: Dictionary, q) -> LandscapeReport:
     high-coherence frames do produce) is reported indeterminate rather
     than forced into a theory bucket.
     """
-    x = _coords(q)
+    x = _unit_coords(q)
     A = D.entries
-    # raises on a zero column before the cubic coefficients divide by it
-    inner_product, best_index = _nearest_column(A, x)
-    obj = TensorObjective(D)
     zeta = A.T @ x
+    # raises on a zero column before the cubic coefficients divide by it
+    inner_product, best_index = _nearest_column(A, zeta)
+    obj = TensorObjective(D)
     col_sq = np.sum(A * A, axis=0)
     z44 = float(np.sum(zeta**4))
     alphas = z44 / col_sq
@@ -183,14 +190,14 @@ def critical_point_report(D: Dictionary, q) -> LandscapeReport:
     grad_norm = float(np.linalg.norm(obj.rgrad(x)))
     hess_min_eig, vec, _ = obj.curvature(x).min_eig()
 
-    region = classify_region(D, x).label
+    region = _region(D, zeta, z44).label
 
     if grad_norm >= GRAD_TOL:
         classification = CLASS_NON_CRITICAL
     else:
         residuals = np.abs(cubes - alphas * zeta + betas)
         cubic_ok = bool(np.all(residuals <= RESID_TOL * alphas**1.5))
-        big = np.abs(zeta) > 2.0 * np.abs(betas) / alphas
+        big = np.abs(zeta) > _root_radius(alphas, betas)
         nbig = int(np.count_nonzero(big))
         if not cubic_ok or nbig == 0:
             classification = CLASS_INDETERMINATE
@@ -224,35 +231,32 @@ class CurvatureCertificate:
     k_condition: bool
 
 
-def negative_curvature_certificate(D: Dictionary, q, xi: float = XI_DL_DEFAULT,
-                                   mu: float | None = None) -> CurvatureCertificate:
+def negative_curvature_certificate(D: Dictionary, q) -> CurvatureCertificate:
     """Check for certified descent curvature along some column direction.
 
     Evaluates the tangent Hessian quadratic form along every column a_i,
     returns the minimizing index, and compares against the bound
     -4 ||zeta||_4^4 ||zeta||_inf^2. Requires unit-norm columns. Also
     reports whether the overcompleteness condition
-    m/n <= 3 (1 + 6 mu + 6 xi^(3/5) mu^(2/5))^(-1) holds for the supplied
-    (xi, mu); mu defaults to the measured coherence.
+    m/n <= 3 (1 + 6 mu + 6 XI_DL^(3/5) mu^(2/5))^(-1) holds, with mu the
+    measured coherence of D.
     """
     A = D.entries
     norms = np.linalg.norm(A, axis=0)
     if np.abs(norms - 1.0).max() > 1e-8:
         raise ValueError("certificate requires unit-norm columns")
-    if mu is None:
-        mu = D.coherence
-    x = _coords(q)
-    zeta = A.T @ x
+    mu = _coherence(D)
+    zeta = A.T @ _unit_coords(q)
     # the tangent quadratic form along a_i reduces to Gram arithmetic:
     # with B = G - zeta zeta^T (so B_ji = <a_j, P a_i>),
     # a_i^T H a_i = -3 sum_j zeta_j^2 B_ji^2 + ||zeta||_4^4 (1 - zeta_i^2)
-    B = D.gram - np.outer(zeta, zeta)
+    B = A.T @ A - np.outer(zeta, zeta)
     z44 = float(np.sum(zeta**4))
     rayleighs = -3.0 * ((B * B) @ (zeta**2)) + z44 * (1.0 - zeta**2)
     index = int(np.argmin(rayleighs))
     rayleigh = float(rayleighs[index])
     bound = -4.0 * z44 * float(np.max(np.abs(zeta)) ** 2)
-    k_limit = 3.0 / (1.0 + 6.0 * mu + 6.0 * xi ** (3.0 / 5.0) * mu ** (2.0 / 5.0))
+    k_limit = 3.0 / (1.0 + 6.0 * mu + 6.0 * XI_DL ** (3.0 / 5.0) * mu ** (2.0 / 5.0))
     k_condition = D.m / D.n <= k_limit
     return CurvatureCertificate(
         index=index,

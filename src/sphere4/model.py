@@ -139,10 +139,6 @@ class Dictionary:
         return self.entries.shape[1]
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        return _frozen_array(self.entries.T @ self.entries)
-
-    @cached_property
     def coherence(self) -> float:
         return coherence(self)
 

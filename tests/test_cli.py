@@ -356,6 +356,18 @@ REFUSED_SWEEPS = {
                      "16", "--theta-grid", "0.1,1.5"],
     "phi_CDL-theta": ["--objective", "phi_CDL", "--n-grid", "16",
                       "--theta-grid", "0.1,1.5"],
+    "phi_T-repeated-n": ["--objective", "phi_T", "--n-grid", "3,3",
+                         "--m-grid", "4"],
+    "phi_DL-repeated-theta": ["--objective", "phi_DL", "--n-grid", "8",
+                              "--m-grid", "16", "--theta-grid", "0.1,0.1"],
+    "phi_T-theta": ["--objective", "phi_T", "--n-grid", "8", "--m-grid", "16",
+                    "--theta-grid", "0.1,0.2"],
+    "phi_T-K": ["--objective", "phi_T", "--n-grid", "8", "--m-grid", "16",
+                "--k-grid", "1,2"],
+    "phi_DL-K": ["--objective", "phi_DL", "--n-grid", "8", "--m-grid", "16",
+                 "--k-grid", "1,2"],
+    "phi_CDL-m": ["--objective", "phi_CDL", "--n-grid", "16", "--m-grid",
+                  "16,24"],
 }
 
 

@@ -11,24 +11,25 @@ from sphere4.landscape import (
     CLASS_NEAR_SOLUTION,
     CLASS_NON_CRITICAL,
     CLASS_STRICT_SADDLE,
+    CURV_REL_TOL,
     GRAD_TOL,
     REGION_BOUNDARY,
     REGION_CRITICAL,
     REGION_NEGATIVE_CURVATURE,
     REPORT_CSV_COLUMNS,
-    XI_DL_DEFAULT,
+    RESID_TOL,
+    XI_DL,
     CurvatureCertificate,
     LandscapeReport,
-    RegionParams,
     classify_region,
     critical_point_report,
     cubic_root_intervals,
     negative_curvature_certificate,
 )
 from sphere4.model import Dictionary, SpherePoint, make_untf, stream
-from sphere4.objectives import TensorObjective
+from sphere4.objectives import TensorObjective, _coords
 from sphere4.optimize import SolveConfig, solve
-from sphere4.recovery import recovery_error
+from sphere4.recovery import TIE_TOL, recovery_error
 
 
 def simplex_frame(n: int) -> Dictionary:
@@ -63,32 +64,16 @@ def bisect_roots(alpha: float, beta: float, grid: int = 4001) -> np.ndarray:
 # region split
 
 
-def test_region_params_validation():
-    RegionParams(xi=1.0, mu=0.0)  # orthonormal limit is allowed
-    with pytest.raises(ValueError):
-        RegionParams(xi=0.0, mu=0.1)
-    with pytest.raises(ValueError):
-        RegionParams(xi=1.0, mu=-0.1)
-    with pytest.raises(ValueError):
-        RegionParams(xi=1.0, mu=1.0)
-
-
-def test_classify_region_value_and_threshold_formulas():
+def test_classify_region_value_and_threshold_formulas(monkeypatch):
     D = make_untf(16, 20, seed=2)
     q = SpherePoint.project(stream(2, "region").standard_normal(16))
     zeta = D.entries.T @ q.coords
-    dec = classify_region(D, q, RegionParams(xi=0.5, mu=D.coherence))
+    monkeypatch.setattr(landscape, "XI_DL", 0.5)
+    dec = classify_region(D, q)
     assert dec.value == pytest.approx(-0.25 * np.sum(zeta**4), rel=1e-12)
     expected_thr = -0.5 * D.coherence ** (2 / 3) * np.sum(np.abs(zeta) ** 3) ** (2 / 3)
     assert dec.threshold == pytest.approx(expected_thr, rel=1e-12)
     assert dec.label in (REGION_CRITICAL, REGION_NEGATIVE_CURVATURE)
-
-
-def test_classify_region_default_params_use_measured_coherence():
-    D = make_untf(10, 15, seed=4)
-    q = SpherePoint.project(stream(4, "region-default").standard_normal(10))
-    explicit = classify_region(D, q, RegionParams(XI_DL_DEFAULT, D.coherence))
-    assert classify_region(D, q) == explicit
 
 
 def test_classify_region_orthonormal_limit():
@@ -96,41 +81,45 @@ def test_classify_region_orthonormal_limit():
     # negative objective value lands on the critical side
     D = Dictionary(np.eye(6))
     q = SpherePoint.project(stream(7, "ortho").standard_normal(6))
-    dec = classify_region(D, q, RegionParams(xi=65.0, mu=0.0))
+    assert D.coherence == 0.0
+    dec = classify_region(D, q)
     assert dec.threshold == 0.0
     assert dec.value < 0.0
     assert dec.label == REGION_CRITICAL
 
 
-def test_classify_region_extreme_xi():
+def test_classify_region_extreme_xi(monkeypatch):
     D = make_untf(8, 12, seed=5)
     q = SpherePoint.project(stream(5, "xi").standard_normal(8))
-    big = classify_region(D, q, RegionParams(xi=1e12, mu=D.coherence))
-    assert big.label == REGION_NEGATIVE_CURVATURE
-    tiny = classify_region(D, q, RegionParams(xi=1e-12, mu=D.coherence))
-    assert tiny.label == REGION_CRITICAL
+    monkeypatch.setattr(landscape, "XI_DL", 1e12)
+    assert classify_region(D, q).label == REGION_NEGATIVE_CURVATURE
+    monkeypatch.setattr(landscape, "XI_DL", 1e-12)
+    assert classify_region(D, q).label == REGION_CRITICAL
 
 
-def test_classify_region_critical_set_shrinks_with_xi():
+def test_classify_region_critical_set_shrinks_with_xi(monkeypatch):
     D = make_untf(10, 15, seed=6)
     rng = stream(6, "xi-monotone")
     for _ in range(200):
         q = SpherePoint.project(rng.standard_normal(10))
-        lo = classify_region(D, q, RegionParams(xi=2.0, mu=D.coherence))
-        hi = classify_region(D, q, RegionParams(xi=4.0, mu=D.coherence))
+        monkeypatch.setattr(landscape, "XI_DL", 2.0)
+        lo = classify_region(D, q)
+        monkeypatch.setattr(landscape, "XI_DL", 4.0)
+        hi = classify_region(D, q)
         if hi.label == REGION_CRITICAL:
             assert lo.label == REGION_CRITICAL
         assert hi.threshold == pytest.approx(2.0 * lo.threshold, rel=1e-12)
 
 
-def test_classify_region_manufactured_boundary():
+def test_classify_region_manufactured_boundary(monkeypatch):
     D = make_untf(10, 15, seed=3)
     q = SpherePoint.project(stream(3, "bnd").standard_normal(10))
     zeta = D.entries.T @ q.coords
     value = -0.25 * np.sum(zeta**4)
     norm3sq = np.sum(np.abs(zeta) ** 3) ** (2 / 3)
     xi_star = -value / (D.coherence ** (2 / 3) * norm3sq)
-    dec = classify_region(D, q, RegionParams(xi=xi_star, mu=D.coherence))
+    monkeypatch.setattr(landscape, "XI_DL", xi_star)
+    dec = classify_region(D, q)
     assert dec.label == REGION_BOUNDARY
     assert abs(dec.value - dec.threshold) <= BOUNDARY_TOL
 
@@ -176,6 +165,9 @@ def test_cubic_intervals_validation():
         cubic_root_intervals(-1.0, 0.0)
     with pytest.raises(ValueError):
         cubic_root_intervals(1.0, 0.2501)
+    for alpha, beta in ((np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            cubic_root_intervals(alpha, beta)
     cubic_root_intervals(1.0, 0.25)  # exactly at the bound is accepted
 
 
@@ -264,7 +256,7 @@ def test_report_alphas_positive():
         assert np.all(rep.alphas > 0.0)
 
 
-def test_report_solver_endpoint_reads_near_solution():
+def test_report_solver_endpoint_reads_near_solution(monkeypatch):
     D = make_untf(10, 15, seed=3)
     obj = TensorObjective(D)
     q0 = SpherePoint.project(stream(11, "it").standard_normal(10))
@@ -274,8 +266,8 @@ def test_report_solver_endpoint_reads_near_solution():
     assert rep.inner_product >= 0.95
     # with a sanely small certificate constant the solution sits on the
     # critical side of the split
-    dec = classify_region(D, res.q_star, RegionParams(xi=0.3, mu=D.coherence))
-    assert dec.label == REGION_CRITICAL
+    monkeypatch.setattr(landscape, "XI_DL", 0.3)
+    assert classify_region(D, res.q_star).label == REGION_CRITICAL
 
 
 def test_report_flags_coherent_mixture_as_indeterminate():
@@ -363,7 +355,8 @@ def test_certificate_requires_unit_columns():
 
 def test_certificate_k_limit_orthonormal():
     D = Dictionary(np.eye(5))
-    cert = negative_curvature_certificate(D, SpherePoint.project(np.ones(5)), mu=0.0)
+    assert D.coherence == 0.0
+    cert = negative_curvature_certificate(D, SpherePoint.project(np.ones(5)))
     assert cert.k_limit == pytest.approx(3.0, abs=1e-15)
     assert cert.k_condition
 
@@ -371,6 +364,7 @@ def test_certificate_k_limit_orthonormal():
 def test_certificate_k_condition_fails_at_desk_coherence():
     # m = 2n frames have coherence far above what the overcompleteness
     # condition tolerates at the default certificate constant
+    assert XI_DL == 65.0 > 2**6
     D = make_untf(12, 24, seed=2)
     q = SpherePoint.project(stream(2, "kcond").standard_normal(12))
     cert = negative_curvature_certificate(D, q)
@@ -378,21 +372,21 @@ def test_certificate_k_condition_fails_at_desk_coherence():
     assert cert.k_limit < 2.0
 
 
-def test_certificate_nonvacuous_on_simplex_frame():
+def test_certificate_nonvacuous_on_simplex_frame(monkeypatch):
     # the regular simplex keeps coherence at exactly 1/n, low enough that
     # the overcompleteness condition holds with room to spare at xi = 1.3,
     # and the certified curvature bound is then confirmed on every sampled
     # point of the negative-curvature region
     D = simplex_frame(64)
     assert D.coherence == pytest.approx(1.0 / 64.0, rel=1e-12)
-    params = RegionParams(xi=1.3, mu=D.coherence)
+    monkeypatch.setattr(landscape, "XI_DL", 1.3)
     rng = stream(5, "nonvac")
     checked = 0
     for _ in range(60):
         q = SpherePoint.project(rng.standard_normal(64))
-        dec = classify_region(D, q, params)
+        dec = classify_region(D, q)
         assert dec.label == REGION_NEGATIVE_CURVATURE
-        cert = negative_curvature_certificate(D, q, xi=1.3, mu=D.coherence)
+        cert = negative_curvature_certificate(D, q)
         assert cert.k_condition
         assert cert.k_limit == pytest.approx(1.237448602235437, rel=1e-12)
         assert cert.holds
@@ -401,7 +395,7 @@ def test_certificate_nonvacuous_on_simplex_frame():
     assert checked == 60
     # while the columns themselves, as they should, sit on the critical side
     col = SpherePoint.project(D.entries[:, 0])
-    assert classify_region(D, col, params).label == REGION_CRITICAL
+    assert classify_region(D, col).label == REGION_CRITICAL
 
 
 def test_certificate_fields_are_frozen():
@@ -436,3 +430,124 @@ def test_report_curvature_fields_match_dense_reference():
             rep = critical_point_report(D, q)
             assert rep.hess_min_eig == float(evals[0])
             assert np.array_equal(rep.hess_min_vec, vec)
+
+
+# ---------------------------------------------------------------------------
+# refused inputs
+
+
+LANDSCAPE_FUNCTIONS = {
+    "classify_region": classify_region,
+    "critical_point_report": critical_point_report,
+    "negative_curvature_certificate": negative_curvature_certificate,
+}
+
+
+@pytest.mark.parametrize("point", ["nan", "inf", "non-unit"])
+@pytest.mark.parametrize("fn", LANDSCAPE_FUNCTIONS.values(),
+                         ids=LANDSCAPE_FUNCTIONS)
+def test_landscape_refuses_points_off_the_sphere(fn, point):
+    D = make_untf(8, 12, seed=1)
+    q = {"nan": np.full(8, np.nan), "inf": np.r_[np.inf, np.zeros(7)],
+         "non-unit": np.ones(8)}[point]
+    with pytest.raises(ValueError, match="coords must"):
+        fn(D, q)
+
+
+@pytest.mark.parametrize("fn", LANDSCAPE_FUNCTIONS.values(),
+                         ids=LANDSCAPE_FUNCTIONS)
+def test_landscape_refuses_a_repeated_column(fn):
+    # coherence 1 leaves no region split and no overcompleteness condition
+    D = Dictionary(np.hstack([np.eye(3), np.eye(3)[:, :1]]))
+    assert D.coherence == 1.0
+    with pytest.raises(ValueError, match="coherence"):
+        fn(D, SpherePoint.project(np.array([1.0, 2.0, 3.0])))
+
+
+# ---------------------------------------------------------------------------
+# agreement with the report as written before its shared correlation vector
+
+
+def reference_report(D, q):
+    """critical_point_report as written before one zeta served it: A^T x
+    formed five times, with the nearest-column rule and the region split
+    (xi = XI_DL, mu = the measured coherence) written out."""
+    x = _coords(q)
+    A = D.entries
+    norms = np.linalg.norm(A, axis=0)
+    inners = np.abs(A.T @ x) / norms
+    inner_product = float(np.max(inners))
+    best_index = int(np.argmax(inners >= inner_product - TIE_TOL))
+    obj = TensorObjective(D)
+    zeta = A.T @ x
+    col_sq = np.sum(A * A, axis=0)
+    z44 = float(np.sum(zeta**4))
+    alphas = z44 / col_sq
+    cubes = zeta**3
+    betas = (A.T @ (A @ cubes) - col_sq * cubes) / col_sq
+    curv_tol = CURV_REL_TOL * z44
+
+    grad_norm = float(np.linalg.norm(obj.rgrad(x)))
+    hess_min_eig, vec, _ = obj.curvature(x).min_eig()
+
+    z = D.entries.T @ x
+    value = -0.25 * float(np.sum(z**4))
+    norm3sq = float(np.sum(np.abs(z) ** 3)) ** (2.0 / 3.0)
+    scale = D.coherence ** (2.0 / 3.0) * norm3sq
+    threshold = -XI_DL * scale if scale > 0.0 else -0.0
+    if abs(value - threshold) <= BOUNDARY_TOL:
+        region = REGION_BOUNDARY
+    elif value < threshold:
+        region = REGION_CRITICAL
+    else:
+        region = REGION_NEGATIVE_CURVATURE
+
+    if grad_norm >= GRAD_TOL:
+        classification = CLASS_NON_CRITICAL
+    else:
+        residuals = np.abs(cubes - alphas * zeta + betas)
+        cubic_ok = bool(np.all(residuals <= RESID_TOL * alphas**1.5))
+        big = np.abs(zeta) > 2.0 * np.abs(betas) / alphas
+        nbig = int(np.count_nonzero(big))
+        if not cubic_ok or nbig == 0:
+            classification = CLASS_INDETERMINATE
+        elif nbig == 1 and hess_min_eig >= -curv_tol:
+            classification = CLASS_NEAR_SOLUTION
+        elif hess_min_eig < -curv_tol:
+            classification = CLASS_STRICT_SADDLE
+        else:
+            classification = CLASS_INDETERMINATE
+    return LandscapeReport(region, grad_norm, alphas, betas, hess_min_eig,
+                           vec, classification, best_index, inner_product)
+
+
+def agreement_points():
+    """(D, q) pairs: raw and solved points of several frames, a balanced
+    saddle of the identity, and a coherent two-column mixture."""
+    rng = stream(90, "agreement")
+    for n, m in ((8, 16), (16, 24), (12, 24)):
+        D = make_untf(n, m, seed=n + m)
+        for _ in range(3):
+            q0 = SpherePoint.project(rng.standard_normal(n))
+            yield D, q0
+            yield D, solve(TensorObjective(D), q0).q_star
+    yield Dictionary(np.eye(4)), SpherePoint.project(np.array([1.0, 1.0, 0, 0]))
+    D = make_untf(4, 8, seed=0)
+    q0 = SpherePoint.project(stream(0, "mixture-scan").standard_normal(4))
+    yield D, solve(TensorObjective(D), q0, SolveConfig(
+        max_iters=50_000, grad_tol=1e-10)).q_star
+
+
+def test_report_agrees_bit_for_bit_with_the_reference():
+    seen = set()
+    for D, q in agreement_points():
+        rep, ref = critical_point_report(D, q), reference_report(D, q)
+        for field in ("region", "grad_norm", "hess_min_eig", "classification",
+                      "best_index", "inner_product"):
+            assert getattr(rep, field) == getattr(ref, field), field
+        for field in ("alphas", "betas", "hess_min_vec"):
+            assert np.array_equal(getattr(rep, field), getattr(ref, field))
+        assert rep.to_json() == ref.to_json()
+        seen.add(rep.classification)
+    assert seen == {CLASS_NON_CRITICAL, CLASS_NEAR_SOLUTION,
+                    CLASS_STRICT_SADDLE, CLASS_INDETERMINATE}

@@ -573,3 +573,41 @@ def test_every_name_in_all_resolves(module):
     mod = importlib.import_module(f"sphere4.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_public_parameters_with_a_default():
+    # every settable value of the library API: a parameter with a default of
+    # a public function or method, or a dataclass field with a default, over
+    # the names in each module's __all__ (the CLI's own options excepted).
+    # A new knob must change this count on purpose.
+    import dataclasses
+    import importlib
+    import inspect
+
+    def defaults(fn):
+        return [p.name for p in inspect.signature(fn).parameters.values()
+                if p.default is not inspect.Parameter.empty]
+
+    knobs = set()
+    for module in ("model", "objectives", "cdl", "optimize", "landscape",
+                   "recovery", "cli"):
+        mod = importlib.import_module(f"sphere4.{module}")
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if (module, name) == ("cli", "main"):
+                continue
+            if inspect.isfunction(obj):
+                knobs.update(f"{module}.{name}({p})" for p in defaults(obj))
+            if not inspect.isclass(obj):
+                continue
+            if dataclasses.is_dataclass(obj):
+                knobs.update(f"{module}.{name}.{f.name}"
+                             for f in dataclasses.fields(obj)
+                             if f.default is not dataclasses.MISSING
+                             or f.default_factory is not dataclasses.MISSING)
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    knobs.update(f"{module}.{name}.{attr}({p})"
+                                 for p in defaults(member))
+    assert len(knobs) == 27, sorted(knobs)
