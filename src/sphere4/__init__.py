@@ -11,24 +11,19 @@ experiments.
 
 from .cdl import (
     CdlObjective,
-    CirculantOp,
     ConvProblem,
     Preconditioner,
     build_preconditioner,
     circ_embed,
-    conv,
     deprecondition,
-    effective_dictionary,
     synth_cdl,
 )
 from .landscape import (
-    CurvatureCertificate,
     LandscapeReport,
     RegionDecision,
     classify_region,
     critical_point_report,
     cubic_root_intervals,
-    negative_curvature_certificate,
 )
 from .model import (
     Dictionary,
@@ -46,7 +41,7 @@ from .model import (
     stream,
     synth_odl,
 )
-from .objectives import OdlObjective, TensorObjective, expectation_gap
+from .objectives import OdlObjective, TensorObjective
 from .optimize import (
     EscapeConfig,
     SolveConfig,

@@ -1,4 +1,4 @@
-"""Circulant machinery and the convolutional dictionary objective.
+"""The convolutional dictionary objective and its spectral whitener.
 
 A length-n filter a acts on a length-n code x by circular convolution
 (a conv x)[i] = sum_j a[(i-j) mod n] x[j], with everything modulo n: FFTs
@@ -29,64 +29,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (
-    Dictionary,
-    FilterBank,
-    ObservationSet,
-    SparseCode,
-    SpherePoint,
-    sample_bg,
-)
+from .model import FilterBank, ObservationSet, SparseCode, SpherePoint, sample_bg
 from .objectives import _QuarticObjective, _coords
 
 __all__ = [
-    "CirculantOp",
     "Preconditioner",
     "ConvProblem",
     "CdlObjective",
-    "conv",
     "circ_embed",
     "synth_cdl",
     "build_preconditioner",
     "deprecondition",
-    "effective_dictionary",
 ]
 
 EPS_SPEC = 1e-10
 SCALE_CONVENTIONS = ("main_text", "appendix_h")
-
-
-def conv(a, b) -> np.ndarray:
-    """Circular convolution of two equal-length real vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("conv needs equal-length vectors")
-    n = a.shape[-1]
-    return np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), n=n)
-
-
-@dataclass(frozen=True)
-class CirculantOp:
-    """The circulant matrix C_v with column j = s_j[v]; conv applies it."""
-
-    generator: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.generator, dtype=float).reshape(-1)
-        if g.size == 0 or not np.all(np.isfinite(g)):
-            raise ValueError("generator must be a nonempty finite vector")
-        g = g.copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "generator", g)
-
-    @property
-    def n(self) -> int:
-        return self.generator.size
-
-    def dense(self) -> np.ndarray:
-        i = np.arange(self.n)
-        return self.generator[(i[:, None] - i) % self.n]
 
 
 @dataclass(frozen=True)
@@ -294,14 +251,3 @@ def deprecondition(q_star, P: Preconditioner) -> SpherePoint:
     """Undo the whitening on a solved direction: P_sphere(P^{-1} q)."""
     return SpherePoint.project(P.apply_inverse(_coords(q_star)))
 
-
-def effective_dictionary(bank: FilterBank, P: Preconditioner) -> Dictionary:
-    """Materialize P A_0, the n x nK dictionary of preconditioned shifts.
-
-    Column (k, j) is s_j[P a_k]; P commutes with the shifts so applying it
-    to each filter once suffices.
-    """
-    cols = []
-    for k in range(bank.K):
-        cols.append(CirculantOp(P.apply(bank.filters[k])).dense())
-    return Dictionary(np.hstack(cols))

@@ -2,10 +2,10 @@
 
 The sphere splits into two overlapping zones by comparing the limit
 objective phi(q) = -(1/4)||A^T q||_4^4 against a coherence-scaled
-threshold: points above it carry certified negative curvature along some
-column direction, points below it are where critical points live and can
-be classified through a scalar cubic in each correlation coordinate.
-This module evaluates both certificates numerically for concrete (A, q).
+threshold: points above it carry negative curvature, points below it are
+where critical points live and can be classified through a scalar cubic
+in each correlation coordinate. critical_point_report reads the split,
+the cubic classification and the tangent curvature at a concrete (A, q).
 """
 
 from __future__ import annotations
@@ -15,19 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dictionary, SpherePoint
+from .model import UNIT_TOL, Dictionary, SpherePoint
 from .objectives import TensorObjective
 from .recovery import _nearest_column
 
 __all__ = [
     "RegionDecision",
     "LandscapeReport",
-    "CurvatureCertificate",
     "XI_DL",
     "classify_region",
     "cubic_root_intervals",
     "critical_point_report",
-    "negative_curvature_certificate",
 ]
 
 REGION_NEGATIVE_CURVATURE = "negative_curvature"
@@ -48,7 +46,7 @@ GRAD_TOL = 1e-6
 CURV_REL_TOL = 1e-8
 RESID_TOL = 1e-4
 
-# the certificate constant must exceed 2^6; the integer above the floor
+# the split's constant must exceed 2^6; the integer above the floor
 XI_DL = 65.0
 
 REPORT_CSV_COLUMNS = ("seed", "region", "grad_norm", "min_eig",
@@ -61,8 +59,13 @@ def _unit_coords(q) -> np.ndarray:
 
 
 def _coherence(D: Dictionary) -> float:
-    """D's coherence mu; mu = 1 (a repeated column direction) has no split."""
-    if not D.coherence < 1.0:
+    """D's coherence mu; mu = 1 (a repeated column direction) has no split.
+
+    Columns are normalized before their Gram product, so a column beside a
+    scaled copy of itself can read 1 - 1e-16; mu within UNIT_TOL of 1 counts
+    as a repeat.
+    """
+    if not D.coherence <= 1.0 - UNIT_TOL:
         raise ValueError("coherence must lie in [0, 1): a column repeats")
     return D.coherence
 
@@ -218,51 +221,4 @@ def critical_point_report(D: Dictionary, q) -> LandscapeReport:
         classification=classification,
         best_index=best_index,
         inner_product=inner_product,
-    )
-
-
-@dataclass(frozen=True)
-class CurvatureCertificate:
-    index: int
-    rayleigh: float
-    bound: float
-    holds: bool
-    k_limit: float
-    k_condition: bool
-
-
-def negative_curvature_certificate(D: Dictionary, q) -> CurvatureCertificate:
-    """Check for certified descent curvature along some column direction.
-
-    Evaluates the tangent Hessian quadratic form along every column a_i,
-    returns the minimizing index, and compares against the bound
-    -4 ||zeta||_4^4 ||zeta||_inf^2. Requires unit-norm columns. Also
-    reports whether the overcompleteness condition
-    m/n <= 3 (1 + 6 mu + 6 XI_DL^(3/5) mu^(2/5))^(-1) holds, with mu the
-    measured coherence of D.
-    """
-    A = D.entries
-    norms = np.linalg.norm(A, axis=0)
-    if np.abs(norms - 1.0).max() > 1e-8:
-        raise ValueError("certificate requires unit-norm columns")
-    mu = _coherence(D)
-    zeta = A.T @ _unit_coords(q)
-    # the tangent quadratic form along a_i reduces to Gram arithmetic:
-    # with B = G - zeta zeta^T (so B_ji = <a_j, P a_i>),
-    # a_i^T H a_i = -3 sum_j zeta_j^2 B_ji^2 + ||zeta||_4^4 (1 - zeta_i^2)
-    B = A.T @ A - np.outer(zeta, zeta)
-    z44 = float(np.sum(zeta**4))
-    rayleighs = -3.0 * ((B * B) @ (zeta**2)) + z44 * (1.0 - zeta**2)
-    index = int(np.argmin(rayleighs))
-    rayleigh = float(rayleighs[index])
-    bound = -4.0 * z44 * float(np.max(np.abs(zeta)) ** 2)
-    k_limit = 3.0 / (1.0 + 6.0 * mu + 6.0 * XI_DL ** (3.0 / 5.0) * mu ** (2.0 / 5.0))
-    k_condition = D.m / D.n <= k_limit
-    return CurvatureCertificate(
-        index=index,
-        rayleigh=rayleigh,
-        bound=bound,
-        holds=rayleigh < bound,
-        k_limit=k_limit,
-        k_condition=k_condition,
     )

@@ -40,8 +40,10 @@ __all__ = [
 ]
 
 UNIT_TOL = 1e-12
-# make_untf stops once the frame residual ||(n/m) A A^T - I||_F is this small
+# make_untf stops once the frame residual ||(n/m) A A^T - I||_F is this small,
+# or after UNTF_MAX_ITERS updates
 UNTF_TOL = 1e-10
+UNTF_MAX_ITERS = 5000
 
 
 def stream(seed, *path) -> np.random.Generator:
@@ -112,8 +114,7 @@ class Dictionary:
 
     `untf_converged` is set by make_untf (None for hand-built matrices):
     False means the alternating generator hit its iteration cap and the
-    entries are the best iterate found, with the residual still queryable
-    through `frame_residual`.
+    entries are the best iterate found.
     """
 
     entries: np.ndarray
@@ -141,14 +142,6 @@ class Dictionary:
     @cached_property
     def coherence(self) -> float:
         return coherence(self)
-
-    @cached_property
-    def frame_residual(self) -> float:
-        """Frobenius distance of (n/m) A A^T from the identity."""
-        n, m = self.entries.shape
-        return float(
-            np.linalg.norm((n / m) * (self.entries @ self.entries.T) - np.eye(n))
-        )
 
 
 @dataclass(frozen=True)
@@ -231,20 +224,18 @@ class FilterBank:
         return float(np.sqrt((np.abs(spec) ** 2).sum(axis=0)).min())
 
 
-def make_untf(n: int, m: int, seed: int, max_iters: int = 5000) -> Dictionary:
+def make_untf(n: int, m: int, seed: int) -> Dictionary:
     """Generate a unit-norm tight frame by alternating projections.
 
     Starts from N(0, 1/n) entries and alternates (i) left-preconditioning
     by ((m/n) A A^T)^{-1/2} with (ii) column l2-normalization until the
     frame residual ||(n/m) A A^T - I||_F drops below UNTF_TOL. Columns are
     exactly unit after every normalization pass, so the residual alone is
-    the convergence test. On hitting max_iters the best iterate is
+    the convergence test. After UNTF_MAX_ITERS updates the best iterate is
     returned with untf_converged=False.
     """
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     rng = stream(seed, "untf")
     A = rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, m))
     A = A / np.linalg.norm(A, axis=0)
@@ -252,7 +243,7 @@ def make_untf(n: int, m: int, seed: int, max_iters: int = 5000) -> Dictionary:
     scale = n / m
     best = A
     best_res = np.inf
-    for _ in range(max_iters):
+    for _ in range(UNTF_MAX_ITERS):
         G = A @ A.T
         res = np.linalg.norm(scale * G - eye)
         if res < best_res:
@@ -270,8 +261,8 @@ def make_untf(n: int, m: int, seed: int, max_iters: int = 5000) -> Dictionary:
     return Dictionary(best, untf_converged=bool(best_res <= UNTF_TOL))
 
 
-def _untf_stack(n: int, m: int, seeds, max_iters: int = 5000) -> list:
-    """[make_untf(n, m, s, max_iters) for s in seeds], bit for bit, with the
+def _untf_stack(n: int, m: int, seeds) -> list:
+    """[make_untf(n, m, s) for s in seeds], bit for bit, with the
     frames iterated as one (T, n, m) stack. An empty list gives [].
 
     Stacked matmul runs per frame the BLAS call of the scalar loop (syrk
@@ -281,11 +272,9 @@ def _untf_stack(n: int, m: int, seeds, max_iters: int = 5000) -> list:
     """
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     seeds = list(seeds)
     if len(seeds) == 1:
-        return [make_untf(n, m, seeds[0], max_iters)]
+        return [make_untf(n, m, seeds[0])]
     out = [None] * len(seeds)
     if not seeds:
         return out
@@ -312,7 +301,7 @@ def _untf_stack(n: int, m: int, seeds, max_iters: int = 5000) -> list:
         best_res[better] = res[better]
         return G, res
 
-    for _ in range(max_iters):
+    for _ in range(UNTF_MAX_ITERS):
         G, res = keep_best(A)
         done = res <= UNTF_TOL
         if done.any():

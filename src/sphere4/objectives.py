@@ -16,7 +16,8 @@ and the Riemannian versions at unit q, writing P = I - q q^T, are
 
     rgrad = P grad,   rhess = P (Hess - (q^T grad) I) P,
 
-where q^T grad = 4 phi(q) because phi is homogeneous of degree 4. The
+where q^T grad = 4 phi(q) because phi is homogeneous of degree 4;
+`curvature(q)` holds rhess as an operator (matvec, dense, min_eig). The
 projection retraction x -> x/||x|| (`model.retract`) agrees with the
 sphere exponential map to second order, so the quadratic form of rhess is
 what a second central difference of t -> phi(retract(q + t v)) measures.
@@ -29,14 +30,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (Dictionary, ObservationSet, SpherePoint, retract, sample_bg,
-                    stream, synth_odl)
+from .model import Dictionary, ObservationSet, SpherePoint, stream
 
 __all__ = [
     "TensorObjective",
     "OdlObjective",
-    "expectation_gap",
-    "retract",
 ]
 
 DENSE_HESSIAN_LIMIT = 4096
@@ -160,10 +158,6 @@ class _QuarticObjective:
         """The tangent-curvature operator at unit q; see _Curvature."""
         return _Curvature(self, _coords(q))
 
-    def rhess_vec(self, q, v) -> np.ndarray:
-        """Riemannian Hessian action on v without materializing a matrix."""
-        return self.curvature(q).matvec(np.asarray(v, dtype=float).reshape(-1))
-
 
 class _BasisObjective(_QuarticObjective):
     """The quartic kernel on an explicit n x m basis matrix B."""
@@ -187,10 +181,6 @@ class _BasisObjective(_QuarticObjective):
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         return self.basis @ w
-
-    def rhess(self, q) -> np.ndarray:
-        """Dense Riemannian Hessian P (Hess_e - (q^T grad) I) P, n <= 4096."""
-        return self.curvature(q).dense()
 
 
 class _Curvature:
@@ -216,7 +206,7 @@ class _Curvature:
         obj, x, n = self.obj, self.x, self.obj.n
         if n > DENSE_HESSIAN_LIMIT:
             raise ValueError(f"dense Hessian refused for n={n} > "
-                             f"{DENSE_HESSIAN_LIMIT}; use rhess_vec")
+                             f"{DENSE_HESSIAN_LIMIT}; use matvec")
         he = -12.0 * obj.c * ((obj.basis * self.z2) @ obj.basis.T)
         proj = np.eye(n) - np.outer(x, x)
         return proj @ (he - self.qg * np.eye(n)) @ proj
@@ -260,8 +250,7 @@ class OdlObjective(_BasisObjective):
     """Finite-sample objective phi(q) = -c ||q^T Y||_4^4.
 
     The normalizer c = 1/(12 theta (1-theta) p) makes the expectation over
-    Bernoulli-Gaussian codes comparable to the infinite-sample objective;
-    see expectation_gap.
+    Bernoulli-Gaussian codes comparable to the infinite-sample objective.
     """
 
     Y: ObservationSet
@@ -280,30 +269,3 @@ class OdlObjective(_BasisObjective):
     def c(self) -> float:
         return 1.0 / (12.0 * self.theta * (1.0 - self.theta) * self.Y.p)
 
-
-def expectation_gap(
-    D: Dictionary, theta: float, q, p: int, seed: int
-) -> tuple[float, float]:
-    """Monte-Carlo mean of the sample objective against its exact expectation.
-
-    Draws X ~ BG(theta) of width p via sample_bg(D.m, p, theta, seed),
-    forms Y = A X, and returns (mean of phi_sample over the draw, predicted
-    expectation). With zeta = A^T q,
-
-        E[phi_sample(q)] = -(1/4)||zeta||_4^4 - (theta/(4(1-theta))) ||zeta||_2^4
-
-    which follows from E[(zeta^T x)^4] = 3 theta(1-theta)||zeta||_4^4
-    + 3 theta^2 ||zeta||_2^4 for a Bernoulli-Gaussian x. For a unit-norm
-    tight frame ||zeta||_2^4 = K^2 with K = m/n, so the correction term is
-    theta/(4(1-theta)) * K^2.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    qv = _coords(q)
-    X = sample_bg(D.m, p, theta, seed)
-    Y = synth_odl(D, X)
-    mc_mean = OdlObjective(Y, theta).value(qv)
-    zeta = D.entries.T @ qv
-    phi_t = -0.25 * float(np.sum(zeta**4))
-    predicted = phi_t - theta / (4.0 * (1.0 - theta)) * float(np.sum(zeta**2)) ** 2
-    return mc_mean, predicted

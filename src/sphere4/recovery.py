@@ -15,7 +15,7 @@ import numpy as np
 
 from .cdl import CdlObjective, ConvProblem, deprecondition
 from .model import Dictionary, SpherePoint, stream
-from .objectives import _coords
+from .objectives import TensorObjective, _coords
 from .optimize import SolveConfig, init_cdl, solve
 
 __all__ = [
@@ -85,34 +85,28 @@ class DictionaryCoverage:
 
 
 def recover_full(D: Dictionary, config: SolveConfig | None = None,
-                 trial_budget: int = 1, *, objective=None, seed_base: int = 0,
-                 trial_fn=None) -> DictionaryCoverage:
+                 trial_budget: int = 1, *, objective=None,
+                 seed_base: int = 0) -> DictionaryCoverage:
     """Run independent solves until every column was seen or budget is hit.
 
-    Trial t is seeded seed_base + t, so results are reproducible and a
-    smaller budget's trial log is a prefix of a larger one's. `objective`
-    defaults to the asymptotic objective on D itself; pass a finite-sample
-    objective to recover from data. `trial_fn(seed) -> point` replaces the
-    whole solve when supplied (the test harness uses this).
+    Trial t solves from a Gaussian start drawn from seed seed_base + t, so
+    results are reproducible and a smaller budget's trial log is a prefix
+    of a larger one's. `objective` defaults to the asymptotic objective on
+    D itself; pass a finite-sample objective to recover from data.
     """
     if trial_budget < 1:
         raise ValueError("trial_budget must be at least 1")
     if config is None:
         config = SolveConfig()
     if objective is None:
-        from .objectives import TensorObjective
-
         objective = TensorObjective(D)
-    if trial_fn is None:
-        def trial_fn(seed: int):
-            q0 = SpherePoint.project(
-                stream(seed, "trial-init").standard_normal(D.n))
-            return solve(objective, q0, config).q_star
 
     outcomes: list[RecoveryOutcome] = []
     covered: set = set()
     for t in range(trial_budget):
-        out = recovery_error(trial_fn(seed_base + t), D)
+        q0 = SpherePoint.project(
+            stream(seed_base + t, "trial-init").standard_normal(D.n))
+        out = recovery_error(solve(objective, q0, config).q_star, D)
         outcomes.append(out)
         if out.success:
             covered.add(out.best_index)
@@ -159,11 +153,6 @@ class FilterRecovery:
     signs: np.ndarray
     recovered: frozenset
     trials_used: int
-
-    @property
-    def missing(self) -> tuple:
-        return tuple(k for k in range(len(self.aligned_errors))
-                     if k not in self.recovered)
 
     def csv_rows(self) -> list:
         return [(k, int(self.shifts[k]), float(self.signs[k]),

@@ -24,10 +24,7 @@ from sphere4 import (
     SpherePoint,
     TensorObjective,
     build_preconditioner,
-    conv,
     cubic_root_intervals,
-    effective_dictionary,
-    expectation_gap,
     init_cdl,
     make_filter_bank,
     make_untf,
@@ -43,9 +40,10 @@ from sphere4 import (
     synth_cdl,
     synth_odl,
 )
-from sphere4.cdl import CirculantOp
 from sphere4.landscape import CLASS_NEAR_SOLUTION, critical_point_report
 from sphere4.optimize import EscapeConfig
+
+from oracles import CirculantOp, conv, effective_dictionary, expectation_gap
 
 
 def unit(rng, n: int) -> np.ndarray:
@@ -105,13 +103,13 @@ def test_riemannian_calculus_against_finite_differences():
             fd = (obj.value(retract(x + 1e-5 * v))
                   - obj.value(retract(x - 1e-5 * v))) / 2e-5
             assert fd == pytest.approx(float(g @ v), rel=1e-6, abs=1e-9)
-            quad = float(v @ obj.rhess_vec(x, v))
+            quad = float(v @ obj.curvature(x).matvec(v))
             h = 1e-4
             fd2 = (obj.value(retract(x + h * v)) - 2.0 * obj.value(x)
                    + obj.value(retract(x - h * v))) / (h * h)
             assert fd2 == pytest.approx(quad, rel=1e-4, abs=1e-6)
         assert abs(float(g @ x)) <= 1e-12 * max(1.0, float(np.linalg.norm(g)))
-        assert float(np.linalg.norm(obj.rhess_vec(x, x))) <= 1e-12
+        assert float(np.linalg.norm(obj.curvature(x).matvec(x))) <= 1e-12
 
 
 def test_fft_path_agrees_with_dense_circulant():
@@ -254,7 +252,7 @@ def test_filter_bank_recovery_at_scale():
     bank = make_filter_bank(64, 3, seed=0)
     prob = synth_cdl(bank, 0.1, 10_000, seed=0)
     rec = recover_filters(prob, seed_base=0)
-    assert rec.missing == ()
+    assert rec.recovered == {0, 1, 2}
     assert max(rec.aligned_errors) <= 0.1, rec.aligned_errors
     assert rec.trials_used <= 30
     assert time.perf_counter() - t0 < 600.0

@@ -4,13 +4,10 @@ import scipy.linalg
 
 from sphere4.cdl import (
     CdlObjective,
-    CirculantOp,
     Preconditioner,
     build_preconditioner,
     circ_embed,
-    conv,
     deprecondition,
-    effective_dictionary,
     synth_cdl,
 )
 from sphere4.model import (
@@ -19,12 +16,19 @@ from sphere4.model import (
     SparseCode,
     SpherePoint,
     make_filter_bank,
+    retract,
     sample_bg,
     stream,
 )
-from sphere4.objectives import OdlObjective, retract
+from sphere4.objectives import OdlObjective
 
-from fd_oracles import fd_directional, fd_quadratic
+from oracles import (
+    CirculantOp,
+    conv,
+    effective_dictionary,
+    fd_directional,
+    fd_quadratic,
+)
 
 
 def dense_stacked_objective(obj: CdlObjective) -> OdlObjective:
@@ -253,16 +257,16 @@ def test_cdl_rhess_vec_against_dense_and_symmetry():
     dense = dense_stacked_objective(obj)
     rng = stream(28)
     q = retract(rng.standard_normal(12))
-    H = dense.rhess(q)
+    H = dense.curvature(q).dense()
     for _ in range(5):
         v = rng.standard_normal(12)
         w = rng.standard_normal(12)
-        hv = obj.rhess_vec(q, v)
+        hv = obj.curvature(q).matvec(v)
         assert np.linalg.norm(hv - H @ v) <= 1e-9 * max(1.0, np.linalg.norm(H @ v))
-        assert float(w @ obj.rhess_vec(q, v)) == pytest.approx(
-            float(v @ obj.rhess_vec(q, w)), rel=1e-10, abs=1e-12
+        assert float(w @ obj.curvature(q).matvec(v)) == pytest.approx(
+            float(v @ obj.curvature(q).matvec(w)), rel=1e-10, abs=1e-12
         )
-    assert np.linalg.norm(obj.rhess_vec(q, q.copy())) <= 1e-12
+    assert np.linalg.norm(obj.curvature(q).matvec(q.copy())) <= 1e-12
 
 
 def test_cdl_curvature_lanczos_matches_dense_stacked():
@@ -278,7 +282,7 @@ def test_cdl_curvature_lanczos_matches_dense_stacked():
         assert ok and ref_ok
         assert lam == pytest.approx(ref, rel=1e-7, abs=1e-12)
         assert abs(float(vec @ q)) <= 1e-10
-        hv = dense.rhess(q) @ vec
+        hv = dense.curvature(q).dense() @ vec
         assert abs(float(vec @ hv) - lam) <= 1e-9 * max(1.0, abs(lam))
 
 
@@ -300,7 +304,7 @@ def test_cdl_calculus_matches_dense_odd_and_even_n(n, weights):
         v = rng.standard_normal(n)
         assert obj.value(q) == pytest.approx(dense.value(q), rel=1e-12)
         for got, ref in ((obj.rgrad(q), dense.rgrad(q)),
-                         (obj.rhess_vec(q, v), dense.rhess_vec(q, v))):
+                         (obj.curvature(q).matvec(v), dense.curvature(q).matvec(v))):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         val, g = obj.evaluate(q)
         assert val == obj.value(q)
@@ -321,7 +325,7 @@ def test_cdl_finite_difference_checks():
             float(obj.rgrad(q) @ v), rel=1e-6, abs=1e-10
         )
         assert fd_quadratic(obj, q, v) == pytest.approx(
-            float(v @ obj.rhess_vec(q, v)), rel=1e-4, abs=1e-8
+            float(v @ obj.curvature(q).matvec(v)), rel=1e-4, abs=1e-8
         )
     assert abs(float(obj.rgrad(q) @ q)) <= 1e-12
 

@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import sphere4.landscape as landscape
 from sphere4.landscape import (
@@ -19,23 +18,15 @@ from sphere4.landscape import (
     REPORT_CSV_COLUMNS,
     RESID_TOL,
     XI_DL,
-    CurvatureCertificate,
     LandscapeReport,
     classify_region,
     critical_point_report,
     cubic_root_intervals,
-    negative_curvature_certificate,
 )
 from sphere4.model import Dictionary, SpherePoint, make_untf, stream
 from sphere4.objectives import TensorObjective, _coords
 from sphere4.optimize import SolveConfig, solve
 from sphere4.recovery import TIE_TOL, recovery_error
-
-
-def simplex_frame(n: int) -> Dictionary:
-    """The n+1 vertices of a regular simplex: a UNTF with coherence 1/n."""
-    basis = scipy.linalg.null_space(np.ones((1, n + 1)))
-    return Dictionary(np.sqrt((n + 1) / n) * basis.T)
 
 
 def bisect_roots(alpha: float, beta: float, grid: int = 4001) -> np.ndarray:
@@ -264,7 +255,7 @@ def test_report_solver_endpoint_reads_near_solution(monkeypatch):
     rep = critical_point_report(D, res.q_star)
     assert rep.classification == CLASS_NEAR_SOLUTION
     assert rep.inner_product >= 0.95
-    # with a sanely small certificate constant the solution sits on the
+    # with a sanely small split constant the solution sits on the
     # critical side of the split
     monkeypatch.setattr(landscape, "XI_DL", 0.3)
     assert classify_region(D, res.q_star).label == REGION_CRITICAL
@@ -315,95 +306,6 @@ def test_report_json_roundtrip():
     assert np.allclose(payload["hess_min_vec"], rep.hess_min_vec)
 
 
-# ---------------------------------------------------------------------------
-# negative curvature certificate
-
-
-def test_certificate_identity_uniform_closed_form():
-    # at A = I and the uniform point both sides have closed forms:
-    # rayleigh = -(2/n)(1 - 1/n), bound = -4/n^2, strict only for n >= 4
-    for n, expect_holds in ((3, False), (4, True), (8, True)):
-        D = Dictionary(np.eye(n))
-        cert = negative_curvature_certificate(D, SpherePoint.project(np.ones(n)))
-        assert cert.rayleigh == pytest.approx(-(2.0 / n) * (1.0 - 1.0 / n), abs=1e-14)
-        assert cert.bound == pytest.approx(-4.0 / n**2, abs=1e-14)
-        assert cert.holds is expect_holds
-
-
-def test_certificate_rayleigh_matches_dense_hessian():
-    rng = stream(77, "cert-dense")
-    for _ in range(20):
-        n = int(rng.integers(3, 9))
-        m = n + int(rng.integers(0, 8))
-        A = rng.standard_normal((n, m))
-        A /= np.linalg.norm(A, axis=0)
-        D = Dictionary(A)
-        q = SpherePoint.project(rng.standard_normal(n))
-        H = TensorObjective(D).rhess(q.coords)
-        dense = np.einsum("ij,ij->j", A, H @ A)
-        cert = negative_curvature_certificate(D, q)
-        assert cert.rayleigh == pytest.approx(dense.min(), abs=1e-12)
-        assert cert.index == int(np.argmin(dense))
-
-
-def test_certificate_requires_unit_columns():
-    A = np.eye(4)
-    A[0, 0] = 1.1
-    with pytest.raises(ValueError):
-        negative_curvature_certificate(Dictionary(A), SpherePoint.project(np.ones(4)))
-
-
-def test_certificate_k_limit_orthonormal():
-    D = Dictionary(np.eye(5))
-    assert D.coherence == 0.0
-    cert = negative_curvature_certificate(D, SpherePoint.project(np.ones(5)))
-    assert cert.k_limit == pytest.approx(3.0, abs=1e-15)
-    assert cert.k_condition
-
-
-def test_certificate_k_condition_fails_at_desk_coherence():
-    # m = 2n frames have coherence far above what the overcompleteness
-    # condition tolerates at the default certificate constant
-    assert XI_DL == 65.0 > 2**6
-    D = make_untf(12, 24, seed=2)
-    q = SpherePoint.project(stream(2, "kcond").standard_normal(12))
-    cert = negative_curvature_certificate(D, q)
-    assert not cert.k_condition
-    assert cert.k_limit < 2.0
-
-
-def test_certificate_nonvacuous_on_simplex_frame(monkeypatch):
-    # the regular simplex keeps coherence at exactly 1/n, low enough that
-    # the overcompleteness condition holds with room to spare at xi = 1.3,
-    # and the certified curvature bound is then confirmed on every sampled
-    # point of the negative-curvature region
-    D = simplex_frame(64)
-    assert D.coherence == pytest.approx(1.0 / 64.0, rel=1e-12)
-    monkeypatch.setattr(landscape, "XI_DL", 1.3)
-    rng = stream(5, "nonvac")
-    checked = 0
-    for _ in range(60):
-        q = SpherePoint.project(rng.standard_normal(64))
-        dec = classify_region(D, q)
-        assert dec.label == REGION_NEGATIVE_CURVATURE
-        cert = negative_curvature_certificate(D, q)
-        assert cert.k_condition
-        assert cert.k_limit == pytest.approx(1.237448602235437, rel=1e-12)
-        assert cert.holds
-        assert cert.bound - cert.rayleigh > 0.05
-        checked += 1
-    assert checked == 60
-    # while the columns themselves, as they should, sit on the critical side
-    col = SpherePoint.project(D.entries[:, 0])
-    assert classify_region(D, col).label == REGION_CRITICAL
-
-
-def test_certificate_fields_are_frozen():
-    cert = CurvatureCertificate(0, -1.0, -0.5, True, 3.0, True)
-    with pytest.raises(AttributeError):
-        cert.holds = False
-
-
 def test_report_dataclass_is_frozen():
     D = Dictionary(np.eye(3))
     rep = critical_point_report(D, SpherePoint(np.array([1.0, 0.0, 0.0])))
@@ -421,7 +323,7 @@ def test_report_curvature_fields_match_dense_reference():
         q0 = SpherePoint.project(rng.standard_normal(8))
         for q in (q0, solve(TensorObjective(D), q0).q_star):
             x = q.coords
-            H = TensorObjective(D).rhess(x)
+            H = TensorObjective(D).curvature(x).dense()
             shift = 10.0 * (1.0 + float(np.abs(H).sum()))
             evals, evecs = np.linalg.eigh(H + shift * np.outer(x, x))
             vec = evecs[:, 0]
@@ -439,7 +341,6 @@ def test_report_curvature_fields_match_dense_reference():
 LANDSCAPE_FUNCTIONS = {
     "classify_region": classify_region,
     "critical_point_report": critical_point_report,
-    "negative_curvature_certificate": negative_curvature_certificate,
 }
 
 
@@ -457,11 +358,21 @@ def test_landscape_refuses_points_off_the_sphere(fn, point):
 @pytest.mark.parametrize("fn", LANDSCAPE_FUNCTIONS.values(),
                          ids=LANDSCAPE_FUNCTIONS)
 def test_landscape_refuses_a_repeated_column(fn):
-    # coherence 1 leaves no region split and no overcompleteness condition
+    # coherence 1 leaves no region split
     D = Dictionary(np.hstack([np.eye(3), np.eye(3)[:, :1]]))
     assert D.coherence == 1.0
     with pytest.raises(ValueError, match="coherence"):
         fn(D, SpherePoint.project(np.array([1.0, 2.0, 3.0])))
+    # a column beside a scaled copy of itself often reads 1 - 1e-16
+    rng = np.random.default_rng(0)
+    mus = []
+    for _ in range(10):
+        a = rng.standard_normal(5)
+        D = Dictionary(np.column_stack([np.eye(5), a, 3.0 * a]))
+        mus.append(D.coherence)
+        with pytest.raises(ValueError, match="coherence"):
+            fn(D, SpherePoint.project(np.arange(1.0, 6.0)))
+    assert min(mus) < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sphere4.model as model
 from sphere4.model import (
     Dictionary,
     ObservationSet,
@@ -22,6 +23,12 @@ def welch_bound(n, m):
     return np.sqrt((m - n) / ((m - 1) * n))
 
 
+def frame_residual(D):
+    """Frobenius distance of (n/m) A A^T from the identity."""
+    n, m = D.entries.shape
+    return float(np.linalg.norm((n / m) * (D.entries @ D.entries.T) - np.eye(n)))
+
+
 def test_untf_square_is_orthogonal():
     D = make_untf(4, 4, seed=0)
     assert D.untf_converged
@@ -38,7 +45,7 @@ def test_untf_welch_floor_3x4():
 def test_untf_residuals_16x48():
     D = make_untf(16, 48, seed=1)
     assert D.untf_converged
-    assert D.frame_residual <= 1e-10
+    assert frame_residual(D) <= 1e-10
     assert np.abs(np.linalg.norm(D.entries, axis=0) - 1.0).max() <= 1e-10
 
 
@@ -47,7 +54,7 @@ def test_untf_welch_bound_grid(n, m):
     # m <= n^2 throughout, where the generator is expected to converge
     D = make_untf(n, m, seed=42)
     assert D.untf_converged
-    assert D.frame_residual <= 1e-10
+    assert frame_residual(D) <= 1e-10
     assert D.coherence >= welch_bound(n, m) - 1e-9
 
 
@@ -79,8 +86,10 @@ def two_gram_untf(n, m, seed, max_iters=5000, tol_untf=1e-10):
 
 @pytest.mark.parametrize("n,m,seed,max_iters", [
     (8, 16, 3, 5000), (16, 32, 4, 5000), (6, 18, 5, 5000), (16, 32, 6, 7)])
-def test_make_untf_bit_identical_to_two_gram_loop(n, m, seed, max_iters):
-    D = make_untf(n, m, seed=seed, max_iters=max_iters)
+def test_make_untf_bit_identical_to_two_gram_loop(monkeypatch, n, m, seed,
+                                                  max_iters):
+    monkeypatch.setattr(model, "UNTF_MAX_ITERS", max_iters)
+    D = make_untf(n, m, seed=seed)
     ref, converged = two_gram_untf(n, m, seed, max_iters=max_iters)
     assert np.array_equal(D.entries, ref)
     assert D.untf_converged is converged
@@ -92,11 +101,12 @@ def test_untf_shape_contract():
         make_untf(5, 4, seed=0)
 
 
-def assert_stack_matches_make_untf(n, m, seeds, max_iters):
-    stack = _untf_stack(n, m, seeds, max_iters)
+def assert_stack_matches_make_untf(monkeypatch, n, m, seeds, max_iters):
+    monkeypatch.setattr(model, "UNTF_MAX_ITERS", max_iters)
+    stack = _untf_stack(n, m, seeds)
     assert len(stack) == len(seeds)
     for seed, D in zip(seeds, stack):
-        ref = make_untf(n, m, seed, max_iters)
+        ref = make_untf(n, m, seed)
         assert D.entries.tobytes() == ref.entries.tobytes()
         assert D.untf_converged is ref.untf_converged
     return [D.untf_converged for D in stack]
@@ -105,14 +115,15 @@ def assert_stack_matches_make_untf(n, m, seeds, max_iters):
 @pytest.mark.parametrize("max_iters", [1, 3, 7, 5000])
 @pytest.mark.parametrize("n,m", [(1, 5), (3, 3), (6, 18), (8, 16), (12, 16),
                                  (16, 32)])
-def test_untf_stack_bit_identical_to_make_untf(n, m, max_iters):
-    assert_stack_matches_make_untf(n, m, [11, 12, 13, 14, 15, 16], max_iters)
+def test_untf_stack_bit_identical_to_make_untf(monkeypatch, n, m, max_iters):
+    assert_stack_matches_make_untf(monkeypatch, n, m, [11, 12, 13, 14, 15, 16],
+                                   max_iters)
 
 
-def test_untf_stack_mixes_capped_and_converged_frames():
+def test_untf_stack_mixes_capped_and_converged_frames(monkeypatch):
     # at 8x16 these seeds converge after 64-82 updates, so a cap of 70 leaves
     # frames at different iterations and others capped in one stack
-    flags = assert_stack_matches_make_untf(8, 16, range(6), 70)
+    flags = assert_stack_matches_make_untf(monkeypatch, 8, 16, range(6), 70)
     assert sorted(flags) == [False] * 3 + [True] * 3
 
 
@@ -127,23 +138,24 @@ def test_untf_stack_keeps_each_frames_best_iterate(monkeypatch, n, m):
         return w * w, V
 
     monkeypatch.setattr(np.linalg, "eigh", overshoot)
-    flags = assert_stack_matches_make_untf(n, m, range(6), 9)
+    flags = assert_stack_matches_make_untf(monkeypatch, n, m, range(6), 9)
     assert not any(flags)
 
 
-def test_untf_stack_of_one_and_of_none():
-    assert_stack_matches_make_untf(8, 16, [3], 5000)
+def test_untf_stack_of_one_and_of_none(monkeypatch):
+    assert_stack_matches_make_untf(monkeypatch, 8, 16, [3], 5000)
     assert _untf_stack(8, 16, []) == []
 
 
-@pytest.mark.parametrize("n,m,max_iters", [(0, 4, 10), (5, 4, 10),
-                                           (3, 4, 0)])
-def test_untf_stack_refuses_what_make_untf_refuses(n, m, max_iters):
+@pytest.mark.parametrize("n,m,max_iters", [(0, 4, 10), (5, 4, 10)])
+def test_untf_stack_refuses_what_make_untf_refuses(monkeypatch, n, m,
+                                                   max_iters):
+    monkeypatch.setattr(model, "UNTF_MAX_ITERS", max_iters)
     with pytest.raises(ValueError) as ref:
-        make_untf(n, m, 0, max_iters)
+        make_untf(n, m, 0)
     for seeds in ([], [0], [0, 1]):
         with pytest.raises(ValueError) as got:
-            _untf_stack(n, m, seeds, max_iters)
+            _untf_stack(n, m, seeds)
         assert str(got.value) == str(ref.value)
 
 

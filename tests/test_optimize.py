@@ -3,18 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from sphere4.cdl import CdlObjective, Preconditioner, effective_dictionary, synth_cdl
+from sphere4.cdl import CdlObjective, Preconditioner, synth_cdl
 from sphere4.model import (
     Dictionary,
     ObservationSet,
     SpherePoint,
     make_filter_bank,
     make_untf,
+    retract,
     sample_bg,
     stream,
     synth_odl,
 )
-from sphere4.objectives import OdlObjective, TensorObjective, retract
+from sphere4.objectives import OdlObjective, TensorObjective
 from sphere4.optimize import (
     ARMIJO_C1,
     BACKTRACK_SHRINK,
@@ -32,6 +33,8 @@ from sphere4.optimize import (
     tangent_min_eig,
 )
 from sphere4.recovery import cdl_start
+
+from oracles import effective_dictionary
 
 
 def identity_objective(n: int) -> TensorObjective:
@@ -397,17 +400,18 @@ def test_tangent_min_eig_matches_dense():
         D = make_untf(n, 2 * n, seed=500 + trial)
         obj = TensorObjective(D)
         q = SpherePoint.project(rng.standard_normal(n))
-        H = obj.rhess(q)
+        H = obj.curvature(q).dense()
         # push the q-direction (a zero eigenvalue of H) out of the way so
         # the dense minimum is the tangent-restricted minimum
         shift = 10.0 * (1.0 + np.abs(H).sum())
         ref = np.linalg.eigvalsh(H + shift * np.outer(q.coords, q.coords))[0]
-        lam, vec, ok = tangent_min_eig(lambda u: obj.rhess_vec(q, u), q.coords,
+        lam, vec, ok = tangent_min_eig(obj.curvature(q).matvec, q.coords,
                                        seed=trial)
         assert ok
         assert lam == pytest.approx(ref, rel=1e-7, abs=1e-9)
         assert abs(float(vec @ q.coords)) <= 1e-10
-        assert abs(float(vec @ obj.rhess_vec(q, vec)) - lam) <= 1e-7 * max(1.0, abs(lam))
+        hv = obj.curvature(q).matvec(vec)
+        assert abs(float(vec @ hv) - lam) <= 1e-7 * max(1.0, abs(lam))
 
 
 def test_escape_at_exact_saddle():
@@ -467,7 +471,7 @@ def test_solve_high_coherence_terminates_second_order():
         res = solve(obj, q0, SolveConfig(escape=EscapeConfig(), seed=1))
         assert res.termination == "grad_tol"
         lam, _, ok = tangent_min_eig(
-            lambda u: obj.rhess_vec(res.q_star, u), res.q_star.coords)
+            obj.curvature(res.q_star).matvec, res.q_star.coords)
         assert ok
         assert lam >= -1e-8
         corr = np.abs(D.entries.T @ res.q_star.coords).max()
@@ -564,8 +568,11 @@ def test_names_the_benchmark_traces_still_resolve():
     assert sphere4.SolveConfig(escape=sphere4.EscapeConfig()).escape is not None
 
 
-@pytest.mark.parametrize("module", ["model", "objectives", "cdl", "optimize",
-                                    "landscape", "recovery", "cli"])
+PUBLIC_MODULES = ("model", "objectives", "cdl", "optimize", "landscape",
+                  "recovery", "cli")
+
+
+@pytest.mark.parametrize("module", PUBLIC_MODULES)
 def test_every_name_in_all_resolves(module):
     # a name deleted from a module must not stay behind in its __all__
     import importlib
@@ -589,8 +596,7 @@ def test_public_parameters_with_a_default():
                 if p.default is not inspect.Parameter.empty]
 
     knobs = set()
-    for module in ("model", "objectives", "cdl", "optimize", "landscape",
-                   "recovery", "cli"):
+    for module in PUBLIC_MODULES:
         mod = importlib.import_module(f"sphere4.{module}")
         for name in mod.__all__:
             obj = getattr(mod, name)
@@ -610,4 +616,43 @@ def test_public_parameters_with_a_default():
                 if not attr.startswith("_") and inspect.isfunction(member):
                     knobs.update(f"{module}.{name}.{attr}({p})"
                                  for p in defaults(member))
-    assert len(knobs) == 27, sorted(knobs)
+    assert len(knobs) == 25, sorted(knobs)
+
+
+def test_public_names():
+    # the names each module exports; a new public name must change this
+    # count on purpose
+    import importlib
+
+    names = sorted(f"{module}.{name}" for module in PUBLIC_MODULES
+                   for name in importlib.import_module(f"sphere4.{module}").__all__)
+    assert len(names) == 52, names
+
+
+def test_no_unused_imports():
+    # every name a module imports is used there or exported in its __all__
+    import ast
+    from pathlib import Path
+
+    import sphere4
+
+    unused = []
+    for path in sorted(Path(sphere4.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported, used, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                imported.update((a.asname or a.name).split(".")[0]
+                                for a in node.names)
+            elif (isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+                exported.update(ast.literal_eval(node.value))
+        unused += [f"{path.stem}.{name}"
+                   for name in sorted(imported - used - exported)]
+    assert unused == []

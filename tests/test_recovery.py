@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import sphere4.recovery as recovery
 from sphere4.cdl import (
     ConvProblem,
     Preconditioner,
@@ -146,21 +149,23 @@ def test_recover_full_validates_budget():
         recover_full(D, SolveConfig(), 0)
 
 
-def test_recover_full_coupon_collector_harness():
-    # with a stubbed trial that returns a uniformly random column, the
-    # trial count to full coverage is the coupon-collector variable whose
-    # mean and variance are exact
+def test_recover_full_coupon_collector_harness(monkeypatch):
+    # with a stubbed solve that returns the basis vector at argmax |q0|, a
+    # column uniform over the m columns since the Gaussian start is
+    # symmetric, the trial count to full coverage is the coupon-collector
+    # variable whose mean and variance are exact
     m = 8
     D = Dictionary(np.eye(m))
 
-    def stub(seed: int) -> SpherePoint:
-        idx = int(stream(seed, "coupon").integers(m))
-        return SpherePoint(np.eye(m)[:, idx])
+    def stub(objective, q0, config):
+        idx = int(np.argmax(np.abs(q0.coords)))
+        return SimpleNamespace(q_star=SpherePoint(np.eye(m)[:, idx]))
 
+    monkeypatch.setattr(recovery, "solve", stub)
     reps = 50
     counts = []
     for rep in range(reps):
-        cov = recover_full(D, None, 400, seed_base=10_000 * rep, trial_fn=stub)
+        cov = recover_full(D, None, 400, seed_base=10_000 * rep)
         assert cov.recovered == frozenset(range(m))
         counts.append(cov.trials_used)
     harmonic = sum(1.0 / k for k in range(1, m + 1))
@@ -283,7 +288,6 @@ def test_recover_filters_exact_on_spike_codes():
     assert fr.trials_used == 1
     assert fr.aligned_errors[0] <= 1e-6
     assert 0 <= fr.shifts[0] < 16
-    assert fr.missing == ()
 
 
 def test_recover_filters_two_filters_within_budget():
@@ -348,9 +352,9 @@ def test_recover_filters_reports_unrecovered():
     fr = recover_filters(prob, SolveConfig(max_iters=2000, grad_tol=1e-10),
                          trial_budget=2)
     assert fr.recovered == frozenset()
-    assert fr.missing == (0, 1, 2)
+    assert fr.aligned_errors.shape == (3,)
     assert fr.trials_used == 2
-    assert np.all(fr.aligned_errors[list(fr.missing)] > EPS_CDL)
+    assert np.all(fr.aligned_errors > EPS_CDL)
 
 
 def test_recover_filters_convention_invariant():
