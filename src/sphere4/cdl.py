@@ -204,6 +204,8 @@ class CdlObjective(_QuarticObjective):
             raise ValueError("theta must lie in (0, 1)")
         if self.measurements.n != self.preconditioner.n:
             raise ValueError("measurement length and preconditioner size differ")
+        object.__setattr__(self, "c", 1.0 / (12.0 * self.theta * (1.0 - self.theta)
+                                             * self.n * self.p))
 
     @classmethod
     def from_problem(cls, problem: ConvProblem) -> "CdlObjective":
@@ -220,10 +222,6 @@ class CdlObjective(_QuarticObjective):
     @property
     def K(self) -> int:
         return self.preconditioner.K
-
-    @cached_property
-    def c(self) -> float:
-        return 1.0 / (12.0 * self.theta * (1.0 - self.theta) * self.n * self.p)
 
     @cached_property
     def _spectra(self) -> np.ndarray:

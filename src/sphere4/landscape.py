@@ -181,7 +181,7 @@ def critical_point_report(D: Dictionary, q) -> LandscapeReport:
     A = D.entries
     zeta = A.T @ x
     # raises on a zero column before the cubic coefficients divide by it
-    inner_product, best_index = _nearest_column(A, zeta)
+    inner_product, best_index = _nearest_column(D, zeta)
     obj = TensorObjective(D)
     col_sq = np.sum(A * A, axis=0)
     z44 = float(np.sum(zeta**4))

@@ -143,6 +143,11 @@ class Dictionary:
     def coherence(self) -> float:
         return coherence(self)
 
+    @cached_property
+    def column_norms(self) -> np.ndarray:
+        """The l2 norm of each column, computed once per dictionary."""
+        return _frozen_array(np.linalg.norm(self.entries, axis=0))
+
 
 @dataclass(frozen=True)
 class SparseCode:
@@ -348,8 +353,8 @@ def synth_odl(D: Dictionary, X: SparseCode) -> ObservationSet:
 def coherence(D: Dictionary) -> float:
     """Largest |<a_i, a_j>| over distinct normalized column pairs."""
     A = D.entries
-    norms = np.linalg.norm(A, axis=0)
-    if np.any(norms == 0.0):
+    norms = D.column_norms
+    if not norms.all():
         raise ValueError("coherence undefined with a zero column")
     G = (A / norms).T @ (A / norms)
     np.fill_diagonal(G, 0.0)

@@ -26,7 +26,6 @@ what a second central difference of t -> phi(retract(q + t v)) measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -114,10 +113,12 @@ def tangent_min_eig(matvec, q: np.ndarray,
 class _QuarticObjective:
     """phi(q) = -c ||Z||_4^4 with Z = B^T q, written once for every objective.
 
-    A subclass supplies the constant c and the correlate/adjoint pair:
-    correlate(q) -> Z = B^T q, an array of any shape, and adjoint(W) -> B W
-    for W shaped like Z. The value, the Euclidean and Riemannian gradients
-    and the Hessian action are built from those two passes here.
+    A subclass supplies the constant c, as a plain attribute, and the
+    correlate/adjoint pair: correlate(q) -> Z = B^T q, an array of any
+    shape, and adjoint(W) -> B W for W shaped like Z. The value, the
+    Euclidean and Riemannian gradients and the Hessian action are built
+    from those two passes here; `_evaluate` is the solver's per-iterate
+    call, on the plain unit arrays it holds.
     """
 
     c: float
@@ -143,7 +144,11 @@ class _QuarticObjective:
 
         Both agree bit for bit with value(q) and grad(q).
         """
-        z = self.correlate(_coords(q))
+        return self._evaluate(_coords(q))
+
+    def _evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """evaluate at a 1-d float array x, without converting it."""
+        z = self.correlate(x)
         z2 = z * z
         return (-self.c * float(np.vdot(z2, z2)),
                 -4.0 * self.c * self.adjoint(z2 * z))
@@ -165,10 +170,15 @@ class _BasisObjective(_QuarticObjective):
     basis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "_basis_t", self.basis.T)  # B^T for correlate
+        # B and B^T as plain attributes, so a kernel call reads no property.
+        # Their dot (np.dot's method form, without @'s ufunc dispatch) rounds
+        # as @ does, except on a negative-stride vector, which it copies first
+        b = self.basis
+        object.__setattr__(self, "_basis", b)
+        object.__setattr__(self, "_basis_t", b.T)
         # |z_i| <= ||b_i|| at unit q, so 16 c sum ||b_i||^4 bounds every kernel entry
         with np.errstate(over="ignore"):
-            s = np.einsum("ij,ij->j", self.basis, self.basis)
+            s = np.einsum("ij,ij->j", b, b)
             if not 16.0 * self.c * float(s @ s) < np.inf:
                 raise ValueError("basis too large: the quartic kernel overflows")
 
@@ -177,10 +187,10 @@ class _BasisObjective(_QuarticObjective):
         return self.basis.shape[0]
 
     def correlate(self, q: np.ndarray) -> np.ndarray:
-        return self._basis_t @ q
+        return self._basis_t.dot(q)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
-        return self.basis @ w
+        return self._basis.dot(w)
 
 
 class _Curvature:
@@ -235,14 +245,11 @@ class TensorObjective(_BasisObjective):
     """Infinite-sample objective phi(q) = -(1/4) ||A^T q||_4^4."""
 
     D: Dictionary
+    c = 0.25  # a class constant, not a field
 
     @property
     def basis(self) -> np.ndarray:
         return self.D.entries
-
-    @property
-    def c(self) -> float:
-        return 0.25
 
 
 @dataclass(frozen=True)
@@ -259,13 +266,11 @@ class OdlObjective(_BasisObjective):
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
+        object.__setattr__(
+            self, "c", 1.0 / (12.0 * self.theta * (1.0 - self.theta) * self.Y.p))
         super().__post_init__()
 
     @property
     def basis(self) -> np.ndarray:
         return self.Y.entries
-
-    @cached_property
-    def c(self) -> float:
-        return 1.0 / (12.0 * self.theta * (1.0 - self.theta) * self.Y.p)
 

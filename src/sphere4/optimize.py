@@ -91,11 +91,6 @@ class SolveResult:
         return json.dumps(payload)
 
 
-def _power_point(g: np.ndarray, xg) -> np.ndarray:
-    """P_sphere(-g), or P_sphere(g) when xg = x.g > 0; see power_step."""
-    return retract(g if xg > 0.0 else -g)
-
-
 def power_step(obj, q: SpherePoint) -> SpherePoint:
     """One projected power update, P_sphere(-grad phi(q)).
 
@@ -105,7 +100,9 @@ def power_step(obj, q: SpherePoint) -> SpherePoint:
     identity.
     """
     g = obj.grad(q)
-    return SpherePoint(_power_point(g, np.vdot(q.coords, g))) if np.any(g) else q
+    if not np.any(g):
+        return q
+    return SpherePoint(retract(g if np.vdot(q.coords, g) > 0.0 else -g))
 
 
 def rgd_step(obj, q: SpherePoint, tau: float) -> SpherePoint:
@@ -149,19 +146,22 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
 
     `obj` provides evaluate(q) -> (value, Euclidean gradient), called once
     per iterate (once per trial point in a line search), plus value and
-    curvature(q).min_eig when escape is enabled. A non-finite gradient
-    raises ValueError.
+    curvature(q).min_eig when escape is enabled. A package objective's
+    `_evaluate`, the same call on the loop's plain unit arrays, is bound
+    once in its place. A non-finite gradient raises ValueError.
     """
     if cfg is None:
         cfg = SolveConfig()
     q = q0 if isinstance(q0, SpherePoint) else SpherePoint.project(np.asarray(q0, dtype=float))
+    evaluate = getattr(obj, "_evaluate", obj.evaluate)
     x = q.coords
-    val, g = obj.evaluate(x)
-    trace = [float(val)]
+    val, g = evaluate(x)
+    last = float(val)
+    trace = [last]
     iterations = 0
     escapes = 0
     termination = "max_iters"
-    power, grad_tol = cfg.method == "power", cfg.grad_tol
+    power, grad_tol, max_iters = cfg.method == "power", cfg.grad_tol, cfg.max_iters
 
     while True:
         # any non-finite g makes x.g non-finite; vdot, unlike @, won't warn on 0*inf
@@ -172,14 +172,14 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
         gn = math.sqrt(rg.dot(rg))
         if gn <= grad_tol:
             moved = None
-            if cfg.escape is not None and iterations < cfg.max_iters:
+            if cfg.escape is not None and iterations < max_iters:
                 # a first-order point may be the result, so wrap it here
                 q = q if x is q.coords else SpherePoint(x)
                 moved = escape_saddle(obj, q, cfg.escape.curv_tol,
                                       cfg.escape.step, seed=cfg.seed + escapes)
                 if moved is not None:
-                    val, g_moved = obj.evaluate(moved)
-                    if val >= trace[-1]:
+                    val, g_moved = evaluate(moved.coords)
+                    if val >= last:
                         moved = None
             if moved is None:
                 termination = "grad_tol"
@@ -187,29 +187,31 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
             q, x, g = moved, moved.coords, g_moved
             escapes += 1
             iterations += 1
-            trace.append(float(val))
+            last = float(val)
+            trace.append(last)
             continue
-        if iterations >= cfg.max_iters:
+        if iterations >= max_iters:
             termination = "max_iters"
             break
         if len(trace) > STALL_WINDOW:
             ref = trace[-1 - STALL_WINDOW]
-            if abs(trace[-1] - ref) <= STALL_REL_TOL * max(1.0, abs(ref)):
+            if abs(last - ref) <= STALL_REL_TOL * max(1.0, abs(ref)):
                 termination = "stalled"
                 break
 
         if power:
-            cand = _power_point(g, xg)
-            val, g_cand = obj.evaluate(cand)
-            if not val <= trace[-1] + 1e-12 * max(1.0, abs(trace[-1])):
+            # P_sphere(-g), or P_sphere(g) when x.g > 0; see power_step
+            cand = retract(g if xg > 0.0 else -g)
+            val, g_cand = evaluate(cand)
+            if not val <= last + 1e-12 * max(1.0, abs(last)):
                 termination = "nonmonotone"
                 break
         else:
             tau = BACKTRACK_TAU0
             while True:
                 cand = retract(x - tau * rg)
-                val, g_cand = obj.evaluate(cand)
-                if val <= trace[-1] - ARMIJO_C1 * tau * gn * gn:
+                val, g_cand = evaluate(cand)
+                if val <= last - ARMIJO_C1 * tau * gn * gn:
                     break
                 tau *= BACKTRACK_SHRINK
                 if tau < MIN_BACKTRACK_TAU:
@@ -220,7 +222,8 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
                 break
         x, g = cand, g_cand
         iterations += 1
-        trace.append(float(val))
+        last = float(val)
+        trace.append(last)
 
     return SolveResult(
         q_star=q if x is q.coords else SpherePoint(x),

@@ -52,14 +52,14 @@ class RecoveryOutcome:
     success: bool
 
 
-def _nearest_column(A: np.ndarray, zeta: np.ndarray) -> tuple[float, int]:
+def _nearest_column(D: Dictionary, zeta: np.ndarray) -> tuple[float, int]:
     """max_i |zeta_i| / ||a_i|| and the lowest index within TIE_TOL of it."""
-    norms = np.linalg.norm(A, axis=0)
-    if np.any(norms == 0.0):
+    norms = D.column_norms
+    if not norms.all():
         raise ValueError("recovery error needs nonzero columns")
     inners = np.abs(zeta) / norms
-    top = float(np.max(inners))
-    return top, int(np.argmax(inners >= top - TIE_TOL))
+    top = float(inners.max())
+    return top, int((inners >= top - TIE_TOL).argmax())
 
 
 def recovery_error(q, D: Dictionary) -> RecoveryOutcome:
@@ -69,7 +69,7 @@ def recovery_error(q, D: Dictionary) -> RecoveryOutcome:
     SUCCESS_THRESHOLD. Ties within TIE_TOL of the best inner product
     resolve to the lowest column index so duplicated columns score stably.
     """
-    top, best = _nearest_column(D.entries, D.entries.T @ _coords(q))
+    top, best = _nearest_column(D, D.entries.T.dot(_coords(q)))
     # rounding can push a unit inner product past 1; the metric lives in [0,1]
     rho = min(max(1.0 - top, 0.0), 1.0)
     return RecoveryOutcome(rho, best, rho < SUCCESS_THRESHOLD)

@@ -9,15 +9,38 @@ v^T rhess(q) v.
 The circulant oracles materialize what `cdl` only applies through FFTs,
 and `expectation_gap` is the Monte-Carlo check of the normalizer that
 makes the finite-sample objective comparable to its limit.
+
+`reference_solve` is the solver as it stood before its per-iterate call
+became one bound kernel: the public `evaluate` path, with `@` on the
+basis, and the power step through its own helper.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from sphere4.cdl import Preconditioner
-from sphere4.model import Dictionary, FilterBank, retract, sample_bg, synth_odl
+from sphere4.cdl import CdlObjective, Preconditioner
+from sphere4.model import (
+    Dictionary,
+    FilterBank,
+    SpherePoint,
+    retract,
+    sample_bg,
+    synth_odl,
+)
 from sphere4.objectives import OdlObjective, _coords
+from sphere4.optimize import (
+    ARMIJO_C1,
+    BACKTRACK_SHRINK,
+    BACKTRACK_TAU0,
+    MIN_BACKTRACK_TAU,
+    STALL_REL_TOL,
+    STALL_WINDOW,
+    SolveConfig,
+    SolveResult,
+    escape_saddle,
+)
 
 
 def fd_directional(obj, q, v, h: float = 1e-5) -> float:
@@ -105,3 +128,100 @@ def expectation_gap(
     phi_t = -0.25 * float(np.sum(zeta**4))
     predicted = phi_t - theta / (4.0 * (1.0 - theta)) * float(np.sum(zeta**2)) ** 2
     return mc_mean, predicted
+
+
+def reference_evaluate(obj, q) -> tuple:
+    """(value, Euclidean gradient) through the public passes: B^T q and B w
+    as `@` products on `obj.basis`, or the FFT pair of a CdlObjective."""
+    x = _coords(q)
+    if isinstance(obj, CdlObjective):
+        correlate, adjoint = obj.correlate, obj.adjoint
+    else:
+        correlate, adjoint = (lambda v: obj.basis.T @ v), (lambda w: obj.basis @ w)
+    z = correlate(x)
+    z2 = z * z
+    return (-obj.c * float(np.vdot(z2, z2)),
+            -4.0 * obj.c * adjoint(z2 * z))
+
+
+def _power_point(g, xg):
+    return retract(g if xg > 0.0 else -g)
+
+
+def reference_solve(obj, q0, cfg: SolveConfig) -> SolveResult:
+    """The solve loop, line for line, as it read with `reference_evaluate`
+    called once per iterate (once per trial point in a line search)."""
+    q = q0 if isinstance(q0, SpherePoint) else SpherePoint.project(np.asarray(q0, dtype=float))
+    x = q.coords
+    val, g = reference_evaluate(obj, x)
+    trace = [float(val)]
+    iterations = 0
+    escapes = 0
+    termination = "max_iters"
+    power, grad_tol = cfg.method == "power", cfg.grad_tol
+
+    while True:
+        xg = np.vdot(x, g)
+        if not math.isfinite(xg):
+            raise ValueError("cannot project a zero or non-finite vector")
+        rg = g - x * xg
+        gn = math.sqrt(rg.dot(rg))
+        if gn <= grad_tol:
+            moved = None
+            if cfg.escape is not None and iterations < cfg.max_iters:
+                q = q if x is q.coords else SpherePoint(x)
+                moved = escape_saddle(obj, q, cfg.escape.curv_tol,
+                                      cfg.escape.step, seed=cfg.seed + escapes)
+                if moved is not None:
+                    val, g_moved = reference_evaluate(obj, moved)
+                    if val >= trace[-1]:
+                        moved = None
+            if moved is None:
+                termination = "grad_tol"
+                break
+            q, x, g = moved, moved.coords, g_moved
+            escapes += 1
+            iterations += 1
+            trace.append(float(val))
+            continue
+        if iterations >= cfg.max_iters:
+            termination = "max_iters"
+            break
+        if len(trace) > STALL_WINDOW:
+            ref = trace[-1 - STALL_WINDOW]
+            if abs(trace[-1] - ref) <= STALL_REL_TOL * max(1.0, abs(ref)):
+                termination = "stalled"
+                break
+
+        if power:
+            cand = _power_point(g, xg)
+            val, g_cand = reference_evaluate(obj, cand)
+            if not val <= trace[-1] + 1e-12 * max(1.0, abs(trace[-1])):
+                termination = "nonmonotone"
+                break
+        else:
+            tau = BACKTRACK_TAU0
+            while True:
+                cand = retract(x - tau * rg)
+                val, g_cand = reference_evaluate(obj, cand)
+                if val <= trace[-1] - ARMIJO_C1 * tau * gn * gn:
+                    break
+                tau *= BACKTRACK_SHRINK
+                if tau < MIN_BACKTRACK_TAU:
+                    cand = None
+                    break
+            if cand is None:
+                termination = "stalled"
+                break
+        x, g = cand, g_cand
+        iterations += 1
+        trace.append(float(val))
+
+    return SolveResult(
+        q_star=q if x is q.coords else SpherePoint(x),
+        iterations=iterations,
+        final_grad_norm=gn,
+        objective_trace=np.array(trace),
+        termination=termination,
+        escapes_taken=escapes,
+    )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere4.cdl import CdlObjective, synth_cdl
 from sphere4.model import (
@@ -172,6 +174,26 @@ def test_evaluate_matches_value_and_grad_bitwise():
             val, g = obj.evaluate(q)
             assert val == obj.value(q)
             assert np.array_equal(g, obj.grad(q))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(shape=st.integers(1, 24).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(n, 2 * n))),
+       seed=st.integers(0, 2**31 - 1),
+       form=st.sampled_from(["array", "SpherePoint", "reversed view"]))
+def test_evaluate_matches_value_and_grad_bitwise_property(shape, seed, form):
+    # a reversed view has a negative stride, which np.dot copies
+    n, m = shape
+    rng = stream(seed, "evaluate-property")
+    D = Dictionary(rng.standard_normal((n, m)))
+    x = retract(rng.standard_normal(n))
+    q = {"array": x, "SpherePoint": SpherePoint(x),
+         "reversed view": x[::-1].copy()[::-1]}[form]
+    for obj in (TensorObjective(D),
+                OdlObjective(synth_odl(D, sample_bg(m, 64, 0.2, seed=seed)), 0.2)):
+        val, g = obj.evaluate(q)
+        assert val.hex() == obj.value(q).hex()
+        assert g.tobytes() == obj.grad(q).tobytes()
 
 
 def test_sign_symmetry():

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -34,7 +35,7 @@ from sphere4.optimize import (
 )
 from sphere4.recovery import cdl_start
 
-from oracles import effective_dictionary
+from oracles import effective_dictionary, reference_solve
 
 
 def identity_objective(n: int) -> TensorObjective:
@@ -154,7 +155,7 @@ def test_solve_deterministic():
     assert a.termination == b.termination
 
 
-def reference_solve(obj, q, cfg):
+def public_steps_solve(obj, q, cfg):
     """The solver loop as it was before the fused evaluate, written from the
     public steps: five passes over the data per power iteration."""
     trace = [float(obj.value(q))]
@@ -217,7 +218,7 @@ def test_solve_bit_identical_to_reference_loop(kind, cfg):
     for _ in range(6):
         q0 = SpherePoint.project(rng.standard_normal(obj.n))
         res = solve(obj, q0, cfg)
-        q, trace, iterations, termination, escapes = reference_solve(obj, q0, cfg)
+        q, trace, iterations, termination, escapes = public_steps_solve(obj, q0, cfg)
         assert np.array_equal(res.objective_trace, np.array(trace))
         assert np.array_equal(res.q_star.coords, q.coords)
         assert res.iterations == iterations
@@ -232,7 +233,7 @@ def test_solve_escape_identical_to_reference_loop_when_taken(obj):
     cfg = SolveConfig(escape=EscapeConfig(), seed=3)
     q0 = SpherePoint.project(np.array([1.0, 1.0, 0.0, 0.0]))
     res = solve(obj, q0, cfg)
-    q, trace, iterations, termination, escapes = reference_solve(obj, q0, cfg)
+    q, trace, iterations, termination, escapes = public_steps_solve(obj, q0, cfg)
     assert res.escapes_taken == escapes >= 1
     assert np.array_equal(res.objective_trace, np.array(trace))
     assert np.array_equal(res.q_star.coords, q.coords)
@@ -250,10 +251,55 @@ def test_solve_cdl_bit_identical_to_reference_loop(cfg):
                   SpherePoint.project(rng.standard_normal(obj.n)))
         for q0 in starts:
             res = solve(obj, q0, cfg)
-            q, trace, iterations, termination, escapes = reference_solve(obj, q0, cfg)
+            q, trace, iterations, termination, escapes = public_steps_solve(obj, q0, cfg)
             assert np.array_equal(res.objective_trace, np.array(trace))
             assert np.array_equal(res.q_star.coords, q.coords)
             assert (res.iterations, res.termination) == (iterations, termination)
+
+
+@functools.cache
+def replaced_loop_objective(kind: str):
+    if kind == "tensor":
+        return TensorObjective(make_untf(16, 32, seed=130))
+    if kind == "odl":
+        return random_odl(16, 24, 2000, 0.2, seed=131)
+    if kind == "cdl":
+        return CdlObjective.from_problem(
+            synth_cdl(make_filter_bank(16, 2, seed=132), 0.2, 400, seed=133))
+    return identity_objective(4)
+
+
+def result_bits(res) -> tuple:
+    return (res.q_star.coords.tobytes(), res.objective_trace.tobytes(),
+            res.iterations, res.termination, res.escapes_taken,
+            float(res.final_grad_norm).hex())
+
+
+@pytest.mark.parametrize("kind", ["tensor", "odl", "cdl", "saddle"])
+@pytest.mark.parametrize("cfg", [
+    SolveConfig(),
+    SolveConfig(method="rgd"),
+    SolveConfig(escape=EscapeConfig(), seed=5),
+    SolveConfig(method="rgd", escape=EscapeConfig(), seed=5),
+], ids=["power", "rgd", "power-escape", "rgd-escape"])
+def test_solve_bit_identical_to_replaced_loop(kind, cfg):
+    # every SolveResult field against the loop the bound kernel replaced;
+    # the saddle kind starts at exact saddles of the identity objective,
+    # so its escape configurations take escapes
+    obj = replaced_loop_objective(kind)
+    if kind == "saddle":
+        starts = [retract(np.array([1.0, 1.0, 0.0, 0.0])),
+                  retract(np.array([1.0, 1.0, 1.0, 0.0]))]
+    else:
+        rng = stream(134, kind)
+        starts = [retract(rng.standard_normal(obj.n)) for _ in range(3)]
+    escapes = 0
+    for x0 in starts:
+        q0 = SpherePoint(x0)
+        res = solve(obj, q0, cfg)
+        assert result_bits(res) == result_bits(reference_solve(obj, q0, cfg))
+        escapes += res.escapes_taken
+    assert escapes >= (kind == "saddle" and cfg.escape is not None)
 
 
 class ScriptedObjective:
