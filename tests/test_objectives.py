@@ -182,7 +182,7 @@ def test_evaluate_matches_value_and_grad_bitwise():
        seed=st.integers(0, 2**31 - 1),
        form=st.sampled_from(["array", "SpherePoint", "reversed view"]))
 def test_evaluate_matches_value_and_grad_bitwise_property(shape, seed, form):
-    # a reversed view has a negative stride, which np.dot copies
+    # a reversed view has a negative stride, which dot copies first
     n, m = shape
     rng = stream(seed, "evaluate-property")
     D = Dictionary(rng.standard_normal((n, m)))
