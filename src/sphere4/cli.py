@@ -114,8 +114,9 @@ def _list_of(kind):
 
 def _synth(model: str, n: int, size, theta: float, p: int, seed: int,
            convention: str):
-    """The one instance recipe: (D, X, Y) for odl with `size` = m, and the
-    ConvProblem for cdl with `size` = K."""
+    """The one instance recipe, shared by gen and the phi_DL/phi_CDL sweep:
+    (D, X, Y) for odl with `size` = m, and the ConvProblem for cdl with
+    `size` = K."""
     if size is None:
         flag = "--m" if model == "odl" else "--k"
         raise ValueError(f"{flag} is required for the {model} model")
@@ -176,34 +177,17 @@ def _load_gen(data_dir: Path) -> dict:
         raise ValueError(f"no gen.json under {data_dir}")
     meta = json.loads(meta_path.read_text())
     if (not isinstance(meta, dict) or meta.get("model") not in ("odl", "cdl")
-            or "theta" not in meta):
+            or type(meta.get("theta")) not in (int, float)):
         raise ValueError(f"{meta_path} is not a gen.json: it needs an object "
-                         "with a model (odl or cdl) and a theta")
+                         "with a model (odl or cdl) and a numeric theta")
     return meta
-
-
-# the flags that describe an instance; with --data-dir, gen.json does
-INSTANCE_FLAGS = ("model", "n", "m", "k", "theta", "p", "convention")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
-    data = Path(args.data_dir) if args.data_dir else None
-    if data is not None:
-        given = [f"--{k}" for k in INSTANCE_FLAGS
-                 if getattr(args, k) is not None]
-        if given:
-            raise ValueError(f"{' '.join(given)} cannot be combined with "
-                             "--data-dir, whose gen.json fixes the instance")
-        meta = _load_gen(data)
-        model, theta, seed = meta["model"], meta["theta"], args.seed
-    else:
-        model, theta, seed = args.model, args.theta, args.seed
-        if model is None or theta is None or args.n is None or args.p is None:
-            raise ValueError("without --data-dir, solve needs --model, --n, "
-                             "--theta and --p")
-        if args.convention is None:
-            args.convention = "main_text"
+    data = Path(args.data_dir)
+    meta = _load_gen(data)
+    model, theta, seed = meta["model"], meta["theta"], args.seed
     if args.init is None:
         args.init = "data" if model == "cdl" else "random"
     if model == "odl" and args.init == "data":
@@ -212,12 +196,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _solve_config(args)
 
     if model == "odl":
-        if data is not None:
-            D = Dictionary(load_matrix(data / "dictionary.csv"))
-            obs = ObservationSet(load_matrix(data / "observations.csv"))
-        else:
-            D, _, obs = _synth("odl", args.n, args.m, theta, args.p, seed,
-                               args.convention)
+        D = Dictionary(load_matrix(data / "dictionary.csv"))
+        obs = ObservationSet(load_matrix(data / "observations.csv"))
         objective = OdlObjective(obs, theta)
         q0 = SpherePoint.project(stream(seed, "cli-solve").standard_normal(D.n))
         res = solve(objective, q0, cfg)
@@ -226,15 +206,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
                      [(seed, outcome.rho_e, outcome.best_index,
                        outcome.success)], prov)
     else:
-        if data is not None:
-            obs = ObservationSet(load_matrix(data / "measurements.csv"))
-            bank = FilterBank(load_matrix(data / "filters.csv"))
-            P = build_preconditioner(obs, theta, bank.K,
-                                     meta.get("convention", "main_text"))
-            problem = ConvProblem(obs, P, theta, filters=bank)
-        else:
-            problem = _synth("cdl", args.n, args.k, theta, args.p, seed,
-                             args.convention)
+        obs = ObservationSet(load_matrix(data / "measurements.csv"))
+        bank = FilterBank(load_matrix(data / "filters.csv"))
+        P = build_preconditioner(obs, theta, bank.K,
+                                 meta.get("convention", "main_text"))
+        problem = ConvProblem(obs, P, theta, filters=bank)
         objective = CdlObjective.from_problem(problem)
         if args.init == "random":
             q0 = SpherePoint.project(
@@ -498,17 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     sv = sub.add_parser("solve", parents=[common, _solver_parser()],
-                        help="one solve on generated or synthesized data")
-    sv.add_argument("--data-dir", help="directory produced by gen; its "
-                    "gen.json fixes the instance, so instance flags are refused")
-    sv.add_argument("--model", choices=("odl", "cdl"))
-    sv.add_argument("--n", type=int)
-    sv.add_argument("--m", type=int)
-    sv.add_argument("--k", type=int)
-    sv.add_argument("--theta", type=float)
-    sv.add_argument("--p", type=int)
-    sv.add_argument("--convention", choices=("main_text", "appendix_h"),
-                    help="inline instances only (default: main_text)")
+                        help="one solve on an instance written by gen")
+    sv.add_argument("--data-dir", required=True, help="directory produced by "
+                    "gen; its gen.json fixes the instance")
     sv.add_argument("--init", choices=("random", "data"), default=None,
                     help="start point (default: data for cdl, random for odl)")
     sv.add_argument("--emit-trace", action="store_true")

@@ -123,29 +123,20 @@ class _QuarticObjective:
 
     c: float
 
-    # A numpy integer power of 3 or 4 calls libm pow per entry of Z, at about
-    # a hundred times the cost of a multiply, so every objective multiplies;
-    # z2*z with z2 = z*z is z*z*z bit for bit, as numpy evaluates (z*z)*z.
-    def _fourth_sum(self, z) -> float:
-        """||z||_4^4 as the squared norm of z*z."""
-        z2 = z * z
-        return float(np.vdot(z2, z2))
-
     def value(self, q) -> float:
-        return -self.c * self._fourth_sum(self.correlate(_coords(q)))
+        return self._evaluate(_coords(q))[0]
 
     def grad(self, q) -> np.ndarray:
         """Euclidean gradient -4c B (B^T q)^3."""
-        z = self.correlate(_coords(q))
-        return -4.0 * self.c * self.adjoint(z * z * z)
+        return self._evaluate(_coords(q))[1]
 
     def evaluate(self, q) -> tuple[float, np.ndarray]:
-        """(value, Euclidean gradient) from one correlate and one adjoint pass.
-
-        Both agree bit for bit with value(q) and grad(q).
-        """
+        """(value, Euclidean gradient) from one correlate and one adjoint pass."""
         return self._evaluate(_coords(q))
 
+    # A numpy integer power of 3 or 4 calls libm pow per entry of Z, at about
+    # a hundred times the cost of a multiply, so every objective multiplies;
+    # z2*z with z2 = z*z is z*z*z bit for bit, as numpy evaluates (z*z)*z.
     def _evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """evaluate at a 1-d float array x, without converting it."""
         z = self.correlate(x)

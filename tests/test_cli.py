@@ -96,8 +96,6 @@ SIZE_BELOW_ONE = {
                    "--theta", "0.1", "--p", "0"],
     "gen-cdl-k0": ["gen", "--model", "cdl", "--n", "16", "--k", "0",
                    "--theta", "0.1", "--p", "50"],
-    "solve-odl-p0": ["solve", "--model", "odl", "--n", "3", "--m", "4",
-                     "--theta", "0.1", "--p", "0"],
     "landscape-samples0": ["landscape", "--n", "4", "--m", "8", "--samples",
                            "0"],
 }
@@ -111,14 +109,16 @@ def test_size_below_one_is_usage_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("command", ["gen", "solve", "sweep"])
-def test_format_is_refused_where_it_does_not_act(tmp_path, command):
+def test_format_is_refused_where_it_does_not_act(tmp_path, capsys, command):
     argv = {"gen": ["gen", "--model", "odl", "--n", "3", "--m", "4",
                     "--theta", "0.1", "--p", "50"],
-            "solve": ["solve", "--model", "odl", "--n", "3", "--m", "4",
-                      "--theta", "0.1", "--p", "50"],
+            "solve": ["solve", "--data-dir", str(tmp_path / "data")],
             "sweep": sweep_args(tmp_path)[:-2]}[command]
+    if command == "solve":
+        gen_odl(tmp_path / "data")
     assert run(*argv, "--format", "csv", "--out-dir", str(tmp_path)) == \
         EXIT_USAGE
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +138,6 @@ def test_solve_on_generated_data(tmp_path):
     result = json.loads((tmp_path / "run" / "solve_result.json").read_text())
     assert result["termination"] == "grad_tol"
     assert "objective_trace" not in result
-
-
-def test_solve_inline_matches_data_dir_bytewise(tmp_path):
-    gen_odl(tmp_path / "data", seed=7)
-    assert run("solve", "--data-dir", str(tmp_path / "data"), "--out-dir",
-               str(tmp_path / "r1"), "--seed", "7") == EXIT_OK
-    assert run("solve", "--model", "odl", "--n", "3", "--m", "4", "--theta",
-               "0.1", "--p", "2000", "--seed", "7", "--out-dir",
-               str(tmp_path / "r2")) == EXIT_OK
-    assert (tmp_path / "r1" / "solve_result.json").read_bytes() == \
-        (tmp_path / "r2" / "solve_result.json").read_bytes()
-    assert (tmp_path / "r1" / "recovery.csv").read_text().splitlines()[3:] == \
-        (tmp_path / "r2" / "recovery.csv").read_text().splitlines()[3:]
 
 
 def test_solve_emit_trace_is_monotone(tmp_path):
@@ -201,14 +188,17 @@ def test_solve_data_init_rejected_for_odl(tmp_path):
                str(tmp_path / "run"), "--init", "data") == EXIT_USAGE
 
 
-@pytest.mark.parametrize("meta", [{"theta": 0.1, "n": 3}, ["odl", 0.1]],
-                         ids=["no-model", "list"])
+@pytest.mark.parametrize("meta", [{"theta": 0.1, "n": 3}, ["odl", 0.1],
+                                  {"model": "odl", "theta": "0.1"},
+                                  {"model": "odl", "theta": None}],
+                         ids=["no-model", "list", "theta-string", "theta-null"])
 def test_solve_malformed_gen_json_is_usage_error(tmp_path, capsys, meta):
     gen_odl(tmp_path)
     (tmp_path / "gen.json").write_text(json.dumps(meta))
     assert run("solve", "--data-dir", str(tmp_path), "--out-dir",
                str(tmp_path / "run")) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+    assert list((tmp_path / "run").iterdir()) == []
 
 
 def test_solve_init_default_follows_data_dir_model(tmp_path):
@@ -227,15 +217,24 @@ def test_solve_init_default_follows_data_dir_model(tmp_path):
     ("--model", "odl"), ("--n", "3"), ("--m", "4"), ("--k", "2"),
     ("--theta", "0.1"), ("--p", "100"), ("--convention", "appendix_h")])
 def test_solve_data_dir_refuses_instance_flags(tmp_path, capsys, flag, value):
+    # gen.json fixes the instance; solve has no instance flag to give
     gen_cdl(tmp_path)
+    (tmp_path / "run").mkdir()
     assert run("solve", "--data-dir", str(tmp_path), flag, value, "--out-dir",
                str(tmp_path / "run")) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith(f"error: {flag} cannot")
-    # refused before any file is read: a missing directory gives the same
-    assert run("solve", "--data-dir", str(tmp_path / "absent"), flag, value,
-               "--out-dir", str(tmp_path / "run")) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith(f"error: {flag} cannot")
+    err = capsys.readouterr().err
+    assert "error: " in err and flag in err
     assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_solve_needs_data_dir(tmp_path, capsys):
+    # the instance comes only from a gen directory; the old one-line inline
+    # solve is `gen` followed by `solve --data-dir`
+    for argv in (["solve"], ["solve", "--model", "odl", "--n", "3", "--m",
+                             "4", "--theta", "0.1", "--p", "50"]):
+        assert run(*argv, "--out-dir", str(tmp_path / "run")) == EXIT_USAGE
+        assert "error: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_header_records_only_flags_that_act(tmp_path):
@@ -245,14 +244,6 @@ def test_solve_header_records_only_flags_that_act(tmp_path):
     header = (tmp_path / "r1" / "filters_aligned.csv").read_text()
     assert header.startswith("# command: solve --grad-tol=1e-08 --init=data "
                              "--max-iters=3 --method=power --seed=0\n")
-    # an inline solve records its resolved convention
-    assert run("solve", "--model", "odl", "--n", "3", "--m", "4", "--theta",
-               "0.1", "--p", "50", "--out-dir", str(tmp_path / "r2")) == \
-        EXIT_OK
-    header = (tmp_path / "r2" / "recovery.csv").read_text().splitlines()[0]
-    assert header == ("# command: solve --convention=main_text --grad-tol=1e-08 "
-                      "--init=random --m=4 --max-iters=10000 --method=power "
-                      "--model=odl --n=3 --p=50 --seed=0 --theta=0.1")
 
 
 def test_solve_cdl_writes_alignment(tmp_path):
@@ -275,20 +266,6 @@ def gen_cdl(out: Path, seed: int = 7) -> Path:
                "0.1", "--p", "400", "--seed", str(seed), "--out-dir",
                str(out)) == EXIT_OK
     return out
-
-
-def test_solve_cdl_inline_matches_data_dir_bytewise(tmp_path):
-    gen_cdl(tmp_path / "data", seed=7)
-    assert run("solve", "--data-dir", str(tmp_path / "data"), "--out-dir",
-               str(tmp_path / "r1"), "--seed", "7") == EXIT_OK
-    assert run("solve", "--model", "cdl", "--n", "16", "--k", "2", "--theta",
-               "0.1", "--p", "400", "--seed", "7", "--out-dir",
-               str(tmp_path / "r2")) == EXIT_OK
-    assert (tmp_path / "r1" / "solve_result.json").read_bytes() == \
-        (tmp_path / "r2" / "solve_result.json").read_bytes()
-    aligned = data_lines(tmp_path / "r1" / "filters_aligned.csv")
-    assert len(aligned) == 3
-    assert aligned == data_lines(tmp_path / "r2" / "filters_aligned.csv")
 
 
 def test_solve_cdl_random_init(tmp_path):
@@ -583,10 +560,8 @@ RERUN = {
                 "0.1", "--p", "200", "--seed", "1"],
     "gen-cdl": ["gen", "--model", "cdl", "--n", "16", "--k", "2", "--theta",
                 "0.1", "--p", "200", "--seed", "3"],
-    "solve-power": ["solve", "--model", "odl", "--n", "3", "--m", "4",
-                    "--theta", "0.1", "--p", "500", "--seed", "2"],
-    "solve-rgd-escape-trace": ["solve", "--model", "odl", "--n", "3", "--m",
-                               "6", "--theta", "0.2", "--p", "500", "--seed",
+    "solve-power": ["solve", "--data-dir", "{in}/data", "--seed", "2"],
+    "solve-rgd-escape-trace": ["solve", "--data-dir", "{in}/data", "--seed",
                                "2", "--method", "rgd", "--escape",
                                "--emit-trace"],
     "landscape-csv": ["landscape", "--n", "4", "--m", "8", "--samples", "3",
@@ -597,13 +572,26 @@ RERUN = {
 }
 
 
-@pytest.mark.parametrize("argv", RERUN.values(), ids=RERUN)
-def test_rerun_into_a_fresh_directory_is_bytewise_identical(tmp_path, argv):
+# the instance each solve above reads from {in}/data
+RERUN_DATA = {
+    "solve-power": ["gen", "--model", "odl", "--n", "3", "--m", "4",
+                    "--theta", "0.1", "--p", "500", "--seed", "2"],
+    "solve-rgd-escape-trace": ["gen", "--model", "odl", "--n", "3", "--m",
+                               "6", "--theta", "0.2", "--p", "500", "--seed",
+                               "2"],
+}
+
+
+@pytest.mark.parametrize("name", RERUN)
+def test_rerun_into_a_fresh_directory_is_bytewise_identical(tmp_path, name):
     a = stream(5, "cli-rerun").standard_normal(12)
     (tmp_path / "in").mkdir()
     save_matrix(tmp_path / "in" / "est.csv", np.roll(a, 3)[None, :])
     save_matrix(tmp_path / "in" / "true.csv", a[None, :])
-    argv = [v.replace("{in}", str(tmp_path / "in")) for v in argv]
+    if name in RERUN_DATA:
+        assert run(*RERUN_DATA[name], "--out-dir",
+                   str(tmp_path / "in" / "data")) == EXIT_OK
+    argv = [v.replace("{in}", str(tmp_path / "in")) for v in RERUN[name]]
     files = {}
     for run_dir in ("a", "b"):
         assert run(*argv, "--out-dir", str(tmp_path / run_dir)) == EXIT_OK
@@ -617,6 +605,52 @@ def test_rerun_into_a_fresh_directory_is_bytewise_identical(tmp_path, argv):
 def test_unknown_arguments_exit_usage():
     assert main(["bogus"]) == EXIT_USAGE
     assert main(["solve", "--no-such-flag"]) == EXIT_USAGE
+
+
+def test_cli_options_per_command():
+    # the options each command reads (--help aside); a new CLI option must
+    # change this test on purpose
+    solver = {"--method", "--max-iters", "--grad-tol", "--escape"}
+    common = {"--seed", "--out-dir"}
+    expected = {
+        "gen": common | {"--model", "--n", "--m", "--k", "--theta", "--p",
+                         "--convention"},
+        "solve": common | solver | {"--data-dir", "--init", "--emit-trace"},
+        "sweep": common | solver | {"--objective", "--n-grid", "--m-grid",
+                                    "--p-grid", "--theta-grid", "--k-grid",
+                                    "--repeats"},
+        "landscape": common | solver | {"--format", "--n", "--m", "--samples",
+                                        "--at-solution"},
+        "align": common | {"--format"},
+    }
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: {o for a in sub._actions for o in a.option_strings
+                      if o not in ("-h", "--help")}
+               for name, sub in subparsers.items()}
+    assert options == expected
+
+
+def test_benchmark_cli_commands_parse(tmp_path):
+    # bench/workloads.py runs these sphere4 command lines in cli_roundtrip
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+        cli = workloads.CliRoundtrip(0, False, {})
+    finally:
+        del sys.modules[spec.name]
+    assert sorted(cli.argv) == sorted(cli.COMMANDS)
+    parser = build_parser()
+    for name, argv in cli.argv.items():
+        args = parser.parse_args([v.replace("{dir}", str(tmp_path))
+                                  for v in argv])
+        assert args.command == argv[0], name
 
 
 def test_import_loads_no_scipy():

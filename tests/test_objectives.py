@@ -220,7 +220,8 @@ def reference_rhess_vec(obj, q, v):
     z = obj.correlate(q)
     w = v - q * (q @ v)
     hw = -12.0 * obj.c * obj.adjoint((z**2) * obj.correlate(w))
-    qg = -4.0 * obj.c * obj._fourth_sum(z)
+    z2 = z * z
+    qg = -4.0 * obj.c * float(np.vdot(z2, z2))
     out = hw - qg * w
     return out - q * (q @ out)
 
@@ -229,7 +230,8 @@ def reference_rhess(obj, q):
     """rhess as written before the curvature operator."""
     z = obj.correlate(q)
     he = -12.0 * obj.c * ((obj.basis * (z**2)) @ obj.basis.T)
-    qg = -4.0 * obj.c * obj._fourth_sum(z)
+    z2 = z * z
+    qg = -4.0 * obj.c * float(np.vdot(z2, z2))
     proj = np.eye(obj.n) - np.outer(q, q)
     return proj @ (he - qg * np.eye(obj.n)) @ proj
 
