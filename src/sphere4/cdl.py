@@ -48,50 +48,53 @@ SCALE_CONVENTIONS = ("main_text", "appendix_h")
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Spectral whitener P = F^{-1} diag(spectrum_weights) F.
+    """Spectral whitener P = F^{-1} diag(spectrum_weights) F, taken as real.
 
-    spectrum_weights is real and positive, so P is symmetric positive
-    definite and commutes with every circulant operator. `floored` records
-    whether any power-spectrum bin had to be floored at EPS_SPEC relative
-    to the max bin before inversion.
+    P acts on real vectors through the real part of that operator, whose
+    spectrum is the Hermitian part (w_j + w_{-j}) / 2 of the weights. Its
+    first n//2 + 1 bins, `half_spectrum`, are formed once, and P and
+    P^{-1} are real FFT pairs against them. The weights are positive, so P
+    is symmetric positive definite and commutes with every circulant
+    operator. `floored` records whether any power-spectrum bin had to be
+    floored at EPS_SPEC relative to the max bin before inversion.
     """
 
     spectrum_weights: np.ndarray
-    scale_convention: str
     K: int
     floored: bool = False
 
     def __post_init__(self):
-        w = np.asarray(self.spectrum_weights, dtype=float).reshape(-1)
+        w = np.array(self.spectrum_weights, dtype=float).reshape(-1)
+        if w.size == 0:
+            raise ValueError("spectrum weights must be nonempty")
         if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise ValueError("spectrum weights must be positive and finite")
-        if self.scale_convention not in SCALE_CONVENTIONS:
-            raise ValueError(f"unknown scale convention {self.scale_convention!r}")
-        w = w.copy()
+        if self.K < 1:
+            raise ValueError("K must be at least 1")
         w.setflags(write=False)
         object.__setattr__(self, "spectrum_weights", w)
+        a, b = w[: w.size // 2 + 1], w[-np.arange(w.size // 2 + 1)]
+        half = a + (b - a) / 2  # the mean without overflow, exactly a if b == a
+        half.setflags(write=False)
+        object.__setattr__(self, "half_spectrum", half)
 
     @property
     def n(self) -> int:
         return self.spectrum_weights.size
 
     def apply(self, v) -> np.ndarray:
-        """P v via two FFTs."""
-        v = np.asarray(v, dtype=float)
-        return np.real(
-            np.fft.ifft(self.spectrum_weights * np.fft.fft(v, axis=-1), axis=-1)
-        )
+        """P v along the last axis, by one real FFT pair; C-contiguous."""
+        spec = np.fft.rfft(np.ascontiguousarray(v, dtype=float), axis=-1)
+        return np.fft.irfft(spec * self.half_spectrum, n=self.n, axis=-1)
 
     def apply_inverse(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return np.real(
-            np.fft.ifft(np.fft.fft(v, axis=-1) / self.spectrum_weights, axis=-1)
-        )
+        """P^{-1} v along the last axis, by one real FFT pair; C-contiguous."""
+        spec = np.fft.rfft(np.ascontiguousarray(v, dtype=float), axis=-1)
+        return np.fft.irfft(spec / self.half_spectrum, n=self.n, axis=-1)
 
 
-def build_preconditioner(
-    Y: ObservationSet, theta: float, K: int, convention: str = "main_text"
-) -> Preconditioner:
+def build_preconditioner(Y: ObservationSet, theta: float, K: int,
+                         convention: str = "main_text") -> Preconditioner:
     """Whitener from the averaged measurement power spectrum.
 
     spectrum_weights = (scale^{-1} * (1/p) sum_i |fft(y_i)|^2)^{-1/2} with
@@ -105,6 +108,10 @@ def build_preconditioner(
     underflow; scaling by a power of two is exact, so other inputs keep
     their bits. Subnormal measurements, whose weights overflow, raise.
     """
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
+    if K < 1:
+        raise ValueError("K must be at least 1")
     if Y.p < 1:
         raise ValueError("need at least one measurement")
     if convention not in SCALE_CONVENTIONS:
@@ -123,7 +130,7 @@ def build_preconditioner(
     if np.frexp(weights.max())[1] - e > np.finfo(float).maxexp:
         raise ValueError("measurements are too small to whiten")
     weights = np.ldexp(weights, -e)
-    return Preconditioner(weights, convention, K, floored)
+    return Preconditioner(weights, K, floored)
 
 
 def circ_embed(bank: FilterBank, codes) -> ObservationSet:
@@ -149,13 +156,25 @@ def circ_embed(bank: FilterBank, codes) -> ObservationSet:
 @dataclass(frozen=True)
 class ConvProblem:
     """A convolutional instance: measurements, whitener, and (when the
-    instance is synthetic) the ground-truth filters and codes."""
+    instance is synthetic) the ground-truth filters and codes. Parts that
+    disagree on theta, the length n or K are refused here."""
 
     measurements: ObservationSet
     preconditioner: Preconditioner
     theta: float
     filters: FilterBank | None = None
     codes: SparseCode | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.theta < 1.0:
+            raise ValueError("theta must lie in (0, 1)")
+        n, bank = self.n, self.filters
+        if n != self.preconditioner.n:
+            raise ValueError(f"measurements have length {n}, P {self.preconditioner.n}")
+        if bank is not None and bank.n != n:
+            raise ValueError(f"filters have length {bank.n}, measurements {n}")
+        if bank is not None and bank.K != self.K:
+            raise ValueError(f"{bank.K} filters, but the preconditioner has K={self.K}")
 
     @property
     def n(self) -> int:
@@ -170,13 +189,8 @@ class ConvProblem:
         return self.preconditioner.K
 
 
-def synth_cdl(
-    bank: FilterBank,
-    theta: float,
-    p: int,
-    seed: int,
-    convention: str = "main_text",
-) -> ConvProblem:
+def synth_cdl(bank: FilterBank, theta: float, p: int, seed: int,
+              convention: str = "main_text") -> ConvProblem:
     """Sample codes, convolve them through the filter bank, and whiten."""
     codes = sample_bg(bank.n * bank.K, p, theta, seed)
     Y = circ_embed(bank, codes)
@@ -186,7 +200,8 @@ def synth_cdl(
 
 @dataclass(frozen=True)
 class CdlObjective(_QuarticObjective):
-    """phi(q) = -c sum_i ||rev(P y_i) conv q||_4^4, c = 1/(12 theta(1-theta) n p).
+    """phi(q) = -c sum_i ||rev(P y_i) conv q||_4^4, c = 1/(12 theta(1-theta) n p),
+    on one ConvProblem, which supplies the measurements, P, theta and sizes.
 
     Equivalent to the generic quartic objective on the stacked basis
     [C_{P y_1} ... C_{P y_p}], whose kernel it shares; only the two passes
@@ -195,39 +210,23 @@ class CdlObjective(_QuarticObjective):
     against the cached half-spectra of the preconditioned measurements.
     """
 
-    measurements: ObservationSet
-    preconditioner: Preconditioner
-    theta: float
+    problem: ConvProblem
 
     def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if self.measurements.n != self.preconditioner.n:
-            raise ValueError("measurement length and preconditioner size differ")
-        object.__setattr__(self, "c", 1.0 / (12.0 * self.theta * (1.0 - self.theta)
-                                             * self.n * self.p))
-
-    @classmethod
-    def from_problem(cls, problem: ConvProblem) -> "CdlObjective":
-        return cls(problem.measurements, problem.preconditioner, problem.theta)
+        prob = self.problem
+        object.__setattr__(self, "c", 1.0 / (12.0 * prob.theta * (1.0 - prob.theta)
+                                             * prob.n * prob.p))
 
     @property
     def n(self) -> int:
-        return self.measurements.n
-
-    @property
-    def p(self) -> int:
-        return self.measurements.p
-
-    @property
-    def K(self) -> int:
-        return self.preconditioner.K
+        return self.problem.n
 
     @cached_property
     def _spectra(self) -> np.ndarray:
         """rfft(P y_i) for all i, a p x (n//2 + 1) C-contiguous array."""
-        pre = self.preconditioner.apply(self.measurements.entries.T)
-        s = np.ascontiguousarray(np.fft.rfft(pre, axis=1))
+        prob = self.problem
+        s = np.multiply(prob.preconditioner.half_spectrum,
+                        np.fft.rfft(prob.measurements.entries.T, axis=1), order="C")
         s.setflags(write=False)
         return s
 

@@ -211,7 +211,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         P = build_preconditioner(obs, theta, bank.K,
                                  meta.get("convention", "main_text"))
         problem = ConvProblem(obs, P, theta, filters=bank)
-        objective = CdlObjective.from_problem(problem)
+        objective = CdlObjective(problem)
         if args.init == "random":
             q0 = SpherePoint.project(
                 stream(seed, "cli-solve").standard_normal(problem.n))
@@ -306,7 +306,7 @@ def _run_repeat(spec: SweepSpec, cell, repeat: int, rseed: int,
     else:
         problem = _synth("cdl", n, K, theta, p, rseed, "main_text")
         q0 = cdl_start(problem, stream(rseed, "sweep-ell"))
-        res = solve(CdlObjective.from_problem(problem), q0, spec.config)
+        res = solve(CdlObjective(problem), q0, spec.config)
         score = cdl_score(res.q_star, problem)
         err, success = float(score.aligned_errors.min()), bool(score.recovered)
     return (n, m, p, theta, K, repeat, rseed, err, success)

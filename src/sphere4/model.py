@@ -160,6 +160,8 @@ class SparseCode:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2:
             raise ValueError("entries must be a 2d array")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("entries must be finite")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
         object.__setattr__(self, "entries", _frozen_array(a))

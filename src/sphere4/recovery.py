@@ -210,7 +210,7 @@ def recover_filters(problem: ConvProblem, config: SolveConfig | None = None,
         trial_budget = 10 * K
     if trial_budget < 1:
         raise ValueError("trial_budget must be at least 1")
-    objective = CdlObjective.from_problem(problem)
+    objective = CdlObjective(problem)
 
     best_err = np.full(K, np.inf)
     best_shift = np.zeros(K, dtype=int)

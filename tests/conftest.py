@@ -8,10 +8,13 @@ test's node id, the result's index within that test, then the bytes of
 termination, escapes taken and the final gradient norm as `float.hex`.
 Each `RecoveryOutcome` (a scored trial) gets a line too, in the same
 numbering: node id, index, `outcome`, `rho_e` as `float.hex`, `best_index`
-and `success`. Two commits that solve and score alike write identical
-files, so a speed change that claims the same bits is checked with one
-`diff` (or `cmp`) of the two logs. Without the option nothing is patched
-or written.
+and `success`. Each `FilterRecovery` (a scored CDL trial, or the best
+over a run's trials) gets one as well: node id, index, `filters`, the
+recovered filter indices, the shifts, the signs, the aligned errors as
+`float.hex` (each list comma-separated) and `trials_used`. Two commits
+that solve and score alike write identical files, so a speed change that
+claims the same bits is checked with one `diff` (or `cmp`) of the two
+logs. Without the option nothing is patched or written.
 """
 
 from __future__ import annotations
@@ -38,18 +41,31 @@ def outcome_fields(out) -> tuple:
             str(out.success))
 
 
+def filter_fields(rec) -> tuple:
+    def joined(values, fmt):
+        return ",".join(fmt(v) for v in values)
+
+    return ("filters", joined(sorted(rec.recovered), str),
+            joined(rec.shifts, lambda v: str(int(v))),
+            joined(rec.signs, lambda v: str(float(v))),
+            joined(rec.aligned_errors, lambda v: float(v).hex()),
+            str(rec.trials_used))
+
+
 class SolveDigest:
-    """Wraps SolveResult.__init__ and RecoveryOutcome.__init__ for the
-    session and restores them at the end."""
+    """Wraps the __init__ of SolveResult, RecoveryOutcome and FilterRecovery
+    for the session and restores them at the end."""
 
     def __init__(self, path: str):
         from sphere4.optimize import SolveResult
-        from sphere4.recovery import RecoveryOutcome
+        from sphere4.recovery import FilterRecovery, RecoveryOutcome
 
         self.out = open(path, "w", encoding="ascii")
         self.test, self.count = "<collection>", 0
-        self.inits = [(cls, cls.__init__) for cls in (SolveResult, RecoveryOutcome)]
-        for (cls, init), fields in zip(self.inits, (solve_fields, outcome_fields)):
+        self.inits = [(cls, cls.__init__)
+                      for cls in (SolveResult, RecoveryOutcome, FilterRecovery)]
+        for (cls, init), fields in zip(self.inits, (solve_fields, outcome_fields,
+                                                    filter_fields)):
             cls.__init__ = self.logged(init, fields)
 
     def logged(self, init, fields):

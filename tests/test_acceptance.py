@@ -120,7 +120,7 @@ def test_fft_path_agrees_with_dense_circulant():
         p = int(rng.integers(1, 17))
         theta = float(rng.uniform(0.1, 0.4))
         prob = synth_cdl(make_filter_bank(n, K, seed=i), theta, p, seed=i)
-        obj = CdlObjective.from_problem(prob)
+        obj = CdlObjective(prob)
         q = unit(rng, n)
         M = np.hstack([
             CirculantOp(prob.preconditioner.apply(col)).dense()

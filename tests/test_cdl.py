@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from sphere4.cdl import (
     CdlObjective,
+    ConvProblem,
     Preconditioner,
     build_preconditioner,
     circ_embed,
@@ -35,15 +38,16 @@ def dense_stacked_objective(obj: CdlObjective) -> OdlObjective:
     # oracle: materialize [C_{P y_1} ... C_{P y_p}] with scipy and reuse the
     # dense quartic objective, whose normalizer 1/(12 theta(1-theta)(n p))
     # coincides with the convolutional one
+    prob = obj.problem
     pre = np.real(
         np.fft.ifft(
-            obj.preconditioner.spectrum_weights[:, None]
-            * np.fft.fft(obj.measurements.entries, axis=0),
+            prob.preconditioner.spectrum_weights[:, None]
+            * np.fft.fft(prob.measurements.entries, axis=0),
             axis=0,
         )
     )
-    blocks = [scipy.linalg.circulant(pre[:, i]) for i in range(obj.p)]
-    return OdlObjective(ObservationSet(np.hstack(blocks)), obj.theta)
+    blocks = [scipy.linalg.circulant(pre[:, i]) for i in range(prob.p)]
+    return OdlObjective(ObservationSet(np.hstack(blocks)), prob.theta)
 
 
 def test_conv_identity_impulse():
@@ -199,6 +203,65 @@ def test_preconditioner_rejects_subnormal_measurements():
         build_preconditioner(ObservationSet(Y), 0.1, 1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make,match", [
+    *((lambda Y, t=t: build_preconditioner(Y, t, 1), r"theta must lie in \(0, 1\)")
+      for t in (0.0, 1.0, 1.5, -0.1, np.nan, np.inf)),
+    *((lambda Y, k=k: build_preconditioner(Y, 0.1, k), "K must be at least 1")
+      for k in (0, -1)),
+    (lambda Y: Preconditioner(np.array([]), K=1), "weights must be nonempty"),
+    (lambda Y: Preconditioner(np.ones(8), K=0), "K must be at least 1"),
+], ids=["theta-0", "theta-1", "theta-1.5", "theta-neg", "theta-nan",
+        "theta-inf", "K-0", "K-neg", "empty-weights", "whitener-K-0"])
+def test_preconditioner_refuses_bad_input_up_front(make, match):
+    # refused before any arithmetic, so no RuntimeWarning and no error about
+    # the weights stands in for the real cause
+    with pytest.raises(ValueError, match=match):
+        make(ObservationSet(stream(50).standard_normal((8, 5))))
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_preconditioner_real_fft_pair_matches_complex_reference(n):
+    # P acts as the real part of F^{-1} diag(w) F, asymmetric w included; the
+    # pair returns C-contiguous arrays even for a transposed stack, and the
+    # objective's half-spectra are rfft(P y_i)
+    rng = stream(53 + n)
+    w = rng.uniform(0.5, 2.0, n)
+    P = Preconditioner(w, K=1)
+    V = rng.standard_normal((n, 4)).T
+    ref = np.real(np.fft.ifft(w * np.fft.fft(V, axis=-1), axis=-1))
+    got, back = P.apply(V), P.apply_inverse(P.apply(V))
+    assert got.flags.c_contiguous and back.flags.c_contiguous
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(back - V).max() <= 1e-13 * np.abs(V).max()
+    spectra = CdlObjective(ConvProblem(ObservationSet(V.T), P, 0.2))._spectra
+    assert spectra.flags.c_contiguous
+    assert np.abs(spectra - np.fft.rfft(ref, axis=1)).max() <= 1e-12
+    assert [f.name for f in dataclasses.fields(CdlObjective)] == ["problem"]
+    assert [f.name for f in dataclasses.fields(Preconditioner)] == [
+        "spectrum_weights", "K", "floored"]
+
+
+@pytest.mark.parametrize("change,match", [
+    ({"theta": 0.0}, "theta must lie in"),
+    ({"theta": 1.0}, "theta must lie in"),
+    ({"theta": np.nan}, "theta must lie in"),
+    ({"preconditioner": Preconditioner(np.ones(9), K=2)},
+     "measurements have length 8, P 9"),
+    ({"filters": FilterBank(np.ones((2, 6)))},
+     "filters have length 6, measurements 8"),
+    ({"filters": FilterBank(np.ones((3, 8)))},
+     "3 filters, but the preconditioner has K=2"),
+], ids=["theta-0", "theta-1", "theta-nan", "length", "filter-length", "K"])
+def test_conv_problem_refuses_parts_that_disagree(change, match):
+    Y = ObservationSet(stream(51).standard_normal((8, 5)))
+    parts = {"measurements": Y, "preconditioner": build_preconditioner(Y, 0.1, 2),
+             "theta": 0.1, "filters": make_filter_bank(8, 2, seed=52)}
+    assert ConvProblem(**parts).K == 2
+    with pytest.raises(ValueError, match=match):
+        ConvProblem(**{**parts, **change})
+
+
 def test_preconditioner_conventions_differ_by_exactly_sqrt_K():
     bank = make_filter_bank(16, 3, seed=14)
     prob = synth_cdl(bank, 0.15, 40, seed=15)
@@ -239,7 +302,7 @@ def test_preconditioner_joint_pass_diagonalization():
 def test_cdl_value_and_grad_match_dense_path():
     bank = make_filter_bank(16, 2, seed=23)
     prob = synth_cdl(bank, 0.2, 8, seed=24)
-    obj = CdlObjective.from_problem(prob)
+    obj = CdlObjective(prob)
     dense = dense_stacked_objective(obj)
     rng = stream(25)
     for _ in range(5):
@@ -253,7 +316,7 @@ def test_cdl_value_and_grad_match_dense_path():
 def test_cdl_rhess_vec_against_dense_and_symmetry():
     bank = make_filter_bank(12, 3, seed=26)
     prob = synth_cdl(bank, 0.25, 6, seed=27)
-    obj = CdlObjective.from_problem(prob)
+    obj = CdlObjective(prob)
     dense = dense_stacked_objective(obj)
     rng = stream(28)
     q = retract(rng.standard_normal(12))
@@ -272,7 +335,7 @@ def test_cdl_rhess_vec_against_dense_and_symmetry():
 def test_cdl_curvature_lanczos_matches_dense_stacked():
     bank = make_filter_bank(12, 3, seed=26)
     prob = synth_cdl(bank, 0.25, 6, seed=27)
-    obj = CdlObjective.from_problem(prob)
+    obj = CdlObjective(prob)
     dense = dense_stacked_objective(obj)
     rng = stream(29)
     for trial in range(4):
@@ -295,8 +358,8 @@ def test_cdl_calculus_matches_dense_odd_and_even_n(n, weights):
     prob = synth_cdl(bank, 0.2, 9, seed=46 + n)
     P = prob.preconditioner
     if weights == "asymmetric":
-        P = Preconditioner(np.linspace(0.5, 2.0, n), "main_text", K=2)
-    obj = CdlObjective(prob.measurements, P, 0.2)
+        P = Preconditioner(np.linspace(0.5, 2.0, n), K=2)
+    obj = CdlObjective(ConvProblem(prob.measurements, P, 0.2))
     dense = dense_stacked_objective(obj)
     rng = stream(48 + n)
     for _ in range(5):
@@ -314,7 +377,7 @@ def test_cdl_calculus_matches_dense_odd_and_even_n(n, weights):
 def test_cdl_finite_difference_checks():
     bank = make_filter_bank(10, 2, seed=29)
     prob = synth_cdl(bank, 0.2, 12, seed=30)
-    obj = CdlObjective.from_problem(prob)
+    obj = CdlObjective(prob)
     rng = stream(31)
     q = retract(rng.standard_normal(10))
     for _ in range(5):
@@ -332,8 +395,8 @@ def test_cdl_finite_difference_checks():
 
 def test_cdl_degenerate_n1():
     Y = ObservationSet(np.array([[1.0, -2.0, 0.5]]))
-    P = Preconditioner(np.array([1.0]), "main_text", K=1)
-    obj = CdlObjective(Y, P, 0.3)
+    P = Preconditioner(np.array([1.0]), K=1)
+    obj = CdlObjective(ConvProblem(Y, P, 0.3))
     q = np.array([1.0])
     assert obj.value(q) < 0.0
     assert np.linalg.norm(obj.rgrad(q)) == 0.0
@@ -342,12 +405,12 @@ def test_cdl_degenerate_n1():
 def test_cdl_shift_equivariance():
     bank = make_filter_bank(16, 2, seed=32)
     prob = synth_cdl(bank, 0.2, 10, seed=33)
-    obj = CdlObjective.from_problem(prob)
+    obj = CdlObjective(prob)
     q = retract(stream(34).standard_normal(16))
     shift = 5
     Y2 = ObservationSet(np.roll(prob.measurements.entries, shift, axis=0))
     P2 = build_preconditioner(Y2, 0.2, 2, "main_text")
-    obj2 = CdlObjective(Y2, P2, 0.2)
+    obj2 = CdlObjective(ConvProblem(Y2, P2, 0.2))
     q2 = np.roll(q, shift)
     assert obj2.value(q2) == pytest.approx(obj.value(q), rel=1e-12)
 
@@ -357,8 +420,8 @@ def test_cdl_value_invariant_under_scale_convention():
     prob = synth_cdl(bank, 0.2, 10, seed=36)
     app = build_preconditioner(prob.measurements, 0.2, 3, "appendix_h")
     q = retract(stream(37).standard_normal(16))
-    v_main = CdlObjective.from_problem(prob).value(q)
-    v_app = CdlObjective(prob.measurements, app, 0.2).value(q)
+    v_main = CdlObjective(prob).value(q)
+    v_app = CdlObjective(ConvProblem(prob.measurements, app, 0.2)).value(q)
     # the conventions differ by the scalar sqrt(K) inside the whitener, which
     # does not cancel in raw objective values, only after sphere projections;
     # the ratio is exactly K^2 per correlation power
@@ -366,7 +429,7 @@ def test_cdl_value_invariant_under_scale_convention():
 
 
 def test_deprecondition_identity_and_roundtrip():
-    P_id = Preconditioner(np.ones(8), "main_text", K=1)
+    P_id = Preconditioner(np.ones(8), K=1)
     v = stream(38).standard_normal(8)
     q = SpherePoint.project(v)
     out = deprecondition(q, P_id)

@@ -21,7 +21,7 @@ from sphere4.cli import (
     build_parser,
     main,
 )
-from sphere4.model import SpherePoint, make_untf, save_matrix, stream
+from sphere4.model import SpherePoint, load_matrix, make_untf, save_matrix, stream
 from sphere4.objectives import TensorObjective
 from sphere4.optimize import SolveConfig, solve
 from sphere4.recovery import EPS_CDL, SUCCESS_THRESHOLD, recovery_error
@@ -278,6 +278,34 @@ def test_solve_cdl_random_init(tmp_path):
     assert [r.split(",")[0] for r in rows] == ["0", "1"]
     result = json.loads((tmp_path / "run" / "solve_result.json").read_text())
     assert result["termination"] == "grad_tol"
+
+
+def test_solve_cdl_theta_zero_is_usage_error(tmp_path, capsys):
+    # the whitener refuses theta itself, not the weights it would produce
+    gen_cdl(tmp_path)
+    meta = json.loads((tmp_path / "gen.json").read_text())
+    (tmp_path / "gen.json").write_text(json.dumps({**meta, "theta": 0}))
+    assert run("solve", "--data-dir", str(tmp_path), "--out-dir",
+               str(tmp_path / "run")) == EXIT_USAGE
+    assert "error: theta must lie in (0, 1)" in capsys.readouterr().err
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_solve_cdl_refuses_filters_of_another_length(tmp_path, capsys,
+                                                     monkeypatch):
+    import sphere4.cli as cli
+
+    def no_solve(*args):
+        raise AssertionError("solve ran on a mismatched instance")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    gen_cdl(tmp_path)
+    filters = load_matrix(tmp_path / "filters.csv")
+    save_matrix(tmp_path / "filters.csv", filters[:, :-1])
+    assert run("solve", "--data-dir", str(tmp_path), "--out-dir",
+               str(tmp_path / "run")) == EXIT_USAGE
+    assert "filters have length 15, measurements 16" in capsys.readouterr().err
+    assert list((tmp_path / "run").iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

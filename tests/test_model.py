@@ -5,6 +5,7 @@ import sphere4.model as model
 from sphere4.model import (
     Dictionary,
     ObservationSet,
+    SparseCode,
     SpherePoint,
     _untf_stack,
     coherence,
@@ -164,7 +165,9 @@ def test_dictionary_rejects_wide_transpose():
         Dictionary(np.zeros((4, 3)))
 
 
-@pytest.mark.parametrize("cls", [Dictionary, ObservationSet])
+@pytest.mark.parametrize("cls", [
+    Dictionary, ObservationSet,
+    pytest.param(lambda a: SparseCode(a, 0.1), id="SparseCode")])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_matrix_types_reject_non_finite_entries(cls, bad):
     a = np.eye(3)

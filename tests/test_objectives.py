@@ -166,7 +166,7 @@ def test_evaluate_matches_value_and_grad_bitwise():
     D = make_untf(6, 12, seed=23)
     objs = [TensorObjective(D),
             OdlObjective(synth_odl(D, sample_bg(12, 400, 0.2, seed=24)), 0.2),
-            CdlObjective.from_problem(
+            CdlObjective(
                 synth_cdl(make_filter_bank(8, 2, seed=25), 0.2, 200, seed=26))]
     for obj in objs:
         for _ in range(5):

@@ -244,7 +244,7 @@ def test_solve_escape_identical_to_reference_loop_when_taken(obj):
     SolveConfig(), SolveConfig(method="rgd")], ids=["power", "rgd-bt"])
 def test_solve_cdl_bit_identical_to_reference_loop(cfg):
     prob = synth_cdl(make_filter_bank(16, 2, seed=122), 0.2, 400, seed=123)
-    obj = CdlObjective.from_problem(prob)
+    obj = CdlObjective(prob)
     rng = stream(124)
     for ell in range(3):
         starts = (init_cdl(prob.measurements, prob.preconditioner, ell=ell),
@@ -264,7 +264,7 @@ def replaced_loop_objective(kind: str):
     if kind == "odl":
         return random_odl(16, 24, 2000, 0.2, seed=131)
     if kind == "cdl":
-        return CdlObjective.from_problem(
+        return CdlObjective(
             synth_cdl(make_filter_bank(16, 2, seed=132), 0.2, 400, seed=133))
     return identity_objective(4)
 
@@ -538,7 +538,7 @@ def test_solve_result_json():
 
 def test_init_cdl_identity_preconditioner():
     Y = ObservationSet(np.eye(4)[:, [2]])
-    P = Preconditioner(np.ones(4), "main_text", K=1)
+    P = Preconditioner(np.ones(4), K=1)
     q = init_cdl(Y, P, ell=0)
     assert np.array_equal(q.coords, np.array([0.0, 0.0, 1.0, 0.0]))
 
@@ -546,7 +546,7 @@ def test_init_cdl_identity_preconditioner():
 def test_init_cdl_draw_and_errors():
     rng = stream(113)
     Y = ObservationSet(rng.standard_normal((6, 5)))
-    P = Preconditioner(np.ones(6), "main_text", K=1)
+    P = Preconditioner(np.ones(6), K=1)
     with pytest.raises(ValueError):
         init_cdl(Y, P, ell=5)
     with pytest.raises(ValueError):

@@ -330,7 +330,7 @@ def test_cdl_start_draws_only_nonzero_measurements():
 
 def test_cdl_score_aligns_every_filter():
     bank = make_filter_bank(16, 2, seed=5)
-    flat = Preconditioner(np.full(16, 2.0), "main_text", 2)
+    flat = Preconditioner(np.full(16, 2.0), 2)
     prob = ConvProblem(ObservationSet(stream(6).standard_normal((16, 4))),
                        flat, 0.1, filters=bank)
     q = SpherePoint.project(-np.roll(bank.filters[1], 3))
