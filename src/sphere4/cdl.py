@@ -112,8 +112,6 @@ def build_preconditioner(Y: ObservationSet, theta: float, K: int,
         raise ValueError("theta must lie in (0, 1)")
     if K < 1:
         raise ValueError("K must be at least 1")
-    if Y.p < 1:
-        raise ValueError("need at least one measurement")
     if convention not in SCALE_CONVENTIONS:
         raise ValueError(f"unknown scale convention {convention!r}")
     if not np.any(Y.entries):

@@ -394,13 +394,14 @@ def cmd_landscape(args: argparse.Namespace) -> int:
         vars(args).update((k, v) for k, v in defaults.items()
                           if getattr(args, k) is None)
     prov = _provenance("landscape", args)
+    cfg = _solve_config(args) if args.at_solution else None
     D = make_untf(args.n, args.m, seed=args.seed)
     reports = []
     for s in range(args.samples):
         q = SpherePoint.project(
             stream(args.seed, "landscape", s).standard_normal(args.n))
-        if args.at_solution:
-            q = solve(TensorObjective(D), q, _solve_config(args)).q_star
+        if cfg is not None:
+            q = solve(TensorObjective(D), q, cfg).q_star
         reports.append(critical_point_report(D, q))
     if args.format == "json":
         payload = [json.loads(r.to_json()) for r in reports]

@@ -60,9 +60,22 @@ def stream(seed, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _frozen_array(x, dtype=float) -> np.ndarray:
-    a = np.array(x, dtype=dtype)
+def _frozen_array(x) -> np.ndarray:
+    a = np.array(x, dtype=float)
     a.setflags(write=False)
+    return a
+
+
+def _frozen_matrix(x, name: str = "entries") -> np.ndarray:
+    """x as a read-only float copy, refused unless it is a 2-d finite
+    array with no empty dimension."""
+    a = _frozen_array(x)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a 2d array")
+    if 0 in a.shape:
+        raise ValueError(f"{name} must not be empty, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
     return a
 
 
@@ -121,15 +134,11 @@ class Dictionary:
     untf_converged: bool | None = None
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("entries must be a 2d array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("entries must be finite")
+        a = _frozen_matrix(self.entries)
         n, m = a.shape
         if m < n:
             raise ValueError(f"need m >= n, got shape {n} x {m}")
-        object.__setattr__(self, "entries", _frozen_array(a))
+        object.__setattr__(self, "entries", a)
 
     @property
     def n(self) -> int:
@@ -157,14 +166,10 @@ class SparseCode:
     theta: float
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("entries must be a 2d array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("entries must be finite")
+        a = _frozen_matrix(self.entries)
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
-        object.__setattr__(self, "entries", _frozen_array(a))
+        object.__setattr__(self, "entries", a)
 
     @property
     def m(self) -> int:
@@ -182,12 +187,7 @@ class ObservationSet:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("entries must be a 2d array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("entries must be finite")
-        object.__setattr__(self, "entries", _frozen_array(a))
+        object.__setattr__(self, "entries", _frozen_matrix(self.entries))
 
     @property
     def n(self) -> int:
@@ -210,12 +210,7 @@ class FilterBank:
     filters: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.filters, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("filters must be a 2d array (K rows of length n)")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("filters must be finite")
-        object.__setattr__(self, "filters", _frozen_array(a))
+        object.__setattr__(self, "filters", _frozen_matrix(self.filters, "filters"))
 
     @property
     def K(self) -> int:

@@ -205,6 +205,8 @@ class _Curvature:
 
     def dense(self) -> np.ndarray:
         obj, x, n = self.obj, self.x, self.obj.n
+        if not isinstance(obj, _BasisObjective):
+            raise ValueError("dense Hessian needs an explicit basis; use matvec")
         if n > DENSE_HESSIAN_LIMIT:
             raise ValueError(f"dense Hessian refused for n={n} > "
                              f"{DENSE_HESSIAN_LIMIT}; use matvec")

@@ -6,7 +6,8 @@ P_sphere(q - tau * rgrad phi(q)). The two coincide exactly at
 tau = -1/(q^T grad phi(q)), which is positive because the objectives are
 degree-4 homogeneous with negative values, so q^T grad phi = 4 phi < 0.
 The solver treats them interchangeably behind one loop on plain arrays; it
-builds a SpherePoint only for the start, the result and each escape attempt.
+builds a SpherePoint only for the start and the result, and its saddle
+escape scores both candidates with the same bound kernel.
 """
 
 from __future__ import annotations
@@ -42,14 +43,16 @@ BACKTRACK_TAU0 = 1.0
 BACKTRACK_SHRINK = 0.5
 ARMIJO_C1 = 1e-4
 MIN_BACKTRACK_TAU = 1e-16
+# saddle escape: act when the smallest tangent Hessian eigenvalue is below
+# -ESCAPE_CURV_TOL, and move ESCAPE_STEP along its eigenvector
+ESCAPE_CURV_TOL = 1e-10
+ESCAPE_STEP = 1e-2
 
 
 @dataclass(frozen=True)
 class EscapeConfig:
-    """Second-order escape settings: when to act and how far to move."""
-
-    curv_tol: float = 1e-10
-    step: float = 1e-2
+    """Escape on: a solve that reaches a first-order point tries to leave
+    it along negative curvature; see escape_saddle."""
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,10 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if self.method not in ("power", "rgd"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
+        if not 1 <= self.max_iters < math.inf:
+            raise ValueError("max_iters must be finite and at least 1")
 
 
 @dataclass(frozen=True)
@@ -112,26 +115,31 @@ def rgd_step(obj, q: SpherePoint, tau: float) -> SpherePoint:
     return SpherePoint.project(q.coords - tau * obj.rgrad(q))
 
 
-def escape_saddle(obj, q: SpherePoint, curv_tol: float, step: float,
-                  seed: int = 0) -> SpherePoint | None:
+def escape_saddle(obj, x: np.ndarray, evaluate,
+                  seed: int = 0) -> tuple[np.ndarray, float, np.ndarray] | None:
     """Move off a strict saddle along the most negative curvature direction.
 
-    Returns the better of P_sphere(q +- step * v) by objective value when
-    the smallest tangent Hessian eigenvalue is below -curv_tol, and None
-    when the point looks second-order (or the eigensolver fails, which is
-    reported as a warning and treated conservatively).
+    At unit x, when the smallest tangent Hessian eigenvalue is below
+    -ESCAPE_CURV_TOL, scores retract(x +- ESCAPE_STEP * v) with `evaluate`
+    (the solver's bound kernel) and returns the better side's (point,
+    value, Euclidean gradient), plus on a tie. Returns None when x looks
+    second-order, or when the eigensolver fails, which is reported as a
+    warning and treated conservatively.
     """
-    x = q.coords
     lam, v, ok = obj.curvature(x).min_eig(seed)
     if not ok:
         warnings.warn("tangent eigensolver did not converge; no escape taken",
                       stacklevel=2)
         return None
-    if lam >= -curv_tol:
+    if lam >= -ESCAPE_CURV_TOL:
         return None
-    plus = retract(x + step * v)
-    minus = retract(x - step * v)
-    return SpherePoint(plus if obj.value(plus) <= obj.value(minus) else minus)
+    plus = retract(x + ESCAPE_STEP * v)
+    minus = retract(x - ESCAPE_STEP * v)
+    val_plus, g_plus = evaluate(plus)
+    val_minus, g_minus = evaluate(minus)
+    if val_plus <= val_minus:
+        return plus, val_plus, g_plus
+    return minus, val_minus, g_minus
 
 
 def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
@@ -145,10 +153,10 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
     before that step).
 
     `obj` provides evaluate(q) -> (value, Euclidean gradient), called once
-    per iterate (once per trial point in a line search), plus value and
-    curvature(q).min_eig when escape is enabled. A package objective's
-    `_evaluate`, the same call on the loop's plain unit arrays, is bound
-    once in its place. A non-finite gradient raises ValueError.
+    per iterate (once per trial point in a line search, twice per escape
+    attempt), plus curvature(q).min_eig when escape is enabled. A package
+    objective's `_evaluate`, the same call on the loop's plain unit arrays,
+    is bound once in its place. A non-finite gradient raises ValueError.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -173,18 +181,11 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
         if gn <= grad_tol:
             moved = None
             if cfg.escape is not None and iterations < max_iters:
-                # a first-order point may be the result, so wrap it here
-                q = q if x is q.coords else SpherePoint(x)
-                moved = escape_saddle(obj, q, cfg.escape.curv_tol,
-                                      cfg.escape.step, seed=cfg.seed + escapes)
-                if moved is not None:
-                    val, g_moved = evaluate(moved.coords)
-                    if val >= last:
-                        moved = None
-            if moved is None:
+                moved = escape_saddle(obj, x, evaluate, seed=cfg.seed + escapes)
+            if moved is None or moved[1] >= last:
                 termination = "grad_tol"
                 break
-            q, x, g = moved, moved.coords, g_moved
+            x, val, g = moved
             escapes += 1
             iterations += 1
             last = float(val)

@@ -34,12 +34,13 @@ from sphere4.optimize import (
     ARMIJO_C1,
     BACKTRACK_SHRINK,
     BACKTRACK_TAU0,
+    ESCAPE_CURV_TOL,
+    ESCAPE_STEP,
     MIN_BACKTRACK_TAU,
     STALL_REL_TOL,
     STALL_WINDOW,
     SolveConfig,
     SolveResult,
-    escape_saddle,
 )
 
 
@@ -144,6 +145,19 @@ def reference_evaluate(obj, q) -> tuple:
             -4.0 * obj.c * adjoint(z2 * z))
 
 
+def reference_escape(obj, q: SpherePoint, seed: int) -> SpherePoint | None:
+    """The saddle escape as it stood before it shared the solver's kernel:
+    both candidates scored through the public `value`, the better returned
+    as a SpherePoint (plus on a tie), for the caller to evaluate again."""
+    x = q.coords
+    lam, v, ok = obj.curvature(x).min_eig(seed)
+    if not ok or lam >= -ESCAPE_CURV_TOL:
+        return None
+    plus = retract(x + ESCAPE_STEP * v)
+    minus = retract(x - ESCAPE_STEP * v)
+    return SpherePoint(plus if obj.value(plus) <= obj.value(minus) else minus)
+
+
 def _power_point(g, xg):
     return retract(g if xg > 0.0 else -g)
 
@@ -170,8 +184,7 @@ def reference_solve(obj, q0, cfg: SolveConfig) -> SolveResult:
             moved = None
             if cfg.escape is not None and iterations < cfg.max_iters:
                 q = q if x is q.coords else SpherePoint(x)
-                moved = escape_saddle(obj, q, cfg.escape.curv_tol,
-                                      cfg.escape.step, seed=cfg.seed + escapes)
+                moved = reference_escape(obj, q, seed=cfg.seed + escapes)
                 if moved is not None:
                     val, g_moved = reference_evaluate(obj, moved)
                     if val >= trace[-1]:

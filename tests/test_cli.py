@@ -237,6 +237,21 @@ def test_solve_needs_data_dir(tmp_path, capsys):
         assert list(tmp_path.iterdir()) == []
 
 
+def test_non_finite_grad_tol_is_usage_error(tmp_path, capsys):
+    # refused before any solve or write, in each command that solves
+    gen_odl(tmp_path / "data", p=50)
+    for value in ("nan", "inf"):
+        for argv in (["solve", "--data-dir", str(tmp_path / "data")],
+                     sweep_args(tmp_path / "run")[:-2],
+                     ["landscape", "--n", "3", "--m", "4", "--samples", "2",
+                      "--at-solution"]):
+            assert run(*argv, "--grad-tol", value, "--out-dir",
+                       str(tmp_path / "run")) == EXIT_USAGE
+            assert "error: grad_tol must be positive and finite" in \
+                capsys.readouterr().err
+            assert list((tmp_path / "run").iterdir()) == []
+
+
 def test_solve_header_records_only_flags_that_act(tmp_path):
     gen_cdl(tmp_path / "data")
     assert run("solve", "--data-dir", str(tmp_path / "data"), "--max-iters",

@@ -4,6 +4,7 @@ import pytest
 import sphere4.model as model
 from sphere4.model import (
     Dictionary,
+    FilterBank,
     ObservationSet,
     SparseCode,
     SpherePoint,
@@ -166,13 +167,20 @@ def test_dictionary_rejects_wide_transpose():
 
 
 @pytest.mark.parametrize("cls", [
-    Dictionary, ObservationSet,
+    Dictionary, ObservationSet, FilterBank,
     pytest.param(lambda a: SparseCode(a, 0.1), id="SparseCode")])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [
+    np.nan, np.inf, -np.inf,
+    pytest.param((0, 0), id="0x0"), pytest.param((3, 0), id="3x0"),
+    pytest.param((0, 5), id="0x5")])
 def test_matrix_types_reject_non_finite_entries(cls, bad):
-    a = np.eye(3)
-    a[1, 2] = bad
-    with pytest.raises(ValueError, match="finite"):
+    # a tuple is an empty shape, refused before any size reaches a divisor
+    if isinstance(bad, tuple):
+        a, match = np.zeros(bad), "must not be empty"
+    else:
+        a, match = np.eye(3), "finite"
+        a[1, 2] = bad
+    with pytest.raises(ValueError, match=match):
         cls(a)
 
 

@@ -318,6 +318,14 @@ def test_dense_hessian_guard():
     # and the curvature operator falls back to Lanczos there
     lam, _, ok = obj.curvature(q).min_eig()
     assert (lam, ok) == (0.0, True)
+    # a CDL objective has no explicit basis at any size: refused alike, and
+    # min_eig takes Lanczos
+    bank = make_filter_bank(8, 2, seed=18)
+    cdl = CdlObjective(synth_cdl(bank, 0.2, 50, seed=19))
+    q = retract(stream(20).standard_normal(8))
+    with pytest.raises(ValueError, match="explicit basis"):
+        cdl.curvature(q).dense()
+    assert cdl.curvature(q).min_eig()[2]
 
 
 def test_expectation_gap_theta_limit():

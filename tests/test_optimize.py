@@ -21,6 +21,8 @@ from sphere4.optimize import (
     ARMIJO_C1,
     BACKTRACK_SHRINK,
     BACKTRACK_TAU0,
+    ESCAPE_CURV_TOL,
+    ESCAPE_STEP,
     MIN_BACKTRACK_TAU,
     STALL_REL_TOL,
     STALL_WINDOW,
@@ -35,7 +37,7 @@ from sphere4.optimize import (
 )
 from sphere4.recovery import cdl_start
 
-from oracles import effective_dictionary, reference_solve
+from oracles import effective_dictionary, reference_escape, reference_solve
 
 
 def identity_objective(n: int) -> TensorObjective:
@@ -165,8 +167,7 @@ def public_steps_solve(obj, q, cfg):
         if gn <= cfg.grad_tol:
             moved = None
             if cfg.escape is not None and iterations < cfg.max_iters:
-                moved = escape_saddle(obj, q, cfg.escape.curv_tol,
-                                      cfg.escape.step, seed=cfg.seed + escapes)
+                moved = reference_escape(obj, q, seed=cfg.seed + escapes)
                 if moved is not None and obj.value(moved) >= trace[-1]:
                     moved = None
             if moved is None:
@@ -437,6 +438,12 @@ def test_config_validation():
         SolveConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolveConfig(max_iters=0)
+    # nan compares false both ways, so each bound must refuse it explicitly
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="grad_tol"):
+            SolveConfig(grad_tol=bad)
+        with pytest.raises(ValueError, match="max_iters"):
+            SolveConfig(max_iters=bad)
 
 
 def test_tangent_min_eig_matches_dense():
@@ -462,23 +469,86 @@ def test_tangent_min_eig_matches_dense():
 
 def test_escape_at_exact_saddle():
     obj = identity_objective(4)
-    q = SpherePoint.project(np.array([1.0, 1.0, 0.0, 0.0]))
-    assert np.linalg.norm(obj.rgrad(q)) <= 1e-15
-    out = escape_saddle(obj, q, curv_tol=1e-10, step=1e-2)
+    x = retract(np.array([1.0, 1.0, 0.0, 0.0]))
+    assert np.linalg.norm(obj.rgrad(x)) <= 1e-15
+    out = escape_saddle(obj, x, obj._evaluate)
     assert out is not None
-    assert obj.value(out) < obj.value(q)
+    point, val, g = out
+    assert abs(np.linalg.norm(point) - 1.0) <= 1e-15
+    assert (val, g.tobytes()) == (obj.value(point), obj.grad(point).tobytes())
+    assert val < obj.value(x)
+    # the point the reference escape chooses, scoring through `value`
+    assert np.array_equal(point, reference_escape(obj, SpherePoint(x), 0).coords)
 
 
 def test_no_escape_at_minimizer():
     obj = identity_objective(4)
-    e1 = SpherePoint.project(np.array([1.0, 0.0, 0.0, 0.0]))
-    assert escape_saddle(obj, e1, curv_tol=1e-10, step=1e-2) is None
+    e1 = np.array([1.0, 0.0, 0.0, 0.0])
+    assert escape_saddle(obj, e1, obj._evaluate) is None
 
 
-def test_infinite_curv_tol_disables_escape():
-    obj = identity_objective(4)
-    q = SpherePoint.project(np.array([1.0, 1.0, 0.0, 0.0]))
-    assert escape_saddle(obj, q, curv_tol=np.inf, step=1e-2) is None
+class FixedCurvature:
+    """Stub whose curvature operator reports a fixed eigenvalue, the
+    direction e2 and a fixed convergence flag."""
+
+    def __init__(self, lam: float, ok: bool):
+        self.lam, self.ok = lam, ok
+
+    def curvature(self, x):
+        return self
+
+    def min_eig(self, seed=0):
+        return self.lam, np.array([0.0, 1.0, 0.0]), self.ok
+
+
+def test_escape_warns_and_stays_when_the_eigensolver_fails():
+    calls = []
+    with pytest.warns(UserWarning, match="did not converge"):
+        out = escape_saddle(FixedCurvature(-1.0, False), np.array([1.0, 0.0, 0.0]),
+                            lambda y: calls.append(y))
+    assert out is None and calls == []
+
+
+def test_escape_acts_below_the_curvature_bar_and_prefers_plus_on_a_tie():
+    def flat(y):
+        return -1.0, np.zeros(3)
+
+    x = np.array([1.0, 0.0, 0.0])
+    assert escape_saddle(FixedCurvature(-ESCAPE_CURV_TOL, True), x, flat) is None
+    point, val, _ = escape_saddle(FixedCurvature(-2 * ESCAPE_CURV_TOL, True), x, flat)
+    assert np.array_equal(point, retract(np.array([1.0, ESCAPE_STEP, 0.0])))
+    assert val == -1.0
+
+
+class CountingKernel:
+    """The calls a solve makes to an objective: its kernel, counted, and
+    the curvature operator, nothing else."""
+
+    def __init__(self, obj):
+        self.obj, self.calls = obj, 0
+
+    def evaluate(self, x):
+        self.calls += 1
+        return self.obj._evaluate(x)
+
+    def curvature(self, x):
+        return self.obj.curvature(x)
+
+
+@pytest.mark.parametrize("obj", [
+    identity_objective(4), OdlObjective(ObservationSet(np.eye(4)), 0.2)],
+    ids=["tensor", "odl"])
+def test_taken_escape_makes_two_kernel_calls(obj):
+    # one call for the start and one per power step; a taken escape scores
+    # its two candidates and keeps the winner's value and gradient, so its
+    # iteration costs two calls
+    counted = CountingKernel(obj)
+    q0 = SpherePoint.project(np.array([1.0, 1.0, 0.0, 0.0]))
+    res = solve(counted, q0, SolveConfig(escape=EscapeConfig(), seed=3))
+    assert res.escapes_taken >= 1
+    assert counted.calls == 1 + res.iterations + res.escapes_taken
+    assert result_bits(res) == result_bits(
+        reference_solve(obj, q0, SolveConfig(escape=EscapeConfig(), seed=3)))
 
 
 def test_solve_escapes_saddle_start():
@@ -662,7 +732,7 @@ def test_public_parameters_with_a_default():
                 if not attr.startswith("_") and inspect.isfunction(member):
                     knobs.update(f"{module}.{name}.{attr}({p})"
                                  for p in defaults(member))
-    assert len(knobs) == 25, sorted(knobs)
+    assert len(knobs) == 23, sorted(knobs)
 
 
 def test_public_names():
