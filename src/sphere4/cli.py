@@ -142,7 +142,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
                          args.convention)
         matrices = {"dictionary": D.entries, "codes": X.entries,
                     "observations": Y.entries}
-        meta["m"] = args.m
+        meta.update(m=args.m, untf_converged=D.untf_converged)
     else:
         problem = _synth("cdl", args.n, args.k, args.theta, args.p, args.seed,
                          args.convention)

@@ -12,6 +12,8 @@ platform-reproducible stream.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import os
 import tempfile
 import zlib
@@ -40,8 +42,8 @@ __all__ = [
 ]
 
 UNIT_TOL = 1e-12
-# make_untf stops once the frame residual ||(n/m) A A^T - I||_F is this small,
-# or after UNTF_MAX_ITERS updates
+# the UNTF generator stops once the frame residual ||(n/m) A A^T - I||_F is
+# this small, or after UNTF_MAX_ITERS updates
 UNTF_TOL = 1e-10
 UNTF_MAX_ITERS = 5000
 
@@ -51,12 +53,18 @@ def stream(seed, *path) -> np.random.Generator:
 
     `path` entries may be ints or short strings (strings are crc32-mapped);
     distinct paths under the same seed give statistically independent
-    streams, so parallel trials can draw without any shared state.
+    streams, so parallel trials can draw without any shared state. A seed
+    or non-string entry that is not an integer (operator.index refuses
+    it) raises ValueError rather than being truncated.
     """
-    key = tuple(
-        zlib.crc32(p.encode()) if isinstance(p, str) else int(p) for p in path
-    )
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+    try:
+        key = tuple(zlib.crc32(p.encode()) if isinstance(p, str)
+                    else operator.index(p) for p in path)
+        entropy = operator.index(seed)
+    except TypeError:
+        raise ValueError("stream needs an integer seed and integer or string "
+                         f"path entries, got {(seed, *path)!r}") from None
+    ss = np.random.SeedSequence(entropy=entropy, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -227,101 +235,73 @@ class FilterBank:
 
 
 def make_untf(n: int, m: int, seed: int) -> Dictionary:
-    """Generate a unit-norm tight frame by alternating projections.
+    """Generate a unit-norm tight frame by alternating projections: the
+    stack of one seed, _untf_stack(n, m, [seed])[0].
 
     Starts from N(0, 1/n) entries and alternates (i) left-preconditioning
     by ((m/n) A A^T)^{-1/2} with (ii) column l2-normalization until the
     frame residual ||(n/m) A A^T - I||_F drops below UNTF_TOL. Columns are
     exactly unit after every normalization pass, so the residual alone is
     the convergence test. After UNTF_MAX_ITERS updates the best iterate is
-    returned with untf_converged=False.
+    returned with untf_converged=False. n and m must be integers with
+    1 <= n <= m, and seed an integer (see stream); anything else raises
+    ValueError.
     """
-    if not 1 <= n <= m:
-        raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
-    rng = stream(seed, "untf")
-    A = rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, m))
-    A = A / np.linalg.norm(A, axis=0)
-    eye = np.eye(n)
-    scale = n / m
-    best = A
-    best_res = np.inf
-    for _ in range(UNTF_MAX_ITERS):
-        G = A @ A.T
-        res = np.linalg.norm(scale * G - eye)
-        if res < best_res:
-            best, best_res = A, res
-        if res <= UNTF_TOL:
-            return Dictionary(A, untf_converged=True)
-        w, V = np.linalg.eigh(G / scale)
-        # floor keeps the inverse root finite on near-rank-deficient iterates
-        w = np.maximum(w, 1e-14 * w[-1])
-        A = (V * (1.0 / np.sqrt(w))) @ V.T @ A
-        A = A / np.linalg.norm(A, axis=0)
-    res = np.linalg.norm(scale * (A @ A.T) - eye)
-    if res < best_res:
-        best, best_res = A, res
-    return Dictionary(best, untf_converged=bool(best_res <= UNTF_TOL))
+    return _untf_stack(n, m, [seed])[0]
 
 
 def _untf_stack(n: int, m: int, seeds) -> list:
-    """[make_untf(n, m, s) for s in seeds], bit for bit, with the
-    frames iterated as one (T, n, m) stack. An empty list gives [].
+    """The frame make_untf describes for each seed in seeds, iterated as one
+    (T, n, m) stack: the one alternating-projection loop. An empty list
+    gives [].
 
-    Stacked matmul runs per frame the BLAS call of the scalar loop (syrk
-    for A A^T, ddot for the residual, gemm for the update), and eigh runs
-    LAPACK per matrix, so every frame keeps its bits. A frame leaves the
-    stack when it converges. One seed goes to make_untf, which is faster.
+    Stacked matmul runs per frame the BLAS call of a lone frame (syrk for
+    A A^T, gemm for the update), vecdot is the dot that np.linalg.norm
+    takes, and eigh runs LAPACK per matrix, so a frame's bits do not depend
+    on the stack it is in. A frame leaves the stack when it converges. The
+    column norms are np.linalg.norm's sum of squares without its call
+    overhead, and the per-frame bookkeeping runs on Python floats and lists
+    of frame views, which keeps a stack of one cheap.
     """
-    if not 1 <= n <= m:
-        raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
+    if not (all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                for v in (n, m)) and 1 <= n <= m):
+        raise ValueError(f"need integers 1 <= n <= m, got n={n!r}, m={m!r}")
     seeds = list(seeds)
-    if len(seeds) == 1:
-        return [make_untf(n, m, seeds[0])]
-    out = [None] * len(seeds)
     if not seeds:
-        return out
+        return []
     A = np.stack([stream(s, "untf").normal(0.0, 1.0 / np.sqrt(n), size=(n, m))
                   for s in seeds])
-    A = A / np.linalg.norm(A, axis=1, keepdims=True)
     eye = np.eye(n)
     scale = n / m
-    live = np.arange(len(seeds))
-    best = A
-    best_res = np.full(len(seeds), np.inf)
-
-    def keep_best(A):
-        """Residuals of the stack A; tracks each frame's best iterate."""
-        nonlocal best
+    out = [None] * len(seeds)
+    live = list(range(len(seeds)))  # the output slot of each stacked frame
+    best = [None] * len(seeds)  # each frame's best iterate, and its residual
+    best_res = [math.inf] * len(seeds)
+    for it in range(UNTF_MAX_ITERS + 1):
+        A = A / np.sqrt((A * A).sum(axis=1, keepdims=True))
         G = A @ A.transpose(0, 2, 1)
         R = (scale * G - eye).reshape(len(A), -1)
-        res = np.sqrt((R[:, None, :] @ R[:, :, None]).ravel())
-        better = res < best_res
-        if better.all():
-            best = A
-        else:
-            best[better] = A[better]
-        best_res[better] = res[better]
-        return G, res
-
-    for _ in range(UNTF_MAX_ITERS):
-        G, res = keep_best(A)
-        done = res <= UNTF_TOL
-        if done.any():
-            for i in np.flatnonzero(done):
+        stay = []
+        for i, res in enumerate(np.sqrt(np.vecdot(R, R)).tolist()):
+            if res < best_res[i]:
+                best[i], best_res[i] = A[i], res
+            if res <= UNTF_TOL:
                 out[live[i]] = Dictionary(A[i], untf_converged=True)
-            stay = ~done
-            if not stay.any():
-                return out
-            A, G, live = A[stay], G[stay], live[stay]
-            best, best_res = best[stay], best_res[stay]
+            else:
+                stay.append(i)
+        if not stay or it == UNTF_MAX_ITERS:
+            break
+        if len(stay) < len(A):
+            A, G = A[stay], G[stay]
+            live = [live[i] for i in stay]
+            best = [best[i] for i in stay]
+            best_res = [best_res[i] for i in stay]
         w, V = np.linalg.eigh(G / scale)
         # floor keeps the inverse root finite on near-rank-deficient iterates
         w = np.maximum(w, 1e-14 * w[:, -1:])
         A = (V * (1.0 / np.sqrt(w))[:, None, :]) @ V.transpose(0, 2, 1) @ A
-        A = A / np.linalg.norm(A, axis=1, keepdims=True)
-    keep_best(A)
-    for i, frame, res in zip(live, best, best_res):
-        out[i] = Dictionary(frame, untf_converged=bool(res <= UNTF_TOL))
+    for i in stay:
+        out[live[i]] = Dictionary(best[i], untf_converged=False)
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -68,8 +69,14 @@ class SolveConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0.0 < self.grad_tol < math.inf:
             raise ValueError("grad_tol must be positive and finite")
-        if not 1 <= self.max_iters < math.inf:
-            raise ValueError("max_iters must be finite and at least 1")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
+            raise ValueError("max_iters must be an integer of at least 1")
+        # the escape eigensolve draws from stream(seed + k), which refuses
+        # a non-integer only once a solve reaches it
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

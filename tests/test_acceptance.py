@@ -41,6 +41,7 @@ from sphere4 import (
     synth_odl,
 )
 from sphere4.landscape import CLASS_NEAR_SOLUTION, critical_point_report
+from sphere4.model import _untf_stack
 from sphere4.optimize import EscapeConfig
 
 from oracles import CirculantOp, conv, effective_dictionary, expectation_gap
@@ -193,9 +194,10 @@ def test_moderate_overcompleteness_yields_no_spurious_endpoints():
     cfg = SolveConfig(max_iters=20_000, escape=EscapeConfig())
     run = 0
     for n, m in cells:
-        for _ in range(per_cell):
+        # one stack per cell, bit for bit the frames make_untf builds
+        seeds = range(10_001 + run, 10_001 + run + per_cell)
+        for D in _untf_stack(n, m, seeds):
             run += 1
-            D = make_untf(n, m, seed=10_000 + run)
             q0 = SpherePoint.project(
                 stream(run, "frame-endpoints").standard_normal(n))
             res = solve(TensorObjective(D), q0, cfg)

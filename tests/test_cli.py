@@ -65,6 +65,15 @@ def test_gen_odl_writes_no_sidecars(tmp_path):
         ("odl", 3, 4, 0.1, 2000)
 
 
+@pytest.mark.parametrize("cap,converged", [(1, False), (None, True)])
+def test_gen_odl_records_untf_converged(tmp_path, monkeypatch, cap,
+                                        converged):
+    if cap is not None:
+        monkeypatch.setattr(sphere4.model, "UNTF_MAX_ITERS", cap)
+    meta = json.loads((gen_odl(tmp_path) / "gen.json").read_text())
+    assert meta["untf_converged"] is converged
+
+
 def test_gen_cdl_files(tmp_path):
     assert run("gen", "--model", "cdl", "--n", "16", "--k", "2", "--theta",
                "0.1", "--p", "200", "--seed", "3", "--out-dir",

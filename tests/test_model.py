@@ -104,13 +104,18 @@ def test_untf_shape_contract():
 
 
 def assert_stack_matches_make_untf(monkeypatch, n, m, seeds, max_iters):
+    """Every frame of one stack equals the scalar reference loop and a
+    stack of one (which make_untf is) bit for bit, untf_converged too."""
     monkeypatch.setattr(model, "UNTF_MAX_ITERS", max_iters)
     stack = _untf_stack(n, m, seeds)
     assert len(stack) == len(seeds)
     for seed, D in zip(seeds, stack):
-        ref = make_untf(n, m, seed)
-        assert D.entries.tobytes() == ref.entries.tobytes()
-        assert D.untf_converged is ref.untf_converged
+        ref, converged = two_gram_untf(n, m, seed, max_iters=max_iters)
+        assert D.entries.tobytes() == ref.tobytes()
+        assert D.untf_converged is converged
+        alone = _untf_stack(n, m, [seed])[0]
+        assert D.entries.tobytes() == alone.entries.tobytes()
+        assert D.untf_converged is alone.untf_converged
     return [D.untf_converged for D in stack]
 
 
@@ -149,13 +154,16 @@ def test_untf_stack_of_one_and_of_none(monkeypatch):
     assert _untf_stack(8, 16, []) == []
 
 
-@pytest.mark.parametrize("n,m,max_iters", [(0, 4, 10), (5, 4, 10)])
-def test_untf_stack_refuses_what_make_untf_refuses(monkeypatch, n, m,
-                                                   max_iters):
-    monkeypatch.setattr(model, "UNTF_MAX_ITERS", max_iters)
+@pytest.mark.parametrize("n,m,seed", [
+    (0, 4, 10), (5, 4, 10), (2.5, 4, 10), (3, 4.0, 10), (True, 4, 10),
+    (3, 4, 1.5), (3, 4, np.float64(1)), (3, 4, "1")])
+def test_untf_stack_refuses_what_make_untf_refuses(monkeypatch, n, m, seed):
+    monkeypatch.setattr(model, "UNTF_MAX_ITERS", 10)
     with pytest.raises(ValueError) as ref:
-        make_untf(n, m, 0)
-    for seeds in ([], [0], [0, 1]):
+        make_untf(n, m, seed)
+    # a seed is read only when its frame is drawn, so [] refuses only n, m
+    lists = ([seed], [0, seed]) + (([],) if isinstance(seed, int) else ())
+    for seeds in lists:
         with pytest.raises(ValueError) as got:
             _untf_stack(n, m, seeds)
         assert str(got.value) == str(ref.value)
@@ -324,6 +332,14 @@ def test_filter_bank_basics():
     assert bank.K == 3 and bank.n == 16
     assert np.allclose(np.linalg.norm(bank.filters, axis=1), 1.0)
     assert bank.sigma_min > 0.0
+
+
+def test_stream_refuses_non_integer_path_entries():
+    # int() would truncate these to a valid stream; seeds are refused the
+    # same way (test_untf_stack_refuses_what_make_untf_refuses)
+    for path in (("ok", 2.5), (np.float32(2),)):
+        with pytest.raises(ValueError, match="integer"):
+            stream(1, *path)
 
 
 def test_stream_split():

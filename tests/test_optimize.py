@@ -444,6 +444,12 @@ def test_config_validation():
             SolveConfig(grad_tol=bad)
         with pytest.raises(ValueError, match="max_iters"):
             SolveConfig(max_iters=bad)
+    # the loop compares its integer count with max_iters, so 2.5 would run 3
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolveConfig(max_iters=bad)
+    with pytest.raises(ValueError, match="seed"):
+        SolveConfig(seed=1.5)
 
 
 def test_tangent_min_eig_matches_dense():
