@@ -51,6 +51,7 @@ from .optimize import (
     power_step,
     rgd_step,
     solve,
+    solve_batch,
     tangent_min_eig,
 )
 from .recovery import (

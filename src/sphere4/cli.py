@@ -34,13 +34,14 @@ from .model import (
     load_matrix,
     make_filter_bank,
     make_untf,
+    retract,
     sample_bg,
     save_matrix,
     stream,
     synth_odl,
 )
 from .objectives import OdlObjective, TensorObjective
-from .optimize import EscapeConfig, SolveConfig, solve
+from .optimize import EscapeConfig, SolveConfig, solve, solve_batch
 from .recovery import (
     EPS_CDL,
     align_shift,
@@ -396,13 +397,12 @@ def cmd_landscape(args: argparse.Namespace) -> int:
     prov = _provenance("landscape", args)
     cfg = _solve_config(args) if args.at_solution else None
     D = make_untf(args.n, args.m, seed=args.seed)
-    reports = []
-    for s in range(args.samples):
-        q = SpherePoint.project(
-            stream(args.seed, "landscape", s).standard_normal(args.n))
-        if cfg is not None:
-            q = solve(TensorObjective(D), q, cfg).q_star
-        reports.append(critical_point_report(D, q))
+    draws = np.stack([stream(args.seed, "landscape", s).standard_normal(args.n)
+                      for s in range(args.samples)])
+    # the samples share D, so their solves run as one stack
+    points = (retract(draws) if cfg is None else
+              [r.q_star for r in solve_batch(TensorObjective(D), draws, cfg)])
+    reports = [critical_point_report(D, q) for q in points]
     if args.format == "json":
         payload = [json.loads(r.to_json()) for r in reports]
         _atomic_write(out / "landscape.json",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import UNIT_TOL, Dictionary, SpherePoint
 from .objectives import TensorObjective
-from .recovery import _nearest_column
+from .recovery import _nearest_columns
 
 __all__ = [
     "RegionDecision",
@@ -181,7 +181,7 @@ def critical_point_report(D: Dictionary, q) -> LandscapeReport:
     A = D.entries
     zeta = A.T @ x
     # raises on a zero column before the cubic coefficients divide by it
-    inner_product, best_index = _nearest_column(D, zeta)
+    (inner_product,), (best_index,) = _nearest_columns(D, zeta)
     obj = TensorObjective(D)
     col_sq = np.sum(A * A, axis=0)
     z44 = float(np.sum(zeta**4))

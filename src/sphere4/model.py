@@ -68,6 +68,11 @@ def stream(seed, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _is_int(v) -> bool:
+    """v is an integer, and not a bool (which numbers.Integral admits)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _frozen_array(x) -> np.ndarray:
     a = np.array(x, dtype=float)
     a.setflags(write=False)
@@ -88,19 +93,32 @@ def _frozen_matrix(x, name: str = "entries") -> np.ndarray:
 
 
 def retract(v: np.ndarray) -> np.ndarray:
-    """v / ||v|| for a contiguous 1-d real array v: the one normalizer onto
-    the sphere, behind SpherePoint.project and every solver step.
+    """v / ||v|| along the last axis of a C-contiguous real array: one
+    vector, or a stack of rows each normalized alone. The one normalizer
+    onto the sphere, behind SpherePoint.project and every solver step.
 
-    sqrt(v.dot(v)) is np.linalg.norm of such an array (a strided view's dot
-    rounds differently, so project passes a contiguous copy). A zero or
-    non-finite v raises ValueError, and so does a v whose squared norm
-    underflows so far that v / ||v|| misses the sphere.
+    sqrt(v.dot(v)) is np.linalg.norm of a contiguous vector (a strided
+    view's dot rounds differently, so project passes a contiguous copy),
+    and vecdot takes that dot for each row of a stack. A lone vector or row
+    takes the dot itself, which costs less. A zero or non-finite row raises
+    ValueError, and so does a row whose squared norm underflows so far that
+    v / ||v|| misses the sphere.
     """
-    nrm = math.sqrt(v.dot(v))
-    if not 0.0 < nrm < math.inf:
-        raise ValueError("cannot project a zero or non-finite vector")
+    if v.ndim == 1 or len(v) == 1:
+        w = v.ravel()
+        nrm = math.sqrt(w.dot(w))
+        norms = [nrm]
+    else:
+        nrm = np.sqrt(np.vecdot(v, v, keepdims=True))
+        norms = nrm.ravel().tolist()
+    tiny = False
+    for r in norms:
+        if not 1e-150 <= r < math.inf:
+            if not 0.0 < r < math.inf:
+                raise ValueError("cannot project a zero or non-finite vector")
+            tiny = True
     u = v / nrm
-    if nrm < 1e-150 and abs(np.linalg.norm(u) - 1.0) > UNIT_TOL:
+    if tiny and np.any(np.abs(np.linalg.norm(u, axis=-1) - 1.0) > UNIT_TOL):
         raise ValueError("v / ||v|| misses unit l2 norm: ||v||^2 underflows")
     return u
 
@@ -263,8 +281,7 @@ def _untf_stack(n: int, m: int, seeds) -> list:
     overhead, and the per-frame bookkeeping runs on Python floats and lists
     of frame views, which keeps a stack of one cheap.
     """
-    if not (all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                for v in (n, m)) and 1 <= n <= m):
+    if not (_is_int(n) and _is_int(m) and 1 <= n <= m):
         raise ValueError(f"need integers 1 <= n <= m, got n={n!r}, m={m!r}")
     seeds = list(seeds)
     if not seeds:
@@ -308,10 +325,11 @@ def _untf_stack(n: int, m: int, seeds) -> list:
 def sample_bg(m: int, p: int, theta: float, seed: int) -> SparseCode:
     """Draw an m x p Bernoulli-Gaussian code: X = B .* G, B ~ Ber(theta).
 
-    Masked entries are exact zeros. Deterministic for a fixed seed.
+    Masked entries are exact zeros. Deterministic for a fixed seed. m and
+    p must be integers of at least 1; anything else raises ValueError.
     """
-    if m < 1 or p < 1:
-        raise ValueError(f"need m >= 1 and p >= 1, got m={m}, p={p}")
+    if not (_is_int(m) and _is_int(p) and m >= 1 and p >= 1):
+        raise ValueError(f"need integers m >= 1 and p >= 1, got m={m!r}, p={p!r}")
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     rng = stream(seed, "bg")
@@ -343,10 +361,11 @@ def make_filter_bank(n: int, K: int, seed: int) -> FilterBank:
 
     Redraws (never observed in practice for n >= 2) if the stacked
     circulant spectrum has a zero bin, so sigma_min > 0 holds by
-    construction.
+    construction. n and K must be integers of at least 1; anything else
+    raises ValueError.
     """
-    if n < 1 or K < 1:
-        raise ValueError(f"need n >= 1 and K >= 1, got n={n}, K={K}")
+    if not (_is_int(n) and _is_int(K) and n >= 1 and K >= 1):
+        raise ValueError(f"need integers n >= 1 and K >= 1, got n={n!r}, K={K!r}")
     rng = stream(seed, "filters")
     for _ in range(100):
         F = rng.standard_normal(size=(K, n))

@@ -5,13 +5,15 @@ P_sphere(-grad phi(q)) and the retracted gradient step
 P_sphere(q - tau * rgrad phi(q)). The two coincide exactly at
 tau = -1/(q^T grad phi(q)), which is positive because the objectives are
 degree-4 homogeneous with negative values, so q^T grad phi = 4 phi < 0.
-The solver treats them interchangeably behind one loop on plain arrays; it
-builds a SpherePoint only for the start and the result, and its saddle
-escape scores both candidates with the same bound kernel.
+The solver treats them interchangeably behind one loop on plain arrays,
+which runs a stack of starts at once (solve_batch); a single solve is the
+stack of one. It builds a SpherePoint only for the start and the result,
+and its saddle escape scores both candidates with the same bound kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdl import Preconditioner
-from .model import ObservationSet, SpherePoint, retract
+from .model import ObservationSet, SpherePoint, _is_int, retract
 from .objectives import tangent_min_eig
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "tangent_min_eig",
     "escape_saddle",
     "solve",
+    "solve_batch",
     "init_cdl",
 ]
 
@@ -69,9 +72,7 @@ class SolveConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0.0 < self.grad_tol < math.inf:
             raise ValueError("grad_tol must be positive and finite")
-        if (isinstance(self.max_iters, bool)
-                or not isinstance(self.max_iters, numbers.Integral)
-                or self.max_iters < 1):
+        if not (_is_int(self.max_iters) and self.max_iters >= 1):
             raise ValueError("max_iters must be an integer of at least 1")
         # the escape eigensolve draws from stream(seed + k), which refuses
         # a non-integer only once a solve reaches it
@@ -163,84 +164,182 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
     per iterate (once per trial point in a line search, twice per escape
     attempt), plus curvature(q).min_eig when escape is enabled. A package
     objective's `_evaluate`, the same call on the loop's plain unit arrays,
-    is bound once in its place. A non-finite gradient raises ValueError.
+    is bound once in its place, and its `_evaluate_rows`, where it has one,
+    evaluates the loop's stack. A non-finite gradient raises ValueError.
+    This is solve_batch's loop run on a stack of one start.
     """
     if cfg is None:
         cfg = SolveConfig()
     q = q0 if isinstance(q0, SpherePoint) else SpherePoint.project(np.asarray(q0, dtype=float))
+    ends, (row,) = _solve_stack(obj, q.coords[None], cfg)
+    # row[0] counts the moves, so a solve that made none ends at q itself
+    return SolveResult(q if row[0] == 0 else SpherePoint(ends[0]), *row)
+
+
+def solve_batch(obj, Q0, cfg: SolveConfig) -> list:
+    """solve from each row of the (T, n) array Q0, as one stack.
+
+    Each row is projected onto the sphere as SpherePoint.project does,
+    and its SolveResult has the bits of solve from that point: the rows
+    move as one stack through the objective's stacked kernel, with every
+    stopping test taken per row. A row that ends leaves the stack. A
+    non-finite gradient or a refused projection in any row raises
+    ValueError, as it does in solve.
+    """
+    Q0 = np.array(Q0, dtype=float)
+    if Q0.ndim != 2:
+        raise ValueError(f"Q0 must be a 2-d stack of starts, got shape {Q0.shape}")
+    ends, rows = _solve_stack(obj, retract(Q0), cfg)
+    return [SolveResult(SpherePoint(x), *row) for x, row in zip(ends, rows)]
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> tuple:
+    """The dot of each row of A with the same row of B: as a (k, 1) column,
+    or a scalar for one row, and as a list.
+
+    vecdot takes for each row the dot of that row alone; one row takes the
+    dot itself, which costs less.
+    """
+    if len(A) == 1:
+        d = A[0].dot(B[0])
+        return d, [float(d)]
+    D = np.vecdot(A, B, keepdims=True)
+    return D, D.ravel().tolist()
+
+
+def _evaluate_each(evaluate, X: np.ndarray) -> tuple[list, np.ndarray]:
+    """(values, gradient rows) of a one-point evaluate over the rows of X."""
+    pairs = [evaluate(x) for x in X]
+    return ([float(val) for val, _ in pairs],
+            np.array([g for _, g in pairs], dtype=float))
+
+
+def _solve_stack(obj, X0: np.ndarray, cfg: SolveConfig) -> tuple[np.ndarray, list]:
+    """The solver loop, run from each unit row of the (T, n) stack X0.
+
+    Returns the end points as a (T, n) array and, per row, the SolveResult
+    fields after q_star: (iterations, final_grad_norm, objective_trace,
+    termination, escapes_taken). The live rows move as one stack, and each
+    of solve's tests is taken per row, so a row ends as it would alone and
+    then leaves the stack. The line search shrinks one tau for the rows
+    still searching, which is each row's own sequence; an escape runs per
+    row, with the row's own seed cfg.seed + escapes.
+    """
     evaluate = getattr(obj, "_evaluate", obj.evaluate)
-    x = q.coords
-    val, g = evaluate(x)
-    last = float(val)
-    trace = [last]
-    iterations = 0
-    escapes = 0
-    termination = "max_iters"
+    evaluate_rows = getattr(obj, "_evaluate_rows", None)
+    if evaluate_rows is None:
+        evaluate_rows = functools.partial(_evaluate_each, evaluate)
+    X = np.array(X0, dtype=float)  # owned: an escape writes its row in place
+    vals, G = evaluate_rows(X)
+    T = len(X)
+    slots = list(range(T))  # the output row of each stacked row
+    # a row's trace gains one value per move, so it holds iterations + 1
+    traces = [[float(val)] for val in vals]
+    escapes = [0] * T
+    ends = np.empty_like(X)
+    rows = [None] * T
     power, grad_tol, max_iters = cfg.method == "power", cfg.grad_tol, cfg.max_iters
 
-    while True:
-        # any non-finite g makes x.g non-finite; vdot, unlike @, won't warn on 0*inf
-        xg = np.vdot(x, g)
-        if not math.isfinite(xg):
-            raise ValueError("cannot project a zero or non-finite vector")
-        rg = g - x * xg
-        gn = math.sqrt(rg.dot(rg))
-        if gn <= grad_tol:
-            moved = None
-            if cfg.escape is not None and iterations < max_iters:
-                moved = escape_saddle(obj, x, evaluate, seed=cfg.seed + escapes)
-            if moved is None or moved[1] >= last:
-                termination = "grad_tol"
-                break
-            x, val, g = moved
-            escapes += 1
-            iterations += 1
-            last = float(val)
-            trace.append(last)
-            continue
-        if iterations >= max_iters:
-            termination = "max_iters"
-            break
-        if len(trace) > STALL_WINDOW:
-            ref = trace[-1 - STALL_WINDOW]
-            if abs(last - ref) <= STALL_REL_TOL * max(1.0, abs(ref)):
-                termination = "stalled"
-                break
+    def finish(i, gn, termination):
+        ends[slots[i]] = X[i]
+        trace = traces[i]
+        rows[slots[i]] = (len(trace) - 1, gn, np.array(trace), termination,
+                          escapes[i])
+        done.append(i)
 
-        if power:
-            # P_sphere(-g), or P_sphere(g) when x.g > 0; see power_step
-            cand = retract(g if xg > 0.0 else -g)
-            val, g_cand = evaluate(cand)
-            if not val <= last + 1e-12 * max(1.0, abs(last)):
-                termination = "nonmonotone"
-                break
-        else:
-            tau = BACKTRACK_TAU0
-            while True:
-                cand = retract(x - tau * rg)
-                val, g_cand = evaluate(cand)
-                if val <= last - ARMIJO_C1 * tau * gn * gn:
-                    break
-                tau *= BACKTRACK_SHRINK
-                if tau < MIN_BACKTRACK_TAU:
-                    cand = None
-                    break
-            if cand is None:
-                termination = "stalled"
-                break
-        x, g = cand, g_cand
-        iterations += 1
-        last = float(val)
-        trace.append(last)
+    # any non-finite g makes x.g non-finite, which is refused below; the
+    # ufunc vecdot, unlike dot, would also warn on 0*inf
+    with np.errstate(invalid="ignore"):
+        while slots:
+            done = []
+            XG, xgs = _row_dots(X, G)
+            RG = G - X * XG
+            gn2s = _row_dots(RG, RG)[1]
+            step, flips = [], []
+            for i, (xg, gn2) in enumerate(zip(xgs, gn2s)):
+                if not math.isfinite(xg):
+                    raise ValueError("cannot project a zero or non-finite vector")
+                gn = math.sqrt(gn2)
+                trace = traces[i]
+                if gn <= grad_tol:
+                    moved = None
+                    if cfg.escape is not None and len(trace) <= max_iters:
+                        moved = escape_saddle(obj, X[i], evaluate,
+                                              seed=cfg.seed + escapes[i])
+                    if moved is None or moved[1] >= trace[-1]:
+                        finish(i, gn, "grad_tol")
+                        continue
+                    X[i], val, G[i] = moved
+                    escapes[i] += 1
+                    trace.append(float(val))
+                    continue
+                if len(trace) > max_iters:
+                    finish(i, gn, "max_iters")
+                    continue
+                if len(trace) > STALL_WINDOW:
+                    ref = trace[-1 - STALL_WINDOW]
+                    if abs(trace[-1] - ref) <= STALL_REL_TOL * max(1.0, abs(ref)):
+                        finish(i, gn, "stalled")
+                        continue
+                if xg > 0.0:
+                    flips.append(len(step))
+                step.append(i)
 
-    return SolveResult(
-        q_star=q if x is q.coords else SpherePoint(x),
-        iterations=iterations,
-        final_grad_norm=gn,
-        objective_trace=np.array(trace),
-        termination=termination,
-        escapes_taken=escapes,
-    )
+            if step and power:
+                # P_sphere(-g), or P_sphere(g) when x.g > 0; see power_step
+                whole = len(step) == len(X)
+                V = -G if whole else -G[step]
+                for j in flips:
+                    V[j] = -V[j]
+                C = retract(V)
+                vals, GC = evaluate_rows(C)
+                for i, val in zip(step, vals):
+                    last = traces[i][-1]
+                    if val <= last + 1e-12 * max(1.0, abs(last)):
+                        traces[i].append(val)
+                    else:
+                        finish(i, math.sqrt(gn2s[i]), "nonmonotone")
+                # a row that ended here leaves the stack below, so its
+                # candidate may land in its place
+                if whole:
+                    X, G = C, GC
+                else:
+                    X[step] = C
+                    G[step] = GC
+            elif step:
+                # Armijo backtracking from each row's x along its -rgrad
+                Xs, RGs = X[step], RG[step]
+                search = list(range(len(step)))  # positions in step
+                tau = BACKTRACK_TAU0
+                while search:
+                    C = retract(Xs[search] - tau * RGs[search])
+                    vals, GC = evaluate_rows(C)
+                    retry = []
+                    for k, (j, val) in enumerate(zip(search, vals)):
+                        i = step[j]
+                        gn = math.sqrt(gn2s[i])
+                        trace = traces[i]
+                        if val <= trace[-1] - ARMIJO_C1 * tau * gn * gn:
+                            trace.append(val)
+                            X[i], G[i] = C[k], GC[k]
+                        else:
+                            retry.append(j)
+                    tau *= BACKTRACK_SHRINK
+                    if retry and tau < MIN_BACKTRACK_TAU:
+                        for j in retry:
+                            finish(step[j], math.sqrt(gn2s[step[j]]), "stalled")
+                        break
+                    search = retry
+
+            if len(done) == len(X):
+                break
+            if done:
+                keep = [i for i in range(len(X)) if i not in done]
+                X, G = X[keep], G[keep]
+                slots = [slots[i] for i in keep]
+                traces = [traces[i] for i in keep]
+                escapes = [escapes[i] for i in keep]
+    return ends, rows
 
 
 def init_cdl(measurements: ObservationSet, P: Preconditioner,

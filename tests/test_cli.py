@@ -23,7 +23,8 @@ from sphere4.cli import (
 )
 from sphere4.model import SpherePoint, load_matrix, make_untf, save_matrix, stream
 from sphere4.objectives import TensorObjective
-from sphere4.optimize import SolveConfig, solve
+from sphere4.landscape import critical_point_report
+from sphere4.optimize import EscapeConfig, SolveConfig, solve
 from sphere4.recovery import EPS_CDL, SUCCESS_THRESHOLD, recovery_error
 
 
@@ -548,6 +549,24 @@ def test_landscape_at_solution_json(tmp_path):
     assert len(payload) == 2
     assert {"region", "classification", "grad_norm"} <= set(payload[0])
     assert all(r["grad_norm"] < 1e-6 for r in payload)
+
+
+@pytest.mark.parametrize("flags", [[], ["--escape"], ["--method", "rgd"]],
+                         ids=["power", "escape", "rgd"])
+def test_landscape_at_solution_reports_each_samples_own_solve(tmp_path, flags):
+    # the samples are solved as one stack; each report must be the one at
+    # the end of that sample's lone solve
+    assert run("landscape", "--n", "6", "--m", "12", "--samples", "5",
+               "--seed", "3", "--at-solution", *flags, "--format", "json",
+               "--out-dir", str(tmp_path)) == EXIT_OK
+    payload = json.loads((tmp_path / "landscape.json").read_text())
+    D = make_untf(6, 12, seed=3)
+    cfg = SolveConfig(method="rgd" if "rgd" in flags else "power",
+                      escape=EscapeConfig() if "--escape" in flags else None)
+    for s, report in enumerate(payload):
+        q0 = SpherePoint.project(stream(3, "landscape", s).standard_normal(6))
+        q = solve(TensorObjective(D), q0, cfg).q_star
+        assert report == json.loads(critical_point_report(D, q).to_json())
 
 
 @pytest.mark.parametrize("flags", [["--method", "rgd"], ["--max-iters", "5"],

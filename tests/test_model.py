@@ -169,6 +169,23 @@ def test_untf_stack_refuses_what_make_untf_refuses(monkeypatch, n, m, seed):
         assert str(got.value) == str(ref.value)
 
 
+@pytest.mark.parametrize("sampler, sizes", [
+    (make_filter_bank, (16.5, 2)), (make_filter_bank, (16, 2.0)),
+    (make_filter_bank, (True, 2)), (make_filter_bank, (0, 2)),
+    (lambda m, p, seed: sample_bg(m, p, 0.2, seed), (True, 10)),
+    (lambda m, p, seed: sample_bg(m, p, 0.2, seed), (4, 10.0)),
+    (lambda m, p, seed: sample_bg(m, p, 0.2, seed), (4, "10")),
+    (lambda m, p, seed: sample_bg(m, p, 0.2, seed), (4, 0))],
+    ids=["bank-n-float", "bank-K-float", "bank-n-bool", "bank-n-zero",
+         "bg-m-bool", "bg-p-float", "bg-p-str", "bg-p-zero"])
+def test_samplers_refuse_non_integer_sizes(sampler, sizes):
+    # the integer check of the UNTF generator: numpy raised TypeError on
+    # 16.5, and True drew a size-1 sample
+    with pytest.raises(ValueError, match="need integers"):
+        sampler(*sizes, seed=1)
+    assert sample_bg(np.int64(4), 10, 0.2, seed=1).entries.shape == (4, 10)
+
+
 def test_dictionary_rejects_wide_transpose():
     with pytest.raises(ValueError):
         Dictionary(np.zeros((4, 3)))
@@ -325,6 +342,23 @@ def test_retract_refuses_zero_and_non_finite(bad):
     v = np.zeros(3) if bad == 0.0 else np.array([1.0, bad, 0.0])
     with pytest.raises(ValueError, match="zero or non-finite"):
         retract(v)
+    # one such row refuses the stack it is in
+    with pytest.raises(ValueError, match="zero or non-finite"):
+        retract(np.vstack([np.ones(3), v]))
+
+
+def test_retract_normalizes_each_row_of_a_stack_alone():
+    # the solver's stacked steps keep the bits of each row's lone retract
+    rng = stream(41, "retract-stack")
+    for _ in range(200):
+        k, n = int(rng.integers(1, 17)), int(rng.integers(1, 65))
+        V = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-100, 100, (k, 1))
+        U = retract(V)
+        for v, u in zip(V, U):
+            assert u.tobytes() == retract(v).tobytes()
+    tiny = np.array([[1e-160, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="underflows"):
+        retract(tiny)
 
 
 def test_filter_bank_basics():

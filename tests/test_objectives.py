@@ -196,6 +196,25 @@ def test_evaluate_matches_value_and_grad_bitwise_property(shape, seed, form):
         assert g.tobytes() == obj.grad(q).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(16, 32), (16, 24), (8, 16), (12, 32),
+                                   (8, 12), (16, 2000)])
+def test_evaluate_rows_matches_lone_rows_bitwise(shape):
+    # the stacked matmul runs a lone row's gemv per row, and vecdot its
+    # vdot; (k,n)@(n,m) gemm and einsum would not keep these bits
+    n, m = shape
+    obj = (TensorObjective(make_untf(n, m, seed=m)) if m <= 32 else
+           OdlObjective(synth_odl(make_untf(n, 24, seed=27),
+                                  sample_bg(24, m, 0.2, seed=28)), 0.2))
+    for k in (1, 2, 3, 8, 16):
+        X = retract(stream(29, n, m, k).standard_normal((k, n)))
+        vals, G = obj._evaluate_rows(X)
+        assert G.shape == (k, n)
+        for x, val, g in zip(X, vals, G):
+            lone_val, lone_g = obj._evaluate(x)
+            assert val.hex() == lone_val.hex()
+            assert g.tobytes() == lone_g.tobytes()
+
+
 def test_sign_symmetry():
     rng = stream(13)
     D = make_untf(5, 10, seed=14)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere4.cdl import CdlObjective, Preconditioner, synth_cdl
 from sphere4.model import (
@@ -33,6 +35,7 @@ from sphere4.optimize import (
     power_step,
     rgd_step,
     solve,
+    solve_batch,
     tangent_min_eig,
 )
 from sphere4.recovery import cdl_start
@@ -301,6 +304,120 @@ def test_solve_bit_identical_to_replaced_loop(kind, cfg):
         assert result_bits(res) == result_bits(reference_solve(obj, q0, cfg))
         escapes += res.escapes_taken
     assert escapes >= (kind == "saddle" and cfg.escape is not None)
+
+
+@functools.cache
+def batch_objective(kind: str):
+    if kind == "tensor-16x32":
+        return TensorObjective(make_untf(16, 32, seed=140))
+    if kind == "tensor-8x12":
+        return TensorObjective(make_untf(8, 12, seed=141))
+    if kind == "odl":
+        return random_odl(16, 24, 2000, 0.2, seed=142)
+    return CdlObjective(
+        synth_cdl(make_filter_bank(16, 2, seed=143), 0.2, 400, seed=144))
+
+
+BATCH_CONFIGS = [
+    SolveConfig(),
+    SolveConfig(method="rgd"),
+    SolveConfig(escape=EscapeConfig(), seed=5),
+    SolveConfig(method="rgd", escape=EscapeConfig(), seed=5),
+]
+BATCH_CONFIG_IDS = ["power", "rgd", "power-escape", "rgd-escape"]
+
+
+@pytest.mark.parametrize("kind, k", [
+    ("tensor-16x32", 1), ("tensor-16x32", 2), ("tensor-16x32", 8),
+    ("tensor-8x12", 1), ("tensor-8x12", 2), ("tensor-8x12", 8),
+    ("odl", 1), ("odl", 2), ("odl", 8), ("cdl", 1)])
+@pytest.mark.parametrize("cfg", BATCH_CONFIGS, ids=BATCH_CONFIG_IDS)
+def test_solve_batch_rows_bit_identical_to_reference_loop(kind, k, cfg):
+    # each row of a stack against the loop the bound kernel replaced, run
+    # alone from the same projected start: every SolveResult field
+    obj = batch_objective(kind)
+    Q0 = stream(145, kind, k).standard_normal((k, obj.n))
+    results = solve_batch(obj, Q0, cfg)
+    assert len(results) == k
+    for row, res in zip(Q0, results):
+        ref = reference_solve(obj, SpherePoint.project(row), cfg)
+        assert result_bits(res) == result_bits(ref)
+
+
+def test_solve_batch_rows_that_end_differently():
+    # one stack whose rows end at the iteration cap and at first-order
+    # points, and one whose saddle rows escape while the others do not
+    obj = batch_objective("tensor-16x32")
+    cfg = SolveConfig(max_iters=40)
+    Q0 = stream(146).standard_normal((8, 16))
+    results = solve_batch(obj, Q0, cfg)
+    assert {r.termination for r in results} == {"grad_tol", "max_iters"}
+    for row, res in zip(Q0, results):
+        assert result_bits(res) == result_bits(
+            reference_solve(obj, SpherePoint.project(row), cfg))
+
+    obj = identity_objective(4)
+    cfg = SolveConfig(escape=EscapeConfig(), seed=3)
+    Q0 = np.vstack([[1.0, 1.0, 0.0, 0.0], stream(147).standard_normal(4),
+                    [1.0, 1.0, 1.0, 0.0], stream(148).standard_normal(4)])
+    results = solve_batch(obj, Q0, cfg)
+    assert [r.escapes_taken > 0 for r in results] == [True, False, True, False]
+    for row, res in zip(Q0, results):
+        assert result_bits(res) == result_bits(
+            reference_solve(obj, SpherePoint.project(row), cfg))
+
+
+class NanNearE3Objective:
+    """phi = -||q||_4^4 / 4, whose gradient turns NaN once q[2] > 0.95."""
+
+    def evaluate(self, q):
+        q = np.asarray(q, dtype=float)
+        g = -q**3
+        return -0.25 * float(np.sum(q**4)), g * np.nan if q[2] > 0.95 else g
+
+
+@pytest.mark.parametrize("method", ["power", "rgd"])
+def test_solve_batch_raises_as_a_row_alone_does(method):
+    # the second row's first step lands past q[2] = 0.95, so solving it
+    # alone raises; the stack raises the same error
+    obj, cfg = NanNearE3Objective(), SolveConfig(method=method)
+    Q0 = np.array([[0.9, 0.3, 0.3], [0.3, 0.3, 0.905]])
+    assert solve(obj, SpherePoint.project(Q0[0]), cfg).termination == "grad_tol"
+    with pytest.raises(ValueError, match="cannot project a zero or non-finite vector"):
+        solve(obj, SpherePoint.project(Q0[1]), cfg)
+    with pytest.raises(ValueError, match="cannot project a zero or non-finite vector"):
+        solve_batch(obj, Q0, cfg)
+
+
+def test_solve_batch_refuses_what_it_cannot_project():
+    obj = identity_objective(3)
+    with pytest.raises(ValueError, match="2-d stack"):
+        solve_batch(obj, np.ones(3), SolveConfig())
+    with pytest.raises(ValueError, match="zero or non-finite"):
+        solve_batch(obj, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                    SolveConfig())
+    assert solve_batch(obj, np.empty((0, 3)), SolveConfig()) == []
+
+
+@functools.cache
+def lone_solve_bits(row: int, cfg_index: int) -> tuple:
+    obj = batch_objective("tensor-8x12")
+    q0 = SpherePoint.project(stream(149).standard_normal((6, 8))[row])
+    return result_bits(reference_solve(obj, q0, BATCH_CONFIGS[cfg_index]))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(order=st.integers(1, 6).flatmap(
+           lambda k: st.permutations(range(6)).map(lambda p: p[:k])),
+       cfg_index=st.integers(0, len(BATCH_CONFIGS) - 1))
+def test_solve_batch_solves_like_its_rows_alone_property(order, cfg_index):
+    # any subset of the starts, stacked in any order, solves row for row
+    # like each start alone
+    Q0 = stream(149).standard_normal((6, 8))[list(order)]
+    results = solve_batch(batch_objective("tensor-8x12"), Q0,
+                          BATCH_CONFIGS[cfg_index])
+    assert [result_bits(r) for r in results] == [
+        lone_solve_bits(row, cfg_index) for row in order]
 
 
 class ScriptedObjective:
@@ -748,7 +865,7 @@ def test_public_names():
 
     names = sorted(f"{module}.{name}" for module in PUBLIC_MODULES
                    for name in importlib.import_module(f"sphere4.{module}").__all__)
-    assert len(names) == 52, names
+    assert len(names) == 53, names
 
 
 def test_no_unused_imports():

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -22,11 +20,12 @@ from sphere4.model import (
     stream,
     synth_odl,
 )
-from sphere4.objectives import OdlObjective
-from sphere4.optimize import SolveConfig, init_cdl
+from sphere4.objectives import OdlObjective, TensorObjective
+from sphere4.optimize import SolveConfig, init_cdl, solve
 from sphere4.recovery import (
     EPS_CDL,
     SUCCESS_THRESHOLD,
+    TRIAL_CHUNK,
     DictionaryCoverage,
     RecoveryOutcome,
     align_shift,
@@ -147,6 +146,60 @@ def test_recover_full_validates_budget():
     D = Dictionary(np.eye(2))
     with pytest.raises(ValueError):
         recover_full(D, SolveConfig(), 0)
+    # range() raised TypeError on 2.5, and True ran one trial
+    for bad in (2.5, 3.0, np.float64(3), True, "3", None):
+        with pytest.raises(ValueError, match="trial_budget"):
+            recover_full(D, SolveConfig(), bad)
+
+
+def serial_log(D, cfg, budget, seed_base, objective=None):
+    """recover_full's trial log as the loop that solved one trial at a
+    time wrote it."""
+    objective = objective or TensorObjective(D)
+    outcomes, covered = [], set()
+    for t in range(budget):
+        q0 = SpherePoint.project(
+            stream(seed_base + t, "trial-init").standard_normal(D.n))
+        out = recovery_error(solve(objective, q0, cfg).q_star, D)
+        outcomes.append(out)
+        if out.success:
+            covered.add(out.best_index)
+            if len(covered) == D.m:
+                break
+    return tuple(outcomes)
+
+
+@pytest.mark.parametrize("budget", [TRIAL_CHUNK - 1, TRIAL_CHUNK,
+                                    TRIAL_CHUNK + 1, 2 * TRIAL_CHUNK + 3])
+def test_recover_full_log_is_the_serial_loops_across_chunks(budget):
+    D = make_untf(6, 9, seed=5)
+    cfg = SolveConfig(max_iters=10_000, grad_tol=1e-9)
+    cov = recover_full(D, cfg, budget, seed_base=11)
+    assert cov.per_trial == serial_log(D, cfg, budget, 11)
+    assert cov.trials_used == len(cov.per_trial)
+
+
+@pytest.mark.parametrize("stop", [TRIAL_CHUNK - 1, TRIAL_CHUNK,
+                                  TRIAL_CHUNK + 1])
+def test_recover_full_stops_early_at_a_chunk_boundary(monkeypatch, stop):
+    # on the identity a solve ends at a basis vector, so full coverage is a
+    # coupon collector; find the first seed whose serial loop completes it
+    # with trial `stop`, on either side of a chunk boundary
+    D = Dictionary(np.eye(4))
+    cfg = SolveConfig()
+    seed_base = next(b for b in range(0, 100_000, 100)
+                     if len(serial_log(D, cfg, 3 * TRIAL_CHUNK, b)) == stop)
+    built = []
+    monkeypatch.setattr(recovery, "SolveResult",
+                        lambda *args: built.append(args))
+    for budget in (stop, stop + 1, stop + TRIAL_CHUNK):
+        built.clear()
+        cov = recover_full(D, cfg, budget, seed_base=seed_base)
+        assert cov.trials_used == stop
+        assert cov.recovered == frozenset(range(4))
+        assert cov.per_trial == serial_log(D, cfg, budget, seed_base)
+        # the trials past the stop in its chunk build no result
+        assert len(built) == stop
 
 
 def test_recover_full_coupon_collector_harness(monkeypatch):
@@ -157,11 +210,12 @@ def test_recover_full_coupon_collector_harness(monkeypatch):
     m = 8
     D = Dictionary(np.eye(m))
 
-    def stub(objective, q0, config):
-        idx = int(np.argmax(np.abs(q0.coords)))
-        return SimpleNamespace(q_star=SpherePoint(np.eye(m)[:, idx]))
+    def stub(objective, X0, config):
+        # the batch entry: end points and per-row SolveResult fields
+        ends = np.eye(m)[np.argmax(np.abs(X0), axis=1)]
+        return ends, [(0, 0.0, np.zeros(1), "grad_tol", 0)] * len(X0)
 
-    monkeypatch.setattr(recovery, "solve", stub)
+    monkeypatch.setattr(recovery, "_solve_stack", stub)
     reps = 50
     counts = []
     for rep in range(reps):
@@ -298,6 +352,13 @@ def test_recover_filters_two_filters_within_budget():
     assert fr.recovered == {0, 1}
     assert np.all(fr.aligned_errors <= EPS_CDL)
     assert fr.trials_used <= 20
+
+
+def test_recover_filters_validates_budget():
+    prob = spike_code_problem(8, 10, seed=1)
+    for bad in (0, 2.5, 1.0, True, "3"):
+        with pytest.raises(ValueError, match="trial_budget"):
+            recover_filters(prob, trial_budget=bad)
 
 
 def test_recover_filters_requires_ground_truth():
