@@ -29,7 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import FilterBank, ObservationSet, SparseCode, SpherePoint, sample_bg
+from .model import (FilterBank, ObservationSet, SparseCode, SpherePoint, _is_int,
+                    sample_bg)
 from .objectives import _QuarticObjective, _coords
 
 __all__ = [
@@ -69,8 +70,8 @@ class Preconditioner:
             raise ValueError("spectrum weights must be nonempty")
         if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise ValueError("spectrum weights must be positive and finite")
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
+        if not (_is_int(self.K) and self.K >= 1):
+            raise ValueError(f"K must be an integer of at least 1, got {self.K!r}")
         w.setflags(write=False)
         object.__setattr__(self, "spectrum_weights", w)
         a, b = w[: w.size // 2 + 1], w[-np.arange(w.size // 2 + 1)]
@@ -110,8 +111,8 @@ def build_preconditioner(Y: ObservationSet, theta: float, K: int,
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    if K < 1:
-        raise ValueError("K must be at least 1")
+    if not (_is_int(K) and K >= 1):
+        raise ValueError(f"K must be an integer of at least 1, got {K!r}")
     if convention not in SCALE_CONVENTIONS:
         raise ValueError(f"unknown scale convention {convention!r}")
     if not np.any(Y.entries):

@@ -16,20 +16,21 @@ import itertools
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cdl import CdlObjective, ConvProblem, build_preconditioner, synth_cdl
-from .landscape import REPORT_CSV_COLUMNS, critical_point_report
+from .landscape import critical_point_report
 from .model import (
     Dictionary,
     FilterBank,
     ObservationSet,
     SpherePoint,
     _atomic_write,
+    _is_int,
     _untf_stack,
     load_matrix,
     make_filter_bank,
@@ -63,16 +64,15 @@ RATE_SWEEP_COLUMNS = ("n", "m", "p", "theta", "K", "repeats", "successes",
                       "rate")
 SOLVE_CSV_COLUMNS = ("seed", "rho_e", "best_index", "success")
 ALIGN_CSV_COLUMNS = ("filter", "shift", "sign", "aligned_error", "recovered")
+REPORT_CSV_COLUMNS = ("seed", "region", "grad_norm", "min_eig",
+                      "classification", "best_index", "inner_product")
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
+    # rows hold Python scalars; bool first, since it is an int
+    if isinstance(x, bool):
         return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return "%.17g" % float(x)
-    return str(x)
+    return "%.17g" % x if isinstance(x, float) else str(x)
 
 
 def _write_table(path: Path, columns, rows, provenance) -> None:
@@ -80,6 +80,18 @@ def _write_table(path: Path, columns, rows, provenance) -> None:
     lines.append(",".join(columns))
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _json_fields(record) -> dict:
+    """A result record's fields in order, as JSON values: arrays and
+    SpherePoints become lists."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    for name, value in values.items():
+        if isinstance(value, SpherePoint):
+            value = value.coords
+        if isinstance(value, np.ndarray):
+            values[name] = value.tolist()
+    return values
 
 
 def _provenance(command: str, args: argparse.Namespace,
@@ -150,7 +162,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         matrices = {"filters": problem.filters.filters,
                     "codes": problem.codes.entries,
                     "measurements": problem.measurements.entries}
-        meta.update(K=args.k, convention=args.convention)
+        meta.update(K=args.k, convention=args.convention,
+                    floored=problem.preconditioner.floored)
     for name, entries in matrices.items():
         save_matrix(out / f"{name}.csv", entries, prov)
     _atomic_write(out / "gen.json", json.dumps(meta, indent=2) + "\n")
@@ -219,11 +232,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
         else:
             q0 = cdl_start(problem, stream(seed, "cli-solve-data"))
         res = solve(objective, q0, cfg)
+        score = cdl_score(res.q_star, problem)
+        shifts, signs, errors = (score.shifts.tolist(), score.signs.tolist(),
+                                 score.aligned_errors.tolist())
         _write_table(out / "filters_aligned.csv", ALIGN_CSV_COLUMNS,
-                     cdl_score(res.q_star, problem).csv_rows(), prov)
+                     [(k, shifts[k], signs[k], errors[k], k in score.recovered)
+                      for k in range(len(errors))], prov)
 
-    _atomic_write(out / "solve_result.json",
-                  res.to_json(include_trace=args.emit_trace) + "\n")
+    result = _json_fields(res)
+    trace = result.pop("objective_trace")  # last, and only with --emit-trace
+    if args.emit_trace:
+        result["objective_trace"] = trace
+    _atomic_write(out / "solve_result.json", json.dumps(result) + "\n")
     print(f"terminated: {res.termination} after {res.iterations} iterations")
     if res.termination in ("max_iters", "nonmonotone"):
         return EXIT_NONCONVERGED
@@ -250,8 +270,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.objective not in ("phi_T", "phi_DL", "phi_CDL"):
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
+        if not (_is_int(self.repeats) and self.repeats >= 1):
+            raise ValueError("repeats must be an integer of at least 1, "
+                             f"got {self.repeats!r}")
         ignored = {"phi_T": ("p", "theta", "K"), "phi_DL": ("K",),
                    "phi_CDL": ("m",)}[self.objective]
         for name, grid in (("n", self.n_grid), ("m", self.m_grid),
@@ -404,12 +425,13 @@ def cmd_landscape(args: argparse.Namespace) -> int:
               [r.q_star for r in solve_batch(TensorObjective(D), draws, cfg)])
     reports = [critical_point_report(D, q) for q in points]
     if args.format == "json":
-        payload = [json.loads(r.to_json()) for r in reports]
-        _atomic_write(out / "landscape.json",
-                      json.dumps(payload, indent=2) + "\n")
+        _atomic_write(out / "landscape.json", json.dumps(
+            [_json_fields(r) for r in reports], indent=2) + "\n")
     else:
         _write_table(out / "landscape.csv", REPORT_CSV_COLUMNS,
-                     [r.csv_row(seed=s) for s, r in enumerate(reports)], prov)
+                     [(s, r.region, r.grad_norm, r.hess_min_eig,
+                       r.classification, r.best_index, r.inner_product)
+                      for s, r in enumerate(reports)], prov)
     counts = Counter(r.classification for r in reports)
     print(" ".join(f"{k}:{v}" for k, v in sorted(counts.items())))
     return EXIT_OK

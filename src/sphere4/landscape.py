@@ -10,7 +10,6 @@ the cubic classification and the tangent curvature at a concrete (A, q).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +47,6 @@ RESID_TOL = 1e-4
 
 # the split's constant must exceed 2^6; the integer above the floor
 XI_DL = 65.0
-
-REPORT_CSV_COLUMNS = ("seed", "region", "grad_norm", "min_eig",
-                      "classification", "best_index", "inner_product")
 
 
 def _unit_coords(q) -> np.ndarray:
@@ -141,24 +137,6 @@ class LandscapeReport:
     classification: str
     best_index: int
     inner_product: float
-
-    def to_json(self) -> str:
-        payload = {
-            "region": self.region,
-            "grad_norm": self.grad_norm,
-            "alphas": self.alphas.tolist(),
-            "betas": self.betas.tolist(),
-            "hess_min_eig": self.hess_min_eig,
-            "hess_min_vec": self.hess_min_vec.tolist(),
-            "classification": self.classification,
-            "best_index": self.best_index,
-            "inner_product": self.inner_product,
-        }
-        return json.dumps(payload)
-
-    def csv_row(self, seed: int) -> tuple:
-        return (seed, self.region, self.grad_norm, self.hess_min_eig,
-                self.classification, self.best_index, self.inner_product)
 
 
 def critical_point_report(D: Dictionary, q) -> LandscapeReport:

@@ -14,9 +14,7 @@ and its saddle escape scores both candidates with the same bound kernel.
 from __future__ import annotations
 
 import functools
-import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -75,8 +73,8 @@ class SolveConfig:
         if not (_is_int(self.max_iters) and self.max_iters >= 1):
             raise ValueError("max_iters must be an integer of at least 1")
         # the escape eigensolve draws from stream(seed + k), which refuses
-        # a non-integer only once a solve reaches it
-        if not isinstance(self.seed, numbers.Integral):
+        # a non-integer only once a solve reaches it, and reads True as 1
+        if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
@@ -88,18 +86,6 @@ class SolveResult:
     objective_trace: np.ndarray
     termination: str
     escapes_taken: int
-
-    def to_json(self, include_trace: bool = False) -> str:
-        payload = {
-            "q_star": self.q_star.coords.tolist(),
-            "iterations": self.iterations,
-            "final_grad_norm": self.final_grad_norm,
-            "termination": self.termination,
-            "escapes_taken": self.escapes_taken,
-        }
-        if include_trace:
-            payload["objective_trace"] = self.objective_trace.tolist()
-        return json.dumps(payload)
 
 
 def power_step(obj, q: SpherePoint) -> SpherePoint:

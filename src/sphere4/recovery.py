@@ -188,11 +188,6 @@ class FilterRecovery:
     recovered: frozenset
     trials_used: int
 
-    def csv_rows(self) -> list:
-        return [(k, int(self.shifts[k]), float(self.signs[k]),
-                 float(self.aligned_errors[k]), k in self.recovered)
-                for k in range(len(self.aligned_errors))]
-
 
 def cdl_start(problem: ConvProblem, rng: np.random.Generator) -> SpherePoint:
     """A preconditioned measurement drawn from `rng`, normalized.

@@ -207,12 +207,14 @@ def test_preconditioner_rejects_subnormal_measurements():
 @pytest.mark.parametrize("make,match", [
     *((lambda Y, t=t: build_preconditioner(Y, t, 1), r"theta must lie in \(0, 1\)")
       for t in (0.0, 1.0, 1.5, -0.1, np.nan, np.inf)),
-    *((lambda Y, k=k: build_preconditioner(Y, 0.1, k), "K must be at least 1")
-      for k in (0, -1)),
+    *((lambda Y, k=k: build_preconditioner(Y, 0.1, k),
+       "K must be an integer of at least 1") for k in (0, -1, 2.5, True)),
     (lambda Y: Preconditioner(np.array([]), K=1), "weights must be nonempty"),
-    (lambda Y: Preconditioner(np.ones(8), K=0), "K must be at least 1"),
+    *((lambda Y, k=k: Preconditioner(np.ones(8), K=k),
+       "K must be an integer of at least 1") for k in (0, 1.5, True)),
 ], ids=["theta-0", "theta-1", "theta-1.5", "theta-neg", "theta-nan",
-        "theta-inf", "K-0", "K-neg", "empty-weights", "whitener-K-0"])
+        "theta-inf", "K-0", "K-neg", "K-2.5", "K-true", "empty-weights",
+        "whitener-K-0", "whitener-K-1.5", "whitener-K-true"])
 def test_preconditioner_refuses_bad_input_up_front(make, match):
     # refused before any arithmetic, so no RuntimeWarning and no error about
     # the weights stands in for the real cause

@@ -12,6 +12,7 @@ import pytest
 
 import sphere4
 from sphere4.cli import (
+    EXIT_IO,
     EXIT_NONCONVERGED,
     EXIT_OK,
     EXIT_USAGE,
@@ -21,8 +22,16 @@ from sphere4.cli import (
     build_parser,
     main,
 )
-from sphere4.model import SpherePoint, load_matrix, make_untf, save_matrix, stream
-from sphere4.objectives import TensorObjective
+from sphere4.model import (
+    SpherePoint,
+    load_matrix,
+    make_untf,
+    sample_bg,
+    save_matrix,
+    stream,
+    synth_odl,
+)
+from sphere4.objectives import OdlObjective, TensorObjective
 from sphere4.landscape import critical_point_report
 from sphere4.optimize import EscapeConfig, SolveConfig, solve
 from sphere4.recovery import EPS_CDL, SUCCESS_THRESHOLD, recovery_error
@@ -87,6 +96,18 @@ def test_gen_cdl_files(tmp_path):
     meta = json.loads((tmp_path / "gen.json").read_text())
     assert meta["K"] == 2
     assert meta["convention"] == "main_text"
+
+
+@pytest.mark.parametrize("eps,floored", [(1.0, True), (None, False)])
+def test_gen_cdl_records_floored(tmp_path, monkeypatch, eps, floored):
+    # a floor at the max power bin floors every other bin
+    if eps is not None:
+        monkeypatch.setattr(sphere4.cdl, "EPS_SPEC", eps)
+    assert run("gen", "--model", "cdl", "--n", "16", "--k", "2", "--theta",
+               "0.1", "--p", "200", "--seed", "3", "--out-dir",
+               str(tmp_path)) == EXIT_OK
+    meta = json.loads((tmp_path / "gen.json").read_text())
+    assert meta["floored"] is floored
 
 
 def test_gen_odl_without_m_is_usage_error(tmp_path):
@@ -333,8 +354,34 @@ def test_solve_cdl_refuses_filters_of_another_length(tmp_path, capsys,
     assert list((tmp_path / "run").iterdir()) == []
 
 
+def test_solve_without_instance_files_is_io_error(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    (data / "gen.json").write_text(json.dumps({"model": "odl", "theta": 0.1}))
+    assert run("solve", "--data-dir", str(data), "--out-dir", str(out)) == \
+        EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # sweep
+
+
+USAGE_ERRORS = {
+    "solve-no-gen-json": ["solve", "--data-dir", "{tmp}"],
+    "phi_DL-no-m-grid": ["sweep", "--objective", "phi_DL", "--n-grid", "4"],
+    "n-grid-empty": ["sweep", "--n-grid", ",", "--m-grid", "8"],
+    "n-grid-not-int": ["sweep", "--n-grid", "4,x", "--m-grid", "8"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_writes_nothing(tmp_path, argv):
+    out = tmp_path / "out"
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run(*argv, "--out-dir", str(out)) == EXIT_USAGE
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def sweep_args(out: Path, *extra: str) -> list:
@@ -407,6 +454,32 @@ def test_sweep_refused_before_any_work(tmp_path, flags):
     assert main(["sweep", *flags, "--p-grid", "200", "--repeats", "2",
                  "--out-dir", str(out)]) == EXIT_USAGE
     assert list(out.iterdir()) == []
+
+
+def test_sweep_phi_dl_rows_match_per_repeat_reference(tmp_path):
+    # each repeat draws its own instance from its seed, solves the sample
+    # objective and scores against that instance's dictionary; a rerun
+    # writes the same bytes
+    argv = ["sweep", "--objective", "phi_DL", "--n-grid", "4", "--m-grid",
+            "8", "--p-grid", "1000", "--theta-grid", "0.2", "--repeats", "3"]
+    for name in ("a", "b"):
+        assert run(*argv, "--out-dir", str(tmp_path / name)) == EXIT_OK
+    header, *rows = data_lines(tmp_path / "a" / "sweep_raw.csv")
+    assert len(rows) == 3
+    for row in rows:
+        n, m, p, theta, K, repeat, seed, error, success = row.split(",")
+        rseed = _repeat_seed(0, (4, 8, 1000, 0.2, 1), int(repeat))
+        D = make_untf(4, 8, seed=rseed)
+        Y = synth_odl(D, sample_bg(8, 1000, 0.2, seed=rseed))
+        q0 = SpherePoint.project(stream(rseed, "sweep-q0").standard_normal(4))
+        err = recovery_error(solve(OdlObjective(Y, 0.2), q0).q_star, D).rho_e
+        assert (seed, error, success) == (
+            str(rseed), "%.17g" % err, "1" if err < SUCCESS_THRESHOLD else "0")
+    header, rates = data_lines(tmp_path / "a" / "sweep_rates.csv")
+    assert rates == "4,8,1000,0.20000000000000001,1,3,3,1"
+    for name in ("sweep_raw.csv", "sweep_rates.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
 
 
 def test_sweep_rerun_is_idempotent(tmp_path):
@@ -496,8 +569,11 @@ def test_sweep_spec_validation():
     good = SweepSpec((3,), (4,), (0,), (0.1,), (1,), 2, "phi_T",
                      SolveConfig())
     assert len(good.cells()) == 1
-    with pytest.raises(ValueError):
-        SweepSpec((3,), (4,), (0,), (0.1,), (1,), 0, "phi_T", SolveConfig())
+    # range() would refuse 2.5 only once the sweep runs, and take True for 1
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="repeats"):
+            SweepSpec((3,), (4,), (0,), (0.1,), (1,), bad, "phi_T",
+                      SolveConfig())
     with pytest.raises(ValueError):
         SweepSpec((3,), (4,), (0,), (0.1,), (1,), 2, "phi_X", SolveConfig())
     with pytest.raises(ValueError):
@@ -565,8 +641,13 @@ def test_landscape_at_solution_reports_each_samples_own_solve(tmp_path, flags):
                       escape=EscapeConfig() if "--escape" in flags else None)
     for s, report in enumerate(payload):
         q0 = SpherePoint.project(stream(3, "landscape", s).standard_normal(6))
-        q = solve(TensorObjective(D), q0, cfg).q_star
-        assert report == json.loads(critical_point_report(D, q).to_json())
+        rep = critical_point_report(D, solve(TensorObjective(D), q0, cfg).q_star)
+        assert list(report) == [f.name for f in dataclasses.fields(rep)]
+        for name, value in report.items():
+            expected = getattr(rep, name)
+            if isinstance(expected, np.ndarray):
+                expected = expected.tolist()
+            assert value == expected, name
 
 
 @pytest.mark.parametrize("flags", [["--method", "rgd"], ["--max-iters", "5"],

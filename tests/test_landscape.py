@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -15,7 +16,6 @@ from sphere4.landscape import (
     REGION_BOUNDARY,
     REGION_CRITICAL,
     REGION_NEGATIVE_CURVATURE,
-    REPORT_CSV_COLUMNS,
     RESID_TOL,
     XI_DL,
     LandscapeReport,
@@ -23,6 +23,7 @@ from sphere4.landscape import (
     critical_point_report,
     cubic_root_intervals,
 )
+from sphere4.cli import REPORT_CSV_COLUMNS, main
 from sphere4.model import Dictionary, SpherePoint, make_untf, stream
 from sphere4.objectives import TensorObjective, _coords
 from sphere4.optimize import SolveConfig, solve
@@ -279,31 +280,51 @@ def test_report_flags_coherent_mixture_as_indeterminate():
     assert rep.inner_product < 0.96
 
 
-def test_report_csv_row_matches_column_order():
-    D = Dictionary(np.eye(4))
-    rep = critical_point_report(D, SpherePoint(np.array([1.0, 0.0, 0.0, 0.0])))
-    row = rep.csv_row(seed=17)
-    assert len(row) == len(REPORT_CSV_COLUMNS)
-    named = dict(zip(REPORT_CSV_COLUMNS, row))
-    assert named["seed"] == 17
-    assert named["region"] == rep.region
-    assert named["grad_norm"] == rep.grad_norm
-    assert named["min_eig"] == rep.hess_min_eig
-    assert named["classification"] == rep.classification
-    assert named["best_index"] == rep.best_index
-    assert named["inner_product"] == rep.inner_product
+def cli_reports(out, *flags) -> list:
+    """Run the CLI's `landscape` at the solutions of five samples of a 6x12
+    frame into `out`, and return the reports of those points built here."""
+    assert main(["landscape", "--n", "6", "--m", "12", "--samples", "5",
+                 "--seed", "1", "--at-solution", *flags,
+                 "--out-dir", str(out)]) == 0
+    D = make_untf(6, 12, seed=1)
+    starts = [SpherePoint.project(stream(1, "landscape", s).standard_normal(6))
+              for s in range(5)]
+    return [critical_point_report(D, solve(TensorObjective(D), q0).q_star)
+            for q0 in starts]
 
 
-def test_report_json_roundtrip():
-    D = make_untf(6, 9, seed=1)
-    q = SpherePoint.project(stream(1, "json").standard_normal(6))
-    rep = critical_point_report(D, q)
-    payload = json.loads(rep.to_json())
-    assert payload["classification"] == rep.classification
-    assert payload["region"] == rep.region
-    assert payload["best_index"] == rep.best_index
-    assert np.allclose(payload["alphas"], rep.alphas)
-    assert np.allclose(payload["hess_min_vec"], rep.hess_min_vec)
+def test_report_csv_row_matches_column_order(tmp_path):
+    # landscape.csv: one row per sample, its report's fields in column order
+    reports = cli_reports(tmp_path)
+    text = (tmp_path / "landscape.csv").read_text()
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    assert lines[0] == ",".join(REPORT_CSV_COLUMNS)
+    assert len(lines) == 1 + len(reports)
+    for s, (line, rep) in enumerate(zip(lines[1:], reports)):
+        named = dict(zip(REPORT_CSV_COLUMNS, line.split(",")))
+        assert named["seed"] == str(s)
+        assert named["region"] == rep.region
+        assert float(named["grad_norm"]) == rep.grad_norm
+        assert float(named["min_eig"]) == rep.hess_min_eig
+        assert named["classification"] == rep.classification
+        assert named["best_index"] == str(rep.best_index)
+        assert float(named["inner_product"]) == rep.inner_product
+
+
+def test_report_json_roundtrip(tmp_path):
+    # landscape.json: one object per sample, its report's fields in order,
+    # arrays as lists, every float read back to the same bits
+    reports = cli_reports(tmp_path, "--format", "json")
+    payload = json.loads((tmp_path / "landscape.json").read_text())
+    assert len(payload) == len(reports)
+    names = [f.name for f in dataclasses.fields(LandscapeReport)]
+    for entry, rep in zip(payload, reports):
+        assert list(entry) == names
+        for name in names:
+            value = getattr(rep, name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            assert entry[name] == value, name
 
 
 def test_report_dataclass_is_frozen():
@@ -458,7 +479,6 @@ def test_report_agrees_bit_for_bit_with_the_reference():
             assert getattr(rep, field) == getattr(ref, field), field
         for field in ("alphas", "betas", "hess_min_vec"):
             assert np.array_equal(getattr(rep, field), getattr(ref, field))
-        assert rep.to_json() == ref.to_json()
         seen.add(rep.classification)
     assert seen == {CLASS_NON_CRITICAL, CLASS_NEAR_SOLUTION,
                     CLASS_STRICT_SADDLE, CLASS_INDETERMINATE}

@@ -386,6 +386,24 @@ def test_stream_split():
     assert not np.array_equal(a, d)
 
 
+def test_save_matrix_failing_write_keeps_the_target(tmp_path, monkeypatch):
+    # the rows stream to a temporary file; a write that raises part way
+    # leaves the old file in place and removes the temporary
+    path = tmp_path / "dictionary.csv"
+    save_matrix(path, np.eye(2))
+    before = path.read_bytes()
+
+    def fail_part_way(fh, *args, **kwargs):
+        fh.write("1,2\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savetxt", fail_part_way)
+    with pytest.raises(OSError, match="disk full"):
+        save_matrix(path, np.ones((3, 3)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["dictionary.csv"]
+
+
 def test_matrix_roundtrip(tmp_path):
     A = stream(0).standard_normal((3, 5))
     path = tmp_path / "dictionary.csv"

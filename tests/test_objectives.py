@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphere4.objectives as objectives
 from sphere4.cdl import CdlObjective, synth_cdl
 from sphere4.model import (
     Dictionary,
@@ -305,6 +306,23 @@ def test_min_eig_dense_matches_lanczos_at_exact_saddle():
     assert abs(float(vec @ q)) <= 1e-10
     assert abs(abs(float(vec @ ref_vec)) - 1.0) <= 1e-7
     assert abs(float(vec @ curv.matvec(vec)) - lam) <= 1e-12
+
+
+def test_lanczos_capped_below_the_tangent_dimension_is_not_converged(
+        monkeypatch):
+    # 2 Krylov steps on an 11-dimensional tangent space neither meet the
+    # residual bar nor exhaust the space; the Ritz pair is still a unit
+    # tangent vector, with a value above the true minimum
+    obj = basis_objective("tensor", 12, seed=640)
+    q = retract(stream(64).standard_normal(12))
+    curv = obj.curvature(q)
+    exact, _, _ = curv.min_eig()
+    monkeypatch.setattr(objectives, "LANCZOS_MAX_ITERS", 2)
+    lam, vec, ok = tangent_min_eig(curv.matvec, q)
+    assert ok is False
+    assert lam > exact + 1e-6
+    assert abs(float(vec @ q)) <= 1e-10
+    assert float(np.linalg.norm(vec)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_min_eig_on_a_zero_dimensional_tangent_space():

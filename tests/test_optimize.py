@@ -11,6 +11,7 @@ from sphere4.model import (
     Dictionary,
     ObservationSet,
     SpherePoint,
+    load_matrix,
     make_filter_bank,
     make_untf,
     retract,
@@ -565,8 +566,10 @@ def test_config_validation():
     for bad in (2.5, 3.0, True):
         with pytest.raises(ValueError, match="max_iters"):
             SolveConfig(max_iters=bad)
-    with pytest.raises(ValueError, match="seed"):
-        SolveConfig(seed=1.5)
+    # True would seed the escape eigensolve as 1
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            SolveConfig(seed=bad)
 
 
 def test_tangent_min_eig_matches_dense():
@@ -719,14 +722,28 @@ def test_solve_high_coherence_terminates_second_order():
     assert off_column > 0
 
 
-def test_solve_result_json():
-    obj = identity_objective(3)
-    res = solve(obj, SpherePoint.project(np.array([0.6, 0.8, 0.0])))
-    bare = json.loads(res.to_json())
-    assert set(bare) == {"q_star", "iterations", "final_grad_norm",
-                         "termination", "escapes_taken"}
-    rich = json.loads(res.to_json(include_trace=True))
-    assert rich["objective_trace"] == res.objective_trace.tolist()
+def test_solve_result_json(tmp_path):
+    # the CLI's solve_result.json holds the SolveResult's fields in order,
+    # with the objective trace last and only under --emit-trace
+    from sphere4.cli import main
+
+    data = tmp_path / "data"
+    assert main(["gen", "--model", "odl", "--n", "3", "--m", "4", "--theta",
+                 "0.1", "--p", "2000", "--seed", "1", "--out-dir",
+                 str(data)]) == 0
+    Y = ObservationSet(load_matrix(data / "observations.csv"))
+    q0 = SpherePoint.project(stream(2, "cli-solve").standard_normal(3))
+    res = solve(OdlObjective(Y, 0.1), q0)
+    bare = {"q_star": res.q_star.coords.tolist(), "iterations": res.iterations,
+            "final_grad_norm": res.final_grad_norm,
+            "termination": res.termination, "escapes_taken": res.escapes_taken}
+    rich = {**bare, "objective_trace": res.objective_trace.tolist()}
+    for flags, expected in (([], bare), (["--emit-trace"], rich)):
+        out = tmp_path / ("rich" if flags else "bare")
+        assert main(["solve", "--data-dir", str(data), "--seed", "2", *flags,
+                     "--out-dir", str(out)]) == 0
+        payload = json.loads((out / "solve_result.json").read_text())
+        assert list(payload.items()) == list(expected.items())
 
 
 def test_init_cdl_identity_preconditioner():
@@ -855,7 +872,7 @@ def test_public_parameters_with_a_default():
                 if not attr.startswith("_") and inspect.isfunction(member):
                     knobs.update(f"{module}.{name}.{attr}({p})"
                                  for p in defaults(member))
-    assert len(knobs) == 23, sorted(knobs)
+    assert len(knobs) == 22, sorted(knobs)
 
 
 def test_public_names():
