@@ -181,7 +181,6 @@ def _solve_config(args: argparse.Namespace) -> SolveConfig:
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
         escape=EscapeConfig() if args.escape else None,
-        seed=args.seed,
     )
 
 
@@ -280,6 +279,9 @@ class SweepSpec:
                            ("K", self.k_grid)):
             if len(grid) == 0:
                 raise ValueError(f"empty {name} grid")
+            if name != "theta" and not all(_is_int(v) for v in grid):
+                raise ValueError(f"{name} grid values must be integers, "
+                                 f"got {grid!r}")
             if len(set(grid)) < len(grid):
                 raise ValueError(f"the {name} grid repeats a value")
             if name in ignored and len(grid) > 1:
@@ -463,9 +465,10 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 def _solver_parser() -> argparse.ArgumentParser:
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--method", choices=("power", "rgd"), default="power")
-    solver.add_argument("--max-iters", type=int, default=10_000)
-    solver.add_argument("--grad-tol", type=float, default=1e-8)
+    solver.add_argument("--method", choices=("power", "rgd"),
+                        default=SolveConfig.method)
+    solver.add_argument("--max-iters", type=int, default=SolveConfig.max_iters)
+    solver.add_argument("--grad-tol", type=float, default=SolveConfig.grad_tol)
     solver.add_argument("--escape", action="store_true",
                         help="enable second-order saddle escapes")
     return solver

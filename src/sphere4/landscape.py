@@ -152,8 +152,9 @@ def critical_point_report(D: Dictionary, q) -> LandscapeReport:
     One big coordinate plus a positive-semidefinite tangent Hessian reads
     near_solution; verified negative curvature reads strict_saddle;
     anything else (including a PSD point with two big coordinates, which
-    high-coherence frames do produce) is reported indeterminate rather
-    than forced into a theory bucket.
+    high-coherence frames do produce, and a critical point whose
+    eigensolve did not converge) is reported indeterminate rather than
+    forced into a theory bucket.
     """
     x = _unit_coords(q)
     A = D.entries
@@ -169,7 +170,7 @@ def critical_point_report(D: Dictionary, q) -> LandscapeReport:
     curv_tol = CURV_REL_TOL * z44
 
     grad_norm = float(np.linalg.norm(obj.rgrad(x)))
-    hess_min_eig, vec, _ = obj.curvature(x).min_eig()
+    hess_min_eig, vec, converged = obj.curvature(x).min_eig()
 
     region = _region(D, zeta, z44).label
 
@@ -180,7 +181,7 @@ def critical_point_report(D: Dictionary, q) -> LandscapeReport:
         cubic_ok = bool(np.all(residuals <= RESID_TOL * alphas**1.5))
         big = np.abs(zeta) > _root_radius(alphas, betas)
         nbig = int(np.count_nonzero(big))
-        if not cubic_ok or nbig == 0:
+        if not cubic_ok or nbig == 0 or not converged:
             classification = CLASS_INDETERMINATE
         elif nbig == 1 and hess_min_eig >= -curv_tol:
             classification = CLASS_NEAR_SOLUTION

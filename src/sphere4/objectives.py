@@ -48,15 +48,14 @@ def _coords(q) -> np.ndarray:
     return np.asarray(q, dtype=float).reshape(-1)
 
 
-def tangent_min_eig(matvec, q: np.ndarray,
-                    seed: int = 0) -> tuple[float, np.ndarray, bool]:
+def tangent_min_eig(matvec, q: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Smallest eigenpair of a symmetric operator on the tangent space at q.
 
-    Lanczos with full reorthogonalization, started from a random tangent
-    vector. `matvec` need not project its output onto the tangent space;
-    that happens here. Returns (eigenvalue, unit eigenvector, converged);
-    `converged` means the relative Ritz residual fell below LANCZOS_TOL or
-    the Krylov space exhausted the tangent space.
+    Lanczos with full reorthogonalization, started from a fixed random
+    tangent vector. `matvec` need not project its output onto the tangent
+    space; that happens here. Returns (eigenvalue, unit eigenvector,
+    converged); `converged` means the relative Ritz residual fell below
+    LANCZOS_TOL or the Krylov space exhausted the tangent space.
     """
     q = np.asarray(q, dtype=float)
     n = q.size
@@ -67,7 +66,7 @@ def tangent_min_eig(matvec, q: np.ndarray,
     def project(v: np.ndarray) -> np.ndarray:
         return v - q * float(q @ v)
 
-    rng = stream(seed, "lanczos")
+    rng = stream(0, "lanczos")
     v = project(rng.standard_normal(n))
     for _ in range(10):
         nv = float(np.linalg.norm(v))
@@ -230,12 +229,12 @@ class _Curvature:
         proj = np.eye(n) - np.outer(x, x)
         return proj @ (he - self.qg * np.eye(n)) @ proj
 
-    def min_eig(self, seed: int = 0) -> tuple[float, np.ndarray, bool]:
+    def min_eig(self) -> tuple[float, np.ndarray, bool]:
         """(smallest tangent eigenvalue, unit eigenvector, converged)."""
         x = self.x
         if not (isinstance(self.obj, _BasisObjective)
                 and 1 < x.size <= DENSE_HESSIAN_LIMIT):
-            return tangent_min_eig(self.matvec, x, seed=seed)
+            return tangent_min_eig(self.matvec, x)
         H = self.dense()
         # push the retraction direction (a structural zero eigenvalue) upward
         # so the dense minimum is the tangent-restricted one

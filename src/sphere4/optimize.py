@@ -63,7 +63,6 @@ class SolveConfig:
     max_iters: int = 10_000
     grad_tol: float = 1e-8
     escape: EscapeConfig | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.method not in ("power", "rgd"):
@@ -72,10 +71,6 @@ class SolveConfig:
             raise ValueError("grad_tol must be positive and finite")
         if not (_is_int(self.max_iters) and self.max_iters >= 1):
             raise ValueError("max_iters must be an integer of at least 1")
-        # the escape eigensolve draws from stream(seed + k), which refuses
-        # a non-integer only once a solve reaches it, and reads True as 1
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +104,8 @@ def rgd_step(obj, q: SpherePoint, tau: float) -> SpherePoint:
     return SpherePoint.project(q.coords - tau * obj.rgrad(q))
 
 
-def escape_saddle(obj, x: np.ndarray, evaluate,
-                  seed: int = 0) -> tuple[np.ndarray, float, np.ndarray] | None:
+def escape_saddle(obj, x: np.ndarray,
+                  evaluate) -> tuple[np.ndarray, float, np.ndarray] | None:
     """Move off a strict saddle along the most negative curvature direction.
 
     At unit x, when the smallest tangent Hessian eigenvalue is below
@@ -120,7 +115,7 @@ def escape_saddle(obj, x: np.ndarray, evaluate,
     second-order, or when the eigensolver fails, which is reported as a
     warning and treated conservatively.
     """
-    lam, v, ok = obj.curvature(x).min_eig(seed)
+    lam, v, ok = obj.curvature(x).min_eig()
     if not ok:
         warnings.warn("tangent eigensolver did not converge; no escape taken",
                       stacklevel=2)
@@ -208,8 +203,7 @@ def _solve_stack(obj, X0: np.ndarray, cfg: SolveConfig) -> tuple[np.ndarray, lis
     termination, escapes_taken). The live rows move as one stack, and each
     of solve's tests is taken per row, so a row ends as it would alone and
     then leaves the stack. The line search shrinks one tau for the rows
-    still searching, which is each row's own sequence; an escape runs per
-    row, with the row's own seed cfg.seed + escapes.
+    still searching, which is each row's own sequence; an escape runs per row.
     """
     evaluate = getattr(obj, "_evaluate", obj.evaluate)
     evaluate_rows = getattr(obj, "_evaluate_rows", None)
@@ -250,8 +244,7 @@ def _solve_stack(obj, X0: np.ndarray, cfg: SolveConfig) -> tuple[np.ndarray, lis
                 if gn <= grad_tol:
                     moved = None
                     if cfg.escape is not None and len(trace) <= max_iters:
-                        moved = escape_saddle(obj, X[i], evaluate,
-                                              seed=cfg.seed + escapes[i])
+                        moved = escape_saddle(obj, X[i], evaluate)
                     if moved is None or moved[1] >= trace[-1]:
                         finish(i, gn, "grad_tol")
                         continue

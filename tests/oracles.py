@@ -145,12 +145,12 @@ def reference_evaluate(obj, q) -> tuple:
             -4.0 * obj.c * adjoint(z2 * z))
 
 
-def reference_escape(obj, q: SpherePoint, seed: int) -> SpherePoint | None:
+def reference_escape(obj, q: SpherePoint) -> SpherePoint | None:
     """The saddle escape as it stood before it shared the solver's kernel:
     both candidates scored through the public `value`, the better returned
     as a SpherePoint (plus on a tie), for the caller to evaluate again."""
     x = q.coords
-    lam, v, ok = obj.curvature(x).min_eig(seed)
+    lam, v, ok = obj.curvature(x).min_eig()
     if not ok or lam >= -ESCAPE_CURV_TOL:
         return None
     plus = retract(x + ESCAPE_STEP * v)
@@ -184,7 +184,7 @@ def reference_solve(obj, q0, cfg: SolveConfig) -> SolveResult:
             moved = None
             if cfg.escape is not None and iterations < cfg.max_iters:
                 q = q if x is q.coords else SpherePoint(x)
-                moved = reference_escape(obj, q, seed=cfg.seed + escapes)
+                moved = reference_escape(obj, q)
                 if moved is not None:
                     val, g_moved = reference_evaluate(obj, moved)
                     if val >= trace[-1]:

@@ -410,7 +410,7 @@ def test_sweep_phi_t_rows_match_per_repeat_reference(tmp_path):
     header, *rows = data_lines(tmp_path / "sweep_raw.csv")
     assert header == "n,m,p,theta,K,repeat,seed,error,success"
     assert len(rows) == 6
-    cfg = SolveConfig(max_iters=3000, grad_tol=1e-9, seed=5)
+    cfg = SolveConfig(max_iters=3000, grad_tol=1e-9)
     for row in rows:
         n, m, p, theta, K, repeat, seed, error, success = row.split(",")
         cell = (int(n), int(m), int(p), float(theta), int(K))
@@ -576,6 +576,15 @@ def test_sweep_spec_validation():
                       SolveConfig())
     with pytest.raises(ValueError):
         SweepSpec((3,), (4,), (0,), (0.1,), (1,), 2, "phi_X", SolveConfig())
+    # the n, m, p and K grids take integers: a float or bool cell would reach
+    # make_untf only once the cells before it had run
+    for n, m, p, k in (((3, 3.5), (8,), (0,), (1,)),
+                       ((True,), (8,), (0,), (1,)),
+                       ((3,), (8.0,), (0,), (1,)),
+                       ((3,), (8,), (0.5,), (1,)),
+                       ((3,), (8,), (0,), (1.5,))):
+        with pytest.raises(ValueError, match="must be integers"):
+            SweepSpec(n, m, p, (0.1,), k, 2, "phi_T", SolveConfig())
     with pytest.raises(ValueError):
         SweepSpec((3,), (4,), (0,), (0.1,), (1,), 2, "phi_DL", SolveConfig())
     with pytest.raises(ValueError):

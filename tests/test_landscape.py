@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sphere4.landscape as landscape
+import sphere4.objectives as objectives
 from sphere4.landscape import (
     BOUNDARY_TOL,
     CLASS_INDETERMINATE,
@@ -260,6 +261,19 @@ def test_report_solver_endpoint_reads_near_solution(monkeypatch):
     # critical side of the split
     monkeypatch.setattr(landscape, "XI_DL", 0.3)
     assert classify_region(D, res.q_star).label == REGION_CRITICAL
+
+
+def test_report_reads_an_unconverged_eigensolve_as_indeterminate(monkeypatch):
+    # only verified curvature classifies: with the dense path off and Lanczos
+    # capped at two steps, a solution's eigensolve does not converge
+    D = make_untf(16, 24, seed=7)
+    q0 = SpherePoint.project(stream(7, "unconverged").standard_normal(16))
+    q = solve(TensorObjective(D), q0).q_star
+    assert critical_point_report(D, q).classification == CLASS_NEAR_SOLUTION
+    monkeypatch.setattr(objectives, "DENSE_HESSIAN_LIMIT", 4)
+    monkeypatch.setattr(objectives, "LANCZOS_MAX_ITERS", 2)
+    assert not TensorObjective(D).curvature(q).min_eig()[2]
+    assert critical_point_report(D, q).classification == CLASS_INDETERMINATE
 
 
 def test_report_flags_coherent_mixture_as_indeterminate():
