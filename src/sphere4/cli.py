@@ -312,19 +312,14 @@ def _repeat_seed(seed_base: int, cell, repeat: int) -> int:
                  repeat)
     return int(rng.integers(2**62))
 
-def _run_repeat(spec: SweepSpec, cell, repeat: int, rseed: int,
-                frame: Dictionary | None):
-    """One repeat under seed `rseed`; `frame` is its phi_T frame, else None."""
+def _run_repeat(spec: SweepSpec, cell, repeat: int, rseed: int):
+    """One phi_DL or phi_CDL repeat under seed `rseed`, built and solved
+    alone, since each synthesizes a p-column instance."""
     n, m, p, theta, K = cell
-    if spec.objective in ("phi_T", "phi_DL"):
-        if spec.objective == "phi_T":
-            D = frame
-            objective = TensorObjective(D)
-        else:
-            D, _, Y = _synth("odl", n, m, theta, p, rseed, "main_text")
-            objective = OdlObjective(Y, theta)
+    if spec.objective == "phi_DL":
+        D, _, Y = _synth("odl", n, m, theta, p, rseed, "main_text")
         q0 = SpherePoint.project(stream(rseed, "sweep-q0").standard_normal(n))
-        res = solve(objective, q0, spec.config)
+        res = solve(OdlObjective(Y, theta), q0, spec.config)
         outcome = recovery_error(res.q_star, D)
         err, success = outcome.rho_e, outcome.success
     else:
@@ -334,6 +329,18 @@ def _run_repeat(spec: SweepSpec, cell, repeat: int, rseed: int,
         score = cdl_score(res.q_star, problem)
         err, success = float(score.aligned_errors.min()), bool(score.recovered)
     return (n, m, p, theta, K, repeat, rseed, err, success)
+
+
+def _phi_t_cell(spec: SweepSpec, cell, seeds: list) -> list:
+    """A phi_T cell's repeats: their frames built as one stack, and their
+    solves run as one stack, each row as a repeat run alone."""
+    n, m = cell[0], cell[1]
+    frames = _untf_stack(n, m, seeds)
+    Q0 = np.stack([stream(s, "sweep-q0").standard_normal(n) for s in seeds])
+    results = solve_batch([TensorObjective(D) for D in frames], Q0, spec.config)
+    outcomes = [recovery_error(res.q_star, D) for res, D in zip(results, frames)]
+    return [(*cell, r, rseed, out.rho_e, out.success)
+            for r, (rseed, out) in enumerate(zip(seeds, outcomes))]
 
 
 def _cell_path(out: Path, index: int) -> Path:
@@ -376,11 +383,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if resume and _cell_path(out, ci).exists():
             continue
         seeds = [_repeat_seed(args.seed, cell, r) for r in range(spec.repeats)]
-        # a phi_T cell's frames are built as one stack
-        frames = (_untf_stack(cell[0], cell[1], seeds)
-                  if spec.objective == "phi_T" else [None] * len(seeds))
-        rows = [_run_repeat(spec, cell, r, rseed, frame)
-                for r, (rseed, frame) in enumerate(zip(seeds, frames))]
+        rows = (_phi_t_cell(spec, cell, seeds) if spec.objective == "phi_T"
+                else [_run_repeat(spec, cell, r, rseed)
+                      for r, rseed in enumerate(seeds)])
         _write_table(_cell_path(out, ci), RAW_SWEEP_COLUMNS, rows, ())
 
     raw_rows = []

@@ -135,13 +135,16 @@ class _QuarticObjective:
 
     # A numpy integer power of 3 or 4 calls libm pow per entry of Z, at about
     # a hundred times the cost of a multiply, so every objective multiplies;
-    # z2*z with z2 = z*z is z*z*z bit for bit, as numpy evaluates (z*z)*z.
+    # z *= z2 with z2 = z*z is z*z*z bit for bit, as numpy evaluates (z*z)*z
+    # and a product commutes exactly. correlate returns a fresh array, so
+    # the cube is formed in place.
     def _evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """evaluate at a 1-d float array x, without converting it."""
         z = self.correlate(x)
         z2 = z * z
-        return (-self.c * float(np.vdot(z2, z2)),
-                -4.0 * self.c * self.adjoint(z2 * z))
+        val = -self.c * float(np.vdot(z2, z2))
+        z *= z2
+        return val, -4.0 * self.c * self.adjoint(z)
 
     def rgrad(self, q) -> np.ndarray:
         """Tangent-space gradient P_{q perp} grad phi(q)."""
@@ -179,24 +182,40 @@ class _BasisObjective(_QuarticObjective):
     def _evaluate_rows(self, X: np.ndarray) -> tuple[list, np.ndarray]:
         """_evaluate on each row of a 2-d stack X: (values, gradient rows).
 
-        The stacked matmul runs per row the gemv of a lone row's dot, and
-        vecdot its vdot, so a row's bits do not depend on its stack; a
-        stack of one makes the lone call, which costs less.
+        A stack of one makes the lone call, which costs less.
         """
         if len(X) == 1:
             val, g = self._evaluate(X[0])
             return [val], g[None]
-        Z = np.matmul(self._basis_t, X[:, :, None])
-        Z2 = Z * Z
-        vals = -self.c * np.vecdot(Z2, Z2, axis=1)
-        G = -4.0 * self.c * np.matmul(self._basis, Z2 * Z)
-        return vals.ravel().tolist(), G[:, :, 0]
+        return _basis_rows(self.c, self._basis, self._basis_t, X)
 
     def correlate(self, q: np.ndarray) -> np.ndarray:
         return self._basis_t.dot(q)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         return self._basis.dot(w)
+
+
+def _basis_rows(c: float, B: np.ndarray, Bt: np.ndarray,
+                X: np.ndarray) -> tuple[list, np.ndarray]:
+    """The quartic kernel at each row of a 2-d stack X of two or more rows:
+    (values, gradient rows), on one n x m basis B shared by every row, with
+    Bt = B.T, or on a (k, n, m) stack B of per-row bases, with Bt its
+    transpose(0, 2, 1).
+
+    The stacked matmul runs per row the gemv of a lone row's dot on a basis
+    laid out as that row's is (a stack holds C-contiguous bases), and
+    vecdot its vdot, so a row's bits do not depend on its stack. The cube
+    and the scaling by -4c are formed in place; a product commutes
+    exactly, so the bits are those of z2 * z and -4c * (B z^3).
+    """
+    Z = np.matmul(Bt, X[:, :, None])
+    Z2 = Z * Z
+    vals = -c * np.vecdot(Z2, Z2, axis=1)
+    Z *= Z2
+    G = np.matmul(B, Z)
+    G *= -4.0 * c
+    return vals.ravel().tolist(), G[:, :, 0]
 
 
 class _Curvature:

@@ -108,7 +108,8 @@ def recover_full(D: Dictionary, config: SolveConfig | None = None,
     Trial t solves from a Gaussian start drawn from seed seed_base + t, so
     results are reproducible and a smaller budget's trial log is a prefix
     of a larger one's. `objective` defaults to the asymptotic objective on
-    D itself; pass a finite-sample objective to recover from data.
+    D itself; pass a finite-sample objective to recover from data. An
+    objective whose n is not D's raises ValueError before any trial.
 
     The trials run in seed order as stacks of TRIAL_CHUNK (the last one
     smaller), each solved as solve_batch does and scored with one stacked
@@ -121,12 +122,15 @@ def recover_full(D: Dictionary, config: SolveConfig | None = None,
         config = SolveConfig()
     if objective is None:
         objective = TensorObjective(D)
+    elif getattr(objective, "n", D.n) != D.n:
+        raise ValueError(f"the objective has n={objective.n}, but D has "
+                         f"n={D.n}")
 
     outcomes: list[RecoveryOutcome] = []
     covered: set = set()
     for first in range(0, trial_budget, TRIAL_CHUNK):
         trials = range(first, min(first + TRIAL_CHUNK, trial_budget))
-        ends, rows = _solve_stack(objective, retract(np.stack([
+        ends, rows = _solve_stack([objective] * len(trials), retract(np.stack([
             stream(seed_base + t, "trial-init").standard_normal(D.n)
             for t in trials])), config)
         # the stacked matmul runs per row the gemv of recovery_error's dot

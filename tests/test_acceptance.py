@@ -36,6 +36,7 @@ from sphere4 import (
     rgd_step,
     sample_bg,
     solve,
+    solve_batch,
     stream,
     synth_cdl,
     synth_odl,
@@ -194,13 +195,15 @@ def test_moderate_overcompleteness_yields_no_spurious_endpoints():
     cfg = SolveConfig(max_iters=20_000, escape=EscapeConfig())
     run = 0
     for n, m in cells:
-        # one stack per cell, bit for bit the frames make_untf builds
+        # one stack per cell, bit for bit the frames make_untf builds, and
+        # one stacked solve, each row bit for bit its frame's lone solve
         seeds = range(10_001 + run, 10_001 + run + per_cell)
-        for D in _untf_stack(n, m, seeds):
+        frames = _untf_stack(n, m, seeds)
+        Q0 = np.stack([stream(run + 1 + i, "frame-endpoints").standard_normal(n)
+                       for i in range(per_cell)])
+        results = solve_batch([TensorObjective(D) for D in frames], Q0, cfg)
+        for D, res in zip(frames, results):
             run += 1
-            q0 = SpherePoint.project(
-                stream(run, "frame-endpoints").standard_normal(n))
-            res = solve(TensorObjective(D), q0, cfg)
             assert res.termination == "grad_tol", (n, m, run)
             rep = critical_point_report(D, res.q_star)
             assert rep.classification == CLASS_NEAR_SOLUTION, \

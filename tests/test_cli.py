@@ -403,14 +403,15 @@ def test_sweep_rates_match_raw_exactly(tmp_path):
         assert float(rate) == recount / int(repeats)
 
 
-def test_sweep_phi_t_rows_match_per_repeat_reference(tmp_path):
-    # the cell's frames come from one stack; each row must still equal a
-    # repeat run alone through make_untf, solve and recovery_error
-    assert main(sweep_args(tmp_path)) == EXIT_OK
-    header, *rows = data_lines(tmp_path / "sweep_raw.csv")
+def assert_phi_t_rows_match_per_repeat_reference(out: Path, cfg: SolveConfig,
+                                                 *flags: str) -> None:
+    # the cell's frames come from one stack, and so do their solves; each
+    # row must still equal a repeat run alone through make_untf, solve and
+    # recovery_error
+    assert main(sweep_args(out, *flags)) == EXIT_OK
+    header, *rows = data_lines(out / "sweep_raw.csv")
     assert header == "n,m,p,theta,K,repeat,seed,error,success"
     assert len(rows) == 6
-    cfg = SolveConfig(max_iters=3000, grad_tol=1e-9)
     for row in rows:
         n, m, p, theta, K, repeat, seed, error, success = row.split(",")
         cell = (int(n), int(m), int(p), float(theta), int(K))
@@ -422,6 +423,22 @@ def test_sweep_phi_t_rows_match_per_repeat_reference(tmp_path):
                              D).rho_e
         assert (seed, error, success) == (
             str(rseed), "%.17g" % err, "1" if err < SUCCESS_THRESHOLD else "0")
+
+
+def test_sweep_phi_t_rows_match_per_repeat_reference(tmp_path):
+    assert_phi_t_rows_match_per_repeat_reference(
+        tmp_path, SolveConfig(max_iters=3000, grad_tol=1e-9))
+
+
+@pytest.mark.parametrize("flags", [["--escape"], ["--method", "rgd"],
+                                   ["--method", "rgd", "--escape"]],
+                         ids=["escape", "rgd", "rgd-escape"])
+def test_sweep_phi_t_rows_match_per_repeat_reference_under_solver_flags(
+        tmp_path, flags):
+    cfg = SolveConfig(method="rgd" if "rgd" in flags else "power",
+                      max_iters=3000, grad_tol=1e-9,
+                      escape=EscapeConfig() if "--escape" in flags else None)
+    assert_phi_t_rows_match_per_repeat_reference(tmp_path, cfg, *flags)
 
 
 REFUSED_SWEEPS = {

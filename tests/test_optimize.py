@@ -31,6 +31,7 @@ from sphere4.optimize import (
     STALL_WINDOW,
     EscapeConfig,
     SolveConfig,
+    _StackKernel,
     escape_saddle,
     init_cdl,
     power_step,
@@ -419,6 +420,101 @@ def test_solve_batch_solves_like_its_rows_alone_property(order, cfg_index):
                           BATCH_CONFIGS[cfg_index])
     assert [result_bits(r) for r in results] == [
         lone_solve_bits(row, cfg_index) for row in order]
+
+
+@functools.cache
+def frame_objective(i: int) -> TensorObjective:
+    return TensorObjective(make_untf(8, 12, seed=150 + i))
+
+
+@functools.cache
+def lone_frame_bits(i: int, cfg_index: int) -> tuple:
+    q0 = SpherePoint.project(stream(151, i).standard_normal(8))
+    return result_bits(reference_solve(frame_objective(i), q0,
+                                       BATCH_CONFIGS[cfg_index]))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(order=st.integers(2, 6).flatmap(
+           lambda k: st.permutations(range(6)).map(lambda p: p[:k])),
+       cfg_index=st.integers(0, len(BATCH_CONFIGS) - 1))
+def test_solve_batch_solves_each_row_on_its_own_frame_property(order, cfg_index):
+    # any subset of six frames, stacked in any order, each row on its own
+    # frame: every row solves like that frame's solve alone
+    Q0 = np.stack([stream(151, i).standard_normal(8) for i in order])
+    results = solve_batch([frame_objective(i) for i in order], Q0,
+                          BATCH_CONFIGS[cfg_index])
+    assert [result_bits(r) for r in results] == [
+        lone_frame_bits(i, cfg_index) for i in order]
+
+
+@functools.cache
+def per_row_stacks() -> dict:
+    frames = [frame_objective(i) for i in range(3)]
+    odl = [random_odl(8, 12, 300, 0.2, seed=152 + 2 * i) for i in range(3)]
+    # the same frame, its entries in Fortran order
+    fortran = TensorObjective(Dictionary(np.asfortranarray(frames[1].basis)))
+    return {
+        "bases": ([*frames, frames[0]], "bases"),
+        "odl-bases": (odl, "bases"),
+        "tensor-and-odl": ([*frames, odl[0]], "each"),
+        "odl-two-c": ([odl[0], random_odl(8, 12, 300, 0.3, seed=158)], "each"),
+        "fortran-basis": ([frames[0], fortran, frames[2]], "each"),
+        "cdl": ([batch_objective("cdl"), CdlObjective(
+            synth_cdl(make_filter_bank(16, 2, seed=159), 0.2, 400, seed=160))],
+            "each"),
+    }
+
+
+@pytest.mark.parametrize("stack", ["bases", "odl-bases", "tensor-and-odl",
+                                   "odl-two-c", "fortran-basis", "cdl"])
+@pytest.mark.parametrize("cfg", BATCH_CONFIGS, ids=BATCH_CONFIG_IDS)
+def test_solve_batch_per_row_kernels_match_the_reference(stack, cfg):
+    # basis objectives of one shape, one c and C order share one stacked
+    # kernel on their bases; any other mix (another objective, another c,
+    # a basis in Fortran order, whose dot rounds otherwise) evaluates each
+    # row alone; either way each row has the bits of its lone solve
+    objs, kind = per_row_stacks()[stack]
+    evaluates = [o._evaluate for o in objs]
+    kernel = _StackKernel.settle(objs, evaluates)
+    assert (kernel.rows, kernel.bases is not None) == (None, kind == "bases")
+    Q0 = stream(161, stack).standard_normal((len(objs), objs[0].n))
+    results = solve_batch(objs, Q0, cfg)
+    for obj, row, res in zip(objs, Q0, results):
+        ref = reference_solve(obj, SpherePoint.project(row), cfg)
+        assert result_bits(res) == result_bits(ref)
+
+
+def test_solve_batch_escapes_each_row_along_its_own_curvature():
+    # each row starts at a saddle of its own orthonormal basis, so its
+    # escape reads its own row's curvature; the bases share one stack
+    rot = np.ascontiguousarray(
+        np.linalg.qr(stream(162).standard_normal((4, 4)))[0])
+    bases = [np.eye(4), np.eye(4)[[2, 3, 0, 1]], rot]
+    objs = [TensorObjective(Dictionary(b)) for b in bases]
+    assert _StackKernel.settle(objs, [o._evaluate for o in objs]).bases is not None
+    Q0 = np.stack([b[:, 0] + b[:, 1] for b in bases])
+    for cfg in BATCH_CONFIGS[2:]:
+        results = solve_batch(objs, Q0, cfg)
+        assert all(r.escapes_taken > 0 for r in results)
+        for obj, row, res in zip(objs, Q0, results):
+            ref = reference_solve(obj, SpherePoint.project(row), cfg)
+            assert result_bits(res) == result_bits(ref)
+
+
+def test_solve_batch_refuses_mismatched_objectives():
+    obj, Q0 = identity_objective(3), np.eye(3)
+    with pytest.raises(ValueError, match="2 objectives for 3 starts"):
+        solve_batch([obj, obj], Q0, SolveConfig())
+    with pytest.raises(ValueError, match="2 objectives for 0 starts"):
+        solve_batch((obj, obj), np.empty((0, 3)), SolveConfig())
+    with pytest.raises(ValueError, match="has n=4, but the starts have n=3"):
+        solve_batch(identity_objective(4), Q0, SolveConfig())
+    with pytest.raises(ValueError, match="has n=4, but the starts have n=3"):
+        solve_batch([obj, identity_objective(4), obj], Q0, SolveConfig())
+    assert solve_batch([], np.empty((0, 3)), SolveConfig()) == []
+    # a stub that states no n is taken as it is
+    assert len(solve_batch(NanNearE3Objective(), Q0[:1], SolveConfig())) == 1
 
 
 class ScriptedObjective:

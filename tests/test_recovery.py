@@ -152,6 +152,20 @@ def test_recover_full_validates_budget():
             recover_full(D, SolveConfig(), bad)
 
 
+def test_recover_full_refuses_an_objective_of_another_n(monkeypatch):
+    # refused before any start is drawn
+    def no_draw(*args):
+        raise AssertionError("a start was drawn")
+
+    monkeypatch.setattr(recovery, "stream", no_draw)
+    D = make_untf(4, 6, seed=3)
+    for objective in (TensorObjective(make_untf(5, 6, seed=3)),
+                      OdlObjective(synth_odl(make_untf(5, 6, seed=3),
+                                             sample_bg(6, 50, 0.2, seed=4)), 0.2)):
+        with pytest.raises(ValueError, match="objective has n=5, but D has n=4"):
+            recover_full(D, SolveConfig(), 3, objective=objective)
+
+
 def serial_log(D, cfg, budget, seed_base, objective=None):
     """recover_full's trial log as the loop that solved one trial at a
     time wrote it."""
