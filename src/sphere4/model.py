@@ -74,7 +74,8 @@ def _is_int(v) -> bool:
 
 
 def _frozen_array(x) -> np.ndarray:
-    a = np.array(x, dtype=float)
+    # C order whatever x's layout, so that equal entries round alike
+    a = np.array(x, dtype=float, order="C")
     a.setflags(write=False)
     return a
 

@@ -179,16 +179,6 @@ class _BasisObjective(_QuarticObjective):
     def n(self) -> int:
         return self.basis.shape[0]
 
-    def _evaluate_rows(self, X: np.ndarray) -> tuple[list, np.ndarray]:
-        """_evaluate on each row of a 2-d stack X: (values, gradient rows).
-
-        A stack of one makes the lone call, which costs less.
-        """
-        if len(X) == 1:
-            val, g = self._evaluate(X[0])
-            return [val], g[None]
-        return _basis_rows(self.c, self._basis, self._basis_t, X)
-
     def correlate(self, q: np.ndarray) -> np.ndarray:
         return self._basis_t.dot(q)
 
@@ -196,26 +186,68 @@ class _BasisObjective(_QuarticObjective):
         return self._basis.dot(w)
 
 
-def _basis_rows(c: float, B: np.ndarray, Bt: np.ndarray,
-                X: np.ndarray) -> tuple[list, np.ndarray]:
-    """The quartic kernel at each row of a 2-d stack X of two or more rows:
-    (values, gradient rows), on one n x m basis B shared by every row, with
-    Bt = B.T, or on a (k, n, m) stack B of per-row bases, with Bt its
-    transpose(0, 2, 1).
+class _StackKernel:
+    """The solver's evaluate over a 2-d stack X of rows, row i on the
+    objective objs[i]: (values, gradient rows), each row with the bits of
+    its objective's lone `_evaluate`.
 
-    The stacked matmul runs per row the gemv of a lone row's dot on a basis
-    laid out as that row's is (a stack holds C-contiguous bases), and
-    vecdot its vdot, so a row's bits do not depend on its stack. The cube
-    and the scaling by -4c are formed in place; a product commutes
-    exactly, so the bits are those of z2 * z and -4c * (B z^3).
+    Basis objectives of one basis shape and one c run the quartic below
+    once for the stack, on the n x m basis of one objective that every row
+    shares or on the (k, n, m) stack of their bases. The stacked matmul
+    runs per row the gemv of a lone row's dot on a basis laid out as that
+    row's is (every basis is C-ordered, as the stack is), and vecdot its
+    vdot, so a row's bits do not depend on its stack. The cube and the
+    scaling by -4c are formed in place; a product commutes exactly, so the
+    bits are those of z2 * z and -4c * (B z^3). Any other set of rows
+    evaluates row by row, and a stack of one makes the lone call.
+
+    Built once per solve; take(idx) carries it, in the same mode, to the
+    rows at the increasing positions idx. A kernel whose rows share one
+    objective is its own take.
     """
-    Z = np.matmul(Bt, X[:, :, None])
-    Z2 = Z * Z
-    vals = -c * np.vecdot(Z2, Z2, axis=1)
-    Z *= Z2
-    G = np.matmul(B, Z)
-    G *= -4.0 * c
-    return vals.ravel().tolist(), G[:, :, 0]
+
+    def __init__(self, objs: list):
+        first = objs[0]
+        self.objs, self.shared = objs, all(o is first for o in objs)
+        self.evaluates = [getattr(o, "_evaluate", o.evaluate) for o in objs]
+        self.c = self.B = self.Bt = None
+        if all(isinstance(o, _BasisObjective) and o.c == first.c
+               and o._basis.shape == first._basis.shape for o in objs):
+            self.c = first.c
+            self.B = (first._basis if self.shared
+                      else np.stack([o._basis for o in objs]))
+            self.Bt = self.B.swapaxes(-1, -2)
+
+    def take(self, idx: list) -> "_StackKernel":
+        if self.shared or len(idx) == len(self.objs):
+            return self
+        kernel = object.__new__(_StackKernel)
+        kernel.__dict__.update(self.__dict__,
+                               objs=[self.objs[i] for i in idx],
+                               evaluates=[self.evaluates[i] for i in idx])
+        if self.B is not None:
+            kernel.B = self.B[idx]
+            kernel.Bt = kernel.B.swapaxes(-1, -2)
+        return kernel
+
+    def __call__(self, X: np.ndarray) -> tuple[list, np.ndarray]:
+        if self.B is None:
+            # a shared objective's kernel is its own take, so it may hold
+            # more entries than X has rows; zip stops at X's last row
+            pairs = [evaluate(x) for evaluate, x in zip(self.evaluates, X)]
+            return ([float(val) for val, _ in pairs],
+                    np.array([g for _, g in pairs], dtype=float))
+        if len(X) == 1:
+            val, g = self.evaluates[0](X[0])
+            return [val], g[None]
+        c = self.c
+        Z = np.matmul(self.Bt, X[:, :, None])
+        Z2 = Z * Z
+        vals = -c * np.vecdot(Z2, Z2, axis=1)
+        Z *= Z2
+        G = np.matmul(self.B, Z)
+        G *= -4.0 * c
+        return vals.ravel().tolist(), G[:, :, 0]
 
 
 class _Curvature:

@@ -7,7 +7,8 @@ tau = -1/(q^T grad phi(q)), which is positive because the objectives are
 degree-4 homogeneous with negative values, so q^T grad phi = 4 phi < 0.
 The solver treats them interchangeably behind one loop on plain arrays,
 which runs a stack of starts at once (solve_batch), on one objective or
-on one objective per row; a single solve is the stack of one. It builds
+on one objective per row, through the stacked evaluate that `objectives`
+builds for those rows; a single solve is the stack of one. It builds
 a SpherePoint only for the start and the result, and its saddle escape
 scores both candidates with the same bound kernel.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from .cdl import Preconditioner
 from .model import ObservationSet, SpherePoint, _is_int, retract
-from .objectives import _BasisObjective, _basis_rows, tangent_min_eig
+from .objectives import _StackKernel, tangent_min_eig
 
 __all__ = [
     "EscapeConfig",
@@ -67,7 +68,8 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if self.method not in ("power", "rgd"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not 0.0 < self.grad_tol < math.inf:
+        if (isinstance(self.grad_tol, bool)
+                or not 0.0 < self.grad_tol < math.inf):
             raise ValueError("grad_tol must be positive and finite")
         if not (_is_int(self.max_iters) and self.max_iters >= 1):
             raise ValueError("max_iters must be an integer of at least 1")
@@ -145,8 +147,9 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
     per iterate (once per trial point in a line search, twice per escape
     attempt), plus curvature(q).min_eig when escape is enabled. A package
     objective's `_evaluate`, the same call on the loop's plain unit arrays,
-    is bound once in its place. A non-finite gradient raises ValueError.
-    This is solve_batch's loop run on a stack of one start.
+    is bound once in its place. An objective that states an n other than
+    q0's, or a non-finite gradient, raises ValueError. This is
+    solve_batch's loop run on a stack of one start.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -163,23 +166,18 @@ def solve_batch(obj, Q0, cfg: SolveConfig) -> list:
     objectives, row i solving its own; each must have n = Q0.shape[1]
     where it states n. Each row is projected onto the sphere as
     SpherePoint.project does, and its SolveResult has the bits of solve
-    from that point on its objective: the rows move as one stack through a
-    stacked kernel, chosen again whenever rows leave, with every stopping
-    test taken per row. A row that ends leaves the stack. A non-finite
-    gradient or a refused projection in any row raises ValueError, as it
-    does in solve.
+    from that point on its objective: the rows move as one stack through
+    one stacked kernel, with every stopping test taken per row. A row that
+    ends leaves the stack and the kernel. A non-finite gradient or a
+    refused projection in any row raises ValueError, as it does in solve.
     """
     Q0 = np.array(Q0, dtype=float)
     if Q0.ndim != 2:
         raise ValueError(f"Q0 must be a 2-d stack of starts, got shape {Q0.shape}")
-    T, n = Q0.shape
+    T = len(Q0)
     objs = list(obj) if isinstance(obj, (list, tuple)) else [obj] * T
     if len(objs) != T:
         raise ValueError(f"{len(objs)} objectives for {T} starts")
-    for o in objs:
-        if getattr(o, "n", n) != n:
-            raise ValueError(f"an objective has n={o.n}, but the starts "
-                             f"have n={n}")
     ends, rows = _solve_stack(objs, retract(Q0), cfg)
     return [SolveResult(SpherePoint(x), *row) for x, row in zip(ends, rows)]
 
@@ -198,61 +196,6 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> tuple:
     return D, D.ravel().tolist()
 
 
-def _evaluate_each(evaluates: list, X: np.ndarray) -> tuple[list, np.ndarray]:
-    """(values, gradient rows) of the one-point evaluates over the rows of
-    X, row i through evaluates[i]."""
-    pairs = [evaluate(x) for evaluate, x in zip(evaluates, X)]
-    return ([float(val) for val, _ in pairs],
-            np.array([g for _, g in pairs], dtype=float))
-
-
-class _StackKernel:
-    """evaluate over a 2-d stack of rows that each have their own
-    objective: (values, gradient rows), each row's bits those of its own
-    objective's lone evaluate.
-
-    The kernel is settled once for a set of rows (settle): one objective
-    with a stacked kernel of its own (`_evaluate_rows`) runs it; basis
-    objectives of one basis shape and one c run that kernel
-    (`objectives._basis_rows`) on the (k, n, m) stack of their bases, when
-    each basis is C-contiguous, as the stack is, so that a row's gemv is
-    its lone dot's; any other set runs each row's own evaluate, as does a
-    stack of one. take(idx) carries the kernel to the rows at the
-    increasing positions idx, gathering what it holds per row, so it is
-    gathered where the rows are.
-    """
-
-    def __init__(self, evaluates: list, rows=None, c: float = 0.0,
-                 bases: np.ndarray | None = None):
-        self.evaluates, self.rows, self.c, self.bases = evaluates, rows, c, bases
-
-    @classmethod
-    def settle(cls, objs: list, evaluates: list) -> "_StackKernel":
-        first = objs[0]
-        if all(o is first for o in objs):
-            return cls(evaluates, getattr(first, "_evaluate_rows", None))
-        if all(isinstance(o, _BasisObjective) and o.c == first.c
-               and o._basis.shape == first._basis.shape
-               and o._basis.flags.c_contiguous for o in objs):
-            return cls(evaluates, c=first.c,
-                       bases=np.stack([o._basis for o in objs]))
-        return cls(evaluates)
-
-    def take(self, idx: list) -> "_StackKernel":
-        if self.rows is not None or len(idx) == len(self.evaluates):
-            return self
-        return _StackKernel([self.evaluates[i] for i in idx], c=self.c,
-                            bases=None if self.bases is None else self.bases[idx])
-
-    def __call__(self, X: np.ndarray) -> tuple[list, np.ndarray]:
-        if self.rows is not None:
-            return self.rows(X)
-        if self.bases is not None and len(X) > 1:
-            B = self.bases
-            return _basis_rows(self.c, B, B.transpose(0, 2, 1), X)
-        return _evaluate_each(self.evaluates, X)
-
-
 def _solve_stack(objs: list, X0: np.ndarray,
                  cfg: SolveConfig) -> tuple[np.ndarray, list]:
     """The solver loop, run from each unit row of the (T, n) stack X0, row
@@ -264,16 +207,21 @@ def _solve_stack(objs: list, X0: np.ndarray,
     of solve's tests is taken per row, so a row ends as it would alone and
     then leaves the stack. The line search shrinks one tau for the rows
     still searching, which is each row's own sequence; an escape runs per
-    row. The stacked kernel is settled again whenever rows leave.
+    row. One objectives._StackKernel, built here, evaluates the live rows
+    and is taken along with them. An objective whose n, where it states
+    one, is not the rows' raises ValueError before any evaluation.
     """
     X = np.array(X0, dtype=float)  # owned: an escape writes its row in place
-    T = len(X)
+    T, n = X.shape
+    for o in objs:
+        if getattr(o, "n", n) != n:
+            raise ValueError(f"an objective has n={o.n}, but the starts "
+                             f"have n={n}")
     ends = np.empty_like(X)
     rows = [None] * T
     if not T:
         return ends, rows
-    evaluates = [getattr(o, "_evaluate", o.evaluate) for o in objs]
-    kernel = _StackKernel.settle(objs, evaluates)
+    kernel = _StackKernel(objs)
     vals, G = kernel(X)
     slots = list(range(T))  # the output row of each stacked row
     # a row's trace gains one value per move, so it holds iterations + 1
@@ -305,7 +253,8 @@ def _solve_stack(objs: list, X0: np.ndarray,
                 if gn <= grad_tol:
                     moved = None
                     if cfg.escape is not None and len(trace) <= max_iters:
-                        moved = escape_saddle(objs[i], X[i], evaluates[i])
+                        moved = escape_saddle(kernel.objs[i], X[i],
+                                              kernel.evaluates[i])
                     if moved is None or moved[1] >= trace[-1]:
                         finish(i, gn, "grad_tol")
                         continue
@@ -332,7 +281,7 @@ def _solve_stack(objs: list, X0: np.ndarray,
                 for j in flips:
                     V[j] = -V[j]
                 C = retract(V)
-                vals, GC = (kernel if whole else kernel.take(step))(C)
+                vals, GC = kernel.take(step)(C)
                 for i, val in zip(step, vals):
                     last = traces[i][-1]
                     if val <= last + 1e-12 * max(1.0, abs(last)):
@@ -379,9 +328,7 @@ def _solve_stack(objs: list, X0: np.ndarray,
                 slots = [slots[i] for i in keep]
                 traces = [traces[i] for i in keep]
                 escapes = [escapes[i] for i in keep]
-                objs = [objs[i] for i in keep]
-                evaluates = [evaluates[i] for i in keep]
-                kernel = _StackKernel.settle(objs, evaluates)
+                kernel = kernel.take(keep)
     return ends, rows
 
 

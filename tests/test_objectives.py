@@ -16,7 +16,12 @@ from sphere4.model import (
     stream,
     synth_odl,
 )
-from sphere4.objectives import OdlObjective, TensorObjective, tangent_min_eig
+from sphere4.objectives import (
+    OdlObjective,
+    TensorObjective,
+    _StackKernel,
+    tangent_min_eig,
+)
 
 from oracles import expectation_gap, fd_directional, fd_quadratic
 
@@ -200,20 +205,32 @@ def test_evaluate_matches_value_and_grad_bitwise_property(shape, seed, form):
 @pytest.mark.parametrize("shape", [(16, 32), (16, 24), (8, 16), (12, 32),
                                    (8, 12), (16, 2000)])
 def test_evaluate_rows_matches_lone_rows_bitwise(shape):
-    # the stacked matmul runs a lone row's gemv per row, and vecdot its
-    # vdot; (k,n)@(n,m) gemm and einsum would not keep these bits
+    # the stack kernel, on one shared basis and on a stack of per-row
+    # bases: the stacked matmul runs a lone row's gemv per row, and vecdot
+    # its vdot; (k,n)@(n,m) gemm and einsum would not keep these bits
     n, m = shape
     obj = (TensorObjective(make_untf(n, m, seed=m)) if m <= 32 else
            OdlObjective(synth_odl(make_untf(n, 24, seed=27),
                                   sample_bg(24, m, 0.2, seed=28)), 0.2))
+
+    def like(j):  # another objective of obj's kind, c and basis shape
+        B = stream(30, n, m, j).standard_normal((n, m))
+        return (TensorObjective(Dictionary(B)) if m <= 32 else
+                OdlObjective(ObservationSet(B), 0.2))
+
     for k in (1, 2, 3, 8, 16):
         X = retract(stream(29, n, m, k).standard_normal((k, n)))
-        vals, G = obj._evaluate_rows(X)
-        assert G.shape == (k, n)
-        for x, val, g in zip(X, vals, G):
-            lone_val, lone_g = obj._evaluate(x)
-            assert val.hex() == lone_val.hex()
-            assert g.tobytes() == lone_g.tobytes()
+        # one row has one objective, which is a shared basis
+        for objs, ndim in (([obj] * k, 2),
+                           ([like(j) for j in range(k)], 2 + (k > 1))):
+            kernel = _StackKernel(objs)
+            assert kernel.B.ndim == ndim
+            vals, G = kernel(X)
+            assert G.shape == (k, n)
+            for o, x, val, g in zip(objs, X, vals, G):
+                lone_val, lone_g = o._evaluate(x)
+                assert val.hex() == lone_val.hex()
+                assert g.tobytes() == lone_g.tobytes()
 
 
 def test_sign_symmetry():

@@ -19,7 +19,7 @@ from sphere4.model import (
     stream,
     synth_odl,
 )
-from sphere4.objectives import OdlObjective, TensorObjective
+from sphere4.objectives import OdlObjective, TensorObjective, _StackKernel
 from sphere4.optimize import (
     ARMIJO_C1,
     BACKTRACK_SHRINK,
@@ -31,7 +31,6 @@ from sphere4.optimize import (
     STALL_WINDOW,
     EscapeConfig,
     SolveConfig,
-    _StackKernel,
     escape_saddle,
     init_cdl,
     power_step,
@@ -452,14 +451,14 @@ def test_solve_batch_solves_each_row_on_its_own_frame_property(order, cfg_index)
 def per_row_stacks() -> dict:
     frames = [frame_objective(i) for i in range(3)]
     odl = [random_odl(8, 12, 300, 0.2, seed=152 + 2 * i) for i in range(3)]
-    # the same frame, its entries in Fortran order
+    # the same frame, given in Fortran order; it is stored in C order
     fortran = TensorObjective(Dictionary(np.asfortranarray(frames[1].basis)))
     return {
         "bases": ([*frames, frames[0]], "bases"),
         "odl-bases": (odl, "bases"),
         "tensor-and-odl": ([*frames, odl[0]], "each"),
         "odl-two-c": ([odl[0], random_odl(8, 12, 300, 0.3, seed=158)], "each"),
-        "fortran-basis": ([frames[0], fortran, frames[2]], "each"),
+        "fortran-basis": ([frames[0], fortran, frames[2]], "bases"),
         "cdl": ([batch_objective("cdl"), CdlObjective(
             synth_cdl(make_filter_bank(16, 2, seed=159), 0.2, 400, seed=160))],
             "each"),
@@ -470,19 +469,36 @@ def per_row_stacks() -> dict:
                                    "odl-two-c", "fortran-basis", "cdl"])
 @pytest.mark.parametrize("cfg", BATCH_CONFIGS, ids=BATCH_CONFIG_IDS)
 def test_solve_batch_per_row_kernels_match_the_reference(stack, cfg):
-    # basis objectives of one shape, one c and C order share one stacked
-    # kernel on their bases; any other mix (another objective, another c,
-    # a basis in Fortran order, whose dot rounds otherwise) evaluates each
-    # row alone; either way each row has the bits of its lone solve
+    # basis objectives of one shape and one c share one stacked kernel on
+    # their bases; any other mix (another objective, another c) evaluates
+    # each row alone; either way each row has the bits of its lone solve
     objs, kind = per_row_stacks()[stack]
-    evaluates = [o._evaluate for o in objs]
-    kernel = _StackKernel.settle(objs, evaluates)
-    assert (kernel.rows, kernel.bases is not None) == (None, kind == "bases")
+    assert (_StackKernel(objs).B is not None) == (kind == "bases")
     Q0 = stream(161, stack).standard_normal((len(objs), objs[0].n))
     results = solve_batch(objs, Q0, cfg)
     for obj, row, res in zip(objs, Q0, results):
         ref = reference_solve(obj, SpherePoint.project(row), cfg)
         assert result_bits(res) == result_bits(ref)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column-permuted"])
+def test_matrix_layout_does_not_change_a_solve(layout):
+    # entries are stored in C order, so a basis given in another layout
+    # solves with the bits of its C copy
+    A = make_untf(8, 12, seed=165).entries
+    M = (np.asfortranarray(A) if layout == "fortran"
+         else A[:, stream(165).permutation(12)])
+    assert not M.flags.c_contiguous
+    Q0 = stream(166, layout).standard_normal((3, 8))
+    for make in (lambda B: TensorObjective(Dictionary(B)),
+                 lambda B: OdlObjective(ObservationSet(B), 0.2)):
+        objs = [make(M), make(np.ascontiguousarray(M))]
+        assert all(o.basis.flags.c_contiguous for o in objs)
+        for cfg in BATCH_CONFIGS:
+            a, b = (solve_batch(o, Q0, cfg) for o in objs)
+            assert [result_bits(r) for r in a] == [result_bits(r) for r in b]
+            a, b = (solve(o, Q0[0], cfg) for o in objs)
+            assert result_bits(a) == result_bits(b)
 
 
 def test_solve_batch_escapes_each_row_along_its_own_curvature():
@@ -492,7 +508,7 @@ def test_solve_batch_escapes_each_row_along_its_own_curvature():
         np.linalg.qr(stream(162).standard_normal((4, 4)))[0])
     bases = [np.eye(4), np.eye(4)[[2, 3, 0, 1]], rot]
     objs = [TensorObjective(Dictionary(b)) for b in bases]
-    assert _StackKernel.settle(objs, [o._evaluate for o in objs]).bases is not None
+    assert _StackKernel(objs).B.ndim == 3
     Q0 = np.stack([b[:, 0] + b[:, 1] for b in bases])
     for cfg in BATCH_CONFIGS[2:]:
         results = solve_batch(objs, Q0, cfg)
@@ -500,6 +516,24 @@ def test_solve_batch_escapes_each_row_along_its_own_curvature():
         for obj, row, res in zip(objs, Q0, results):
             ref = reference_solve(obj, SpherePoint.project(row), cfg)
             assert result_bits(res) == result_bits(ref)
+
+
+@pytest.mark.parametrize("cfg", BATCH_CONFIGS, ids=BATCH_CONFIG_IDS)
+def test_solve_batch_mixed_stack_runs_on_after_its_odd_row_ends(cfg):
+    # the ODL row starts at its own solution and ends first; the Tensor rows
+    # left behind carry on row by row, each with the bits of its lone solve
+    odl = random_odl(8, 12, 300, 0.2, seed=152)
+    objs = [frame_objective(0), odl, frame_objective(1)]
+    kernel = _StackKernel(objs)
+    assert kernel.B is None and kernel.take([0, 2]).B is None
+    Q0 = stream(163).standard_normal((3, 8))
+    Q0[1] = solve(odl, SpherePoint.project(Q0[1]), cfg).q_star.coords
+    results = solve_batch(objs, Q0, cfg)
+    assert results[1].iterations < min(results[0].iterations,
+                                       results[2].iterations)
+    for obj, row, res in zip(objs, Q0, results):
+        ref = reference_solve(obj, SpherePoint.project(row), cfg)
+        assert result_bits(res) == result_bits(ref)
 
 
 def test_solve_batch_refuses_mismatched_objectives():
@@ -512,6 +546,15 @@ def test_solve_batch_refuses_mismatched_objectives():
         solve_batch(identity_objective(4), Q0, SolveConfig())
     with pytest.raises(ValueError, match="has n=4, but the starts have n=3"):
         solve_batch([obj, identity_objective(4), obj], Q0, SolveConfig())
+    # solve takes the same check before any evaluation, which would fail
+    # inside numpy instead
+    cdl = batch_objective("cdl")
+    for size in (15, 17):
+        with pytest.raises(ValueError,
+                           match=f"has n=16, but the starts have n={size}"):
+            solve(cdl, stream(164, size).standard_normal(size))
+    with pytest.raises(ValueError, match="has n=4, but the starts have n=3"):
+        solve(identity_objective(4), Q0[0])
     assert solve_batch([], np.empty((0, 3)), SolveConfig()) == []
     # a stub that states no n is taken as it is
     assert len(solve_batch(NanNearE3Objective(), Q0[:1], SolveConfig())) == 1
@@ -662,6 +705,9 @@ def test_config_validation():
     for bad in (2.5, 3.0, True):
         with pytest.raises(ValueError, match="max_iters"):
             SolveConfig(max_iters=bad)
+    # True would read as 1.0 and end every solve at its start
+    with pytest.raises(ValueError, match="grad_tol"):
+        SolveConfig(grad_tol=True)
     # the escape's eigensolve has one fixed start, so there is no seed to set
     with pytest.raises(TypeError):
         SolveConfig(seed=1)
@@ -1028,6 +1074,27 @@ def test_public_names():
     names = sorted(f"{module}.{name}" for module in PUBLIC_MODULES
                    for name in importlib.import_module(f"sphere4.{module}").__all__)
     assert len(names) == 53, names
+
+
+def test_basis_internals_stay_in_objectives():
+    # a basis objective's B and B^T, and the class itself, are read only in
+    # objectives, whose _StackKernel is what the solver loop evaluates with
+    import ast
+    from pathlib import Path
+
+    import sphere4
+
+    private = {"_basis", "_basis_t", "_BasisObjective"}
+    found = []
+    for path in sorted(Path(sphere4.__file__).parent.glob("*.py")):
+        if path.name == "objectives.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.stem}:{node.lineno} reads .{node.attr}")
+            elif isinstance(node, ast.alias) and node.name in private:
+                found.append(f"{path.stem}:{node.lineno} imports {node.name}")
+    assert found == []
 
 
 def test_no_unused_imports():
