@@ -83,15 +83,19 @@ class Preconditioner:
     def n(self) -> int:
         return self.spectrum_weights.size
 
+    def _rfft(self, v) -> np.ndarray:
+        v = np.ascontiguousarray(v, dtype=float)
+        if v.shape[-1:] != (self.n,):  # even n: an rfft of n + 1 has as many bins
+            raise ValueError(f"P acts on length {self.n}, got shape {v.shape}")
+        return np.fft.rfft(v, axis=-1)
+
     def apply(self, v) -> np.ndarray:
         """P v along the last axis, by one real FFT pair; C-contiguous."""
-        spec = np.fft.rfft(np.ascontiguousarray(v, dtype=float), axis=-1)
-        return np.fft.irfft(spec * self.half_spectrum, n=self.n, axis=-1)
+        return np.fft.irfft(self._rfft(v) * self.half_spectrum, n=self.n, axis=-1)
 
     def apply_inverse(self, v) -> np.ndarray:
         """P^{-1} v along the last axis, by one real FFT pair; C-contiguous."""
-        spec = np.fft.rfft(np.ascontiguousarray(v, dtype=float), axis=-1)
-        return np.fft.irfft(spec / self.half_spectrum, n=self.n, axis=-1)
+        return np.fft.irfft(self._rfft(v) / self.half_spectrum, n=self.n, axis=-1)
 
 
 def build_preconditioner(Y: ObservationSet, theta: float, K: int,
@@ -155,14 +159,13 @@ def circ_embed(bank: FilterBank, codes) -> ObservationSet:
 @dataclass(frozen=True)
 class ConvProblem:
     """A convolutional instance: measurements, whitener, and (when the
-    instance is synthetic) the ground-truth filters and codes. Parts that
-    disagree on theta, the length n or K are refused here."""
+    instance is synthetic) the ground-truth filters. Parts that disagree
+    on theta, the length n or K are refused here."""
 
     measurements: ObservationSet
     preconditioner: Preconditioner
     theta: float
     filters: FilterBank | None = None
-    codes: SparseCode | None = None
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
@@ -190,11 +193,11 @@ class ConvProblem:
 
 def synth_cdl(bank: FilterBank, theta: float, p: int, seed: int,
               convention: str = "main_text") -> ConvProblem:
-    """Sample codes, convolve them through the filter bank, and whiten."""
-    codes = sample_bg(bank.n * bank.K, p, theta, seed)
-    Y = circ_embed(bank, codes)
+    """Convolve the codes sample_bg(n K, p, theta, seed) through the filter
+    bank, and whiten. The codes are not kept; that draw gives them again."""
+    Y = circ_embed(bank, sample_bg(bank.n * bank.K, p, theta, seed))
     P = build_preconditioner(Y, theta, bank.K, convention)
-    return ConvProblem(Y, P, theta, filters=bank, codes=codes)
+    return ConvProblem(Y, P, theta, filters=bank)
 
 
 @dataclass(frozen=True)

@@ -159,8 +159,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         problem = _synth("cdl", args.n, args.k, args.theta, args.p, args.seed,
                          args.convention)
-        matrices = {"filters": problem.filters.filters,
-                    "codes": problem.codes.entries,
+        # the instance keeps no codes; this is synth_cdl's draw made again
+        codes = sample_bg(args.n * args.k, args.p, args.theta, seed=args.seed)
+        matrices = {"filters": problem.filters.filters, "codes": codes.entries,
                     "measurements": problem.measurements.entries}
         meta.update(K=args.k, convention=args.convention,
                     floored=problem.preconditioner.floored)

@@ -118,9 +118,10 @@ def cubic_root_intervals(alpha: float, beta: float) -> np.ndarray:
         raise ValueError("alpha and beta must be finite")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    if abs(beta) > alpha**1.5 / 4.0:
-        raise ValueError("|beta| exceeds alpha^(3/2)/4; roots need not "
-                         "localize near {0, +-sqrt(alpha)}")
+    with np.errstate(over="ignore"):  # inf, where a Python float's pow raises
+        if abs(beta) > np.float64(alpha) ** 1.5 / 4.0:
+            raise ValueError("|beta| exceeds alpha^(3/2)/4; roots need not "
+                             "localize near {0, +-sqrt(alpha)}")
     r = _root_radius(alpha, beta)
     s = np.sqrt(alpha)
     return np.array([[-r, r], [s - r, s + r], [-s - r, -s + r]])

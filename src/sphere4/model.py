@@ -187,24 +187,16 @@ class Dictionary:
 
 @dataclass(frozen=True)
 class SparseCode:
-    """An m x p Bernoulli-Gaussian code matrix with rate theta."""
+    """An m x p code matrix, such as sample_bg's Bernoulli-Gaussian draw."""
 
     entries: np.ndarray
-    theta: float
 
     def __post_init__(self):
-        a = _frozen_matrix(self.entries)
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "entries", _frozen_matrix(self.entries))
 
     @property
     def m(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass(frozen=True)
@@ -336,7 +328,7 @@ def sample_bg(m: int, p: int, theta: float, seed: int) -> SparseCode:
     rng = stream(seed, "bg")
     mask = rng.random(size=(m, p)) < theta
     gauss = rng.standard_normal(size=(m, p))
-    return SparseCode(np.where(mask, gauss, 0.0), theta)
+    return SparseCode(np.where(mask, gauss, 0.0))
 
 
 def synth_odl(D: Dictionary, X: SparseCode) -> ObservationSet:

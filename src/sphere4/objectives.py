@@ -42,10 +42,13 @@ LANCZOS_MAX_ITERS = 200
 LANCZOS_TOL = 1e-8
 
 
-def _coords(q) -> np.ndarray:
-    if isinstance(q, SpherePoint):
-        return q.coords
-    return np.asarray(q, dtype=float).reshape(-1)
+def _coords(q, n: int | None = None) -> np.ndarray:
+    """q as a 1-d float array; with n given, any other size raises ValueError."""
+    x = (q.coords if isinstance(q, SpherePoint)
+         else np.asarray(q, dtype=float).reshape(-1))
+    if n is not None and x.size != n:
+        raise ValueError(f"q has {x.size} entries, but the objective n={n}")
+    return x
 
 
 def tangent_min_eig(matvec, q: np.ndarray) -> tuple[float, np.ndarray, bool]:
@@ -123,15 +126,15 @@ class _QuarticObjective:
     c: float
 
     def value(self, q) -> float:
-        return self._evaluate(_coords(q))[0]
+        return self._evaluate(_coords(q, self.n))[0]
 
     def grad(self, q) -> np.ndarray:
         """Euclidean gradient -4c B (B^T q)^3."""
-        return self._evaluate(_coords(q))[1]
+        return self._evaluate(_coords(q, self.n))[1]
 
     def evaluate(self, q) -> tuple[float, np.ndarray]:
         """(value, Euclidean gradient) from one correlate and one adjoint pass."""
-        return self._evaluate(_coords(q))
+        return self._evaluate(_coords(q, self.n))
 
     # A numpy integer power of 3 or 4 calls libm pow per entry of Z, at about
     # a hundred times the cost of a multiply, so every objective multiplies;
@@ -154,7 +157,7 @@ class _QuarticObjective:
 
     def curvature(self, q) -> "_Curvature":
         """The tangent-curvature operator at unit q; see _Curvature."""
-        return _Curvature(self, _coords(q))
+        return _Curvature(self, _coords(q, self.n))
 
 
 class _BasisObjective(_QuarticObjective):

@@ -68,7 +68,7 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if self.method not in ("power", "rgd"):
             raise ValueError(f"unknown method {self.method!r}")
-        if (isinstance(self.grad_tol, bool)
+        if (isinstance(self.grad_tol, (bool, np.bool_))
                 or not 0.0 < self.grad_tol < math.inf):
             raise ValueError("grad_tol must be positive and finite")
         if not (_is_int(self.max_iters) and self.max_iters >= 1):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sphere4.model import (
     stream,
 )
 from sphere4.objectives import OdlObjective
+from sphere4.recovery import cdl_score
 
 from oracles import (
     CirculantOp,
@@ -244,6 +246,25 @@ def test_preconditioner_real_fft_pair_matches_complex_reference(n):
         "spectrum_weights", "K", "floored"]
 
 
+def test_length_n_plus_one_is_refused_at_even_n():
+    # at n = 8 an rfft of length 9 has as many bins as one of length 8, so
+    # without a check a length-9 vector would pass for a length-8 one
+    prob = synth_cdl(make_filter_bank(8, 2, seed=54), 0.2, 40, seed=55)
+    P, obj = prob.preconditioner, CdlObjective(prob)
+    v = np.full(9, 1.0 / 3.0)  # unit, and of length n + 1
+    calls = {"apply": P.apply, "apply_inverse": P.apply_inverse,
+             "value": obj.value, "grad": obj.grad, "evaluate": obj.evaluate,
+             "rgrad": obj.rgrad, "curvature": obj.curvature,
+             "deprecondition": lambda q: deprecondition(q, P),
+             "cdl_score": lambda q: cdl_score(q, prob)}
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="9"):
+            call(v)
+    with pytest.raises(ValueError, match="length 8"):
+        P.apply(np.ones((3, 9)))
+    assert P.apply(np.ones((3, 8))).shape == (3, 8)
+
+
 @pytest.mark.parametrize("change,match", [
     ({"theta": 0.0}, "theta must lie in"),
     ({"theta": 1.0}, "theta must lie in"),
@@ -447,6 +468,23 @@ def test_deprecondition_identity_and_roundtrip():
     sign = np.sign(round_trip.coords @ ref)
     assert np.linalg.norm(sign * round_trip.coords - ref) <= 1e-10
     assert abs(np.linalg.norm(round_trip.coords) - 1.0) <= 1e-12
+
+
+def test_cdl_instance_keeps_only_what_acts():
+    # the objective and the score read the measurements and the filters; the
+    # codes (K times the measurements' size) are sample_bg's draw, not kept
+    bank = make_filter_bank(64, 3, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prob = synth_cdl(bank, 0.1, 2000, seed=0)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 * prob.measurements.entries.nbytes, kept
+    assert [f.name for f in dataclasses.fields(ConvProblem)] == [
+        "measurements", "preconditioner", "theta", "filters"]
+    assert [f.name for f in dataclasses.fields(SparseCode)] == ["entries"]
 
 
 def test_effective_dictionary_shape_and_blocks():

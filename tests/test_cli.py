@@ -22,7 +22,10 @@ from sphere4.cli import (
     build_parser,
     main,
 )
+from sphere4.cdl import build_preconditioner, circ_embed
 from sphere4.model import (
+    FilterBank,
+    ObservationSet,
     SpherePoint,
     load_matrix,
     make_untf,
@@ -96,6 +99,33 @@ def test_gen_cdl_files(tmp_path):
     meta = json.loads((tmp_path / "gen.json").read_text())
     assert meta["K"] == 2
     assert meta["convention"] == "main_text"
+
+
+def test_gen_odl_files_reproduce_the_instance(tmp_path):
+    out = gen_odl(tmp_path, p=200)
+    D, X, Y = (load_matrix(out / f"{name}.csv")
+               for name in ("dictionary", "codes", "observations"))
+    assert np.array_equal(D @ X, Y)
+
+
+@pytest.mark.parametrize("eps", [1.0, None])
+@pytest.mark.parametrize("convention", ["main_text", "appendix_h"])
+def test_gen_cdl_files_reproduce_the_instance(tmp_path, monkeypatch,
+                                              convention, eps):
+    # the instance keeps no codes, so gen draws them again for codes.csv;
+    # convolved through the filters they give the measurements bit for bit
+    if eps is not None:
+        monkeypatch.setattr(sphere4.cdl, "EPS_SPEC", eps)
+    assert run("gen", "--model", "cdl", "--n", "16", "--k", "2", "--theta",
+               "0.1", "--p", "200", "--seed", "3", "--convention", convention,
+               "--out-dir", str(tmp_path)) == EXIT_OK
+    bank, codes, Y = (load_matrix(tmp_path / f"{name}.csv")
+                      for name in ("filters", "codes", "measurements"))
+    assert np.array_equal(circ_embed(FilterBank(bank), codes).entries, Y)
+    meta = json.loads((tmp_path / "gen.json").read_text())
+    P = build_preconditioner(ObservationSet(Y), meta["theta"], meta["K"],
+                             meta["convention"])
+    assert P.floored is meta["floored"] is (eps is not None)
 
 
 @pytest.mark.parametrize("eps,floored", [(1.0, True), (None, False)])

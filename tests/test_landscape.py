@@ -164,6 +164,16 @@ def test_cubic_intervals_validation():
     cubic_root_intervals(1.0, 0.25)  # exactly at the bound is accepted
 
 
+@pytest.mark.parametrize("alpha,beta", [(1e300, 0.0), (1e300, 1e300),
+                                        (1e308, 1.0)])
+def test_cubic_intervals_large_finite_inputs(alpha, beta):
+    # alpha^(3/2) overflows; the bound reads inf rather than raising
+    # OverflowError, so such an input localizes like any other
+    iv = cubic_root_intervals(alpha, beta)
+    assert iv.shape == (3, 2) and np.all(np.isfinite(iv))
+    assert iv[1, 0] <= np.sqrt(alpha) <= iv[1, 1]
+
+
 # ---------------------------------------------------------------------------
 # critical point reports
 

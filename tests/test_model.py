@@ -193,7 +193,7 @@ def test_dictionary_rejects_wide_transpose():
 
 @pytest.mark.parametrize("cls", [
     Dictionary, ObservationSet, FilterBank,
-    pytest.param(lambda a: SparseCode(a, 0.1), id="SparseCode")])
+    pytest.param(SparseCode, id="SparseCode")])
 @pytest.mark.parametrize("bad", [
     np.nan, np.inf, -np.inf,
     pytest.param((0, 0), id="0x0"), pytest.param((3, 0), id="3x0"),
@@ -275,7 +275,7 @@ def test_coherence_zero_column():
 def test_synth_odl_zero_code():
     D = make_untf(3, 4, seed=0)
     X = sample_bg(4, 5, 0.5, seed=1)
-    zero = type(X)(np.zeros_like(X.entries), X.theta)
+    zero = type(X)(np.zeros_like(X.entries))
     assert np.all(synth_odl(D, zero).entries == 0.0)
 
 
@@ -284,7 +284,7 @@ def test_synth_odl_unit_spike():
     E = np.zeros((4, 4))
     E[0, 0] = 1.0
     X = sample_bg(4, 4, 0.5, seed=1)
-    Y = synth_odl(D, type(X)(E, X.theta))
+    Y = synth_odl(D, type(X)(E))
     assert np.allclose(Y.entries[:, 0], D.entries[:, 0])
     assert np.all(Y.entries[:, 1:] == 0.0)
 
