@@ -29,7 +29,6 @@ from .model import (
     Dictionary,
     FilterBank,
     ObservationSet,
-    SparseCode,
     SpherePoint,
     coherence,
     load_matrix,

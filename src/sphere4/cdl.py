@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (FilterBank, ObservationSet, SparseCode, SpherePoint, _is_int,
+from .model import (FilterBank, ObservationSet, SpherePoint, _exponent, _is_int,
                     sample_bg)
 from .objectives import _QuarticObjective, _coords
 
@@ -61,7 +61,6 @@ class Preconditioner:
     """
 
     spectrum_weights: np.ndarray
-    K: int
     floored: bool = False
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class Preconditioner:
             raise ValueError("spectrum weights must be nonempty")
         if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise ValueError("spectrum weights must be positive and finite")
-        if not (_is_int(self.K) and self.K >= 1):
-            raise ValueError(f"K must be an integer of at least 1, got {self.K!r}")
         w.setflags(write=False)
         object.__setattr__(self, "spectrum_weights", w)
         a, b = w[: w.size // 2 + 1], w[-np.arange(w.size // 2 + 1)]
@@ -122,7 +119,7 @@ def build_preconditioner(Y: ObservationSet, theta: float, K: int,
     if not np.any(Y.entries):
         raise ValueError("every measurement is zero")
     n = Y.n
-    _, e = np.frexp(np.max(np.abs(Y.entries)))
+    e = _exponent(Y.entries)
     scaled = np.ldexp(Y.entries, -e)
     power = (np.abs(np.fft.fft(scaled, axis=0)) ** 2).mean(axis=1)
     scale = theta * K * n if convention == "main_text" else theta * n
@@ -133,16 +130,16 @@ def build_preconditioner(Y: ObservationSet, theta: float, K: int,
     if np.frexp(weights.max())[1] - e > np.finfo(float).maxexp:
         raise ValueError("measurements are too small to whiten")
     weights = np.ldexp(weights, -e)
-    return Preconditioner(weights, K, floored)
+    return Preconditioner(weights, floored)
 
 
 def circ_embed(bank: FilterBank, codes) -> ObservationSet:
     """Measurements y_i = sum_k a_k conv x_ik from stacked codes.
 
-    `codes` is an (n K) x p matrix (or SparseCode) whose k-th length-n
-    block holds the code convolved with filter k.
+    `codes` is an (n K) x p matrix, such as sample_bg's, whose k-th
+    length-n block holds the code convolved with filter k.
     """
-    X = codes.entries if isinstance(codes, SparseCode) else np.asarray(codes, dtype=float)
+    X = np.asarray(codes, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     K, n = bank.K, bank.n
@@ -159,8 +156,8 @@ def circ_embed(bank: FilterBank, codes) -> ObservationSet:
 @dataclass(frozen=True)
 class ConvProblem:
     """A convolutional instance: measurements, whitener, and (when the
-    instance is synthetic) the ground-truth filters. Parts that disagree
-    on theta, the length n or K are refused here."""
+    instance is synthetic) the ground-truth filters, which alone give K.
+    Parts that disagree on the length n, or a bad theta, are refused."""
 
     measurements: ObservationSet
     preconditioner: Preconditioner
@@ -175,8 +172,6 @@ class ConvProblem:
             raise ValueError(f"measurements have length {n}, P {self.preconditioner.n}")
         if bank is not None and bank.n != n:
             raise ValueError(f"filters have length {bank.n}, measurements {n}")
-        if bank is not None and bank.K != self.K:
-            raise ValueError(f"{bank.K} filters, but the preconditioner has K={self.K}")
 
     @property
     def n(self) -> int:
@@ -185,10 +180,6 @@ class ConvProblem:
     @property
     def p(self) -> int:
         return self.measurements.p
-
-    @property
-    def K(self) -> int:
-        return self.preconditioner.K
 
 
 def synth_cdl(bank: FilterBank, theta: float, p: int, seed: int,

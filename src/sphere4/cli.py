@@ -153,7 +153,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.model == "odl":
         D, X, Y = _synth("odl", args.n, args.m, args.theta, args.p, args.seed,
                          args.convention)
-        matrices = {"dictionary": D.entries, "codes": X.entries,
+        matrices = {"dictionary": D.entries, "codes": X,
                     "observations": Y.entries}
         meta.update(m=args.m, untf_converged=D.untf_converged)
     else:
@@ -161,7 +161,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
                          args.convention)
         # the instance keeps no codes; this is synth_cdl's draw made again
         codes = sample_bg(args.n * args.k, args.p, args.theta, seed=args.seed)
-        matrices = {"filters": problem.filters.filters, "codes": codes.entries,
+        matrices = {"filters": problem.filters.filters, "codes": codes,
                     "measurements": problem.measurements.entries}
         meta.update(K=args.k, convention=args.convention,
                     floored=problem.preconditioner.floored)

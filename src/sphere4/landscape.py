@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import UNIT_TOL, Dictionary, SpherePoint
+from .model import UNIT_TOL, Dictionary, SpherePoint, _norm
 from .objectives import TensorObjective
 from .recovery import _nearest_columns
 
@@ -96,14 +96,9 @@ def classify_region(D: Dictionary, q) -> RegionDecision:
     Compares phi(q) against -XI_DL * mu^(2/3) * ||zeta||_3^2, mu = D's
     coherence. Values within BOUNDARY_TOL of it are labeled boundary.
     """
+    TensorObjective(D)  # its overflow guard refuses a D whose zeta^4 can overflow
     zeta = D.entries.T @ _unit_coords(q)
     return _region(D, zeta, float(np.sum(zeta**4)))
-
-
-def _root_radius(alpha, beta):
-    """2|beta|/alpha: the radius around 0 and +-sqrt(alpha) within which
-    z^3 - alpha*z + beta has its roots, and past which a coordinate is big."""
-    return 2.0 * np.abs(beta) / alpha
 
 
 def cubic_root_intervals(alpha: float, beta: float) -> np.ndarray:
@@ -122,7 +117,7 @@ def cubic_root_intervals(alpha: float, beta: float) -> np.ndarray:
         if abs(beta) > np.float64(alpha) ** 1.5 / 4.0:
             raise ValueError("|beta| exceeds alpha^(3/2)/4; roots need not "
                              "localize near {0, +-sqrt(alpha)}")
-    r = _root_radius(alpha, beta)
+    r = 2.0 * np.abs(beta) / alpha
     s = np.sqrt(alpha)
     return np.array([[-r, r], [s - r, s + r], [-s - r, -s + r]])
 
@@ -165,12 +160,19 @@ def critical_point_report(D: Dictionary, q) -> LandscapeReport:
     obj = TensorObjective(D)
     col_sq = np.sum(A * A, axis=0)
     z44 = float(np.sum(zeta**4))
-    alphas = z44 / col_sq
     cubes = zeta**3
-    betas = (A.T @ (A @ cubes) - col_sq * cubes) / col_sq
+    # ||a_i||^2 can underflow to 0, A^T A zeta^3 (degree 5 in A) overflow
+    # below the kernel's guard, and the root radius 2|beta_i|/alpha_i read
+    # 0/0 where ||zeta||_4^4 is 0: no coordinate is big there
+    with np.errstate(all="ignore"):
+        alphas = z44 / col_sq
+        betas = (A.T @ (A @ cubes) - col_sq * cubes) / col_sq
+        big = np.abs(zeta) > 2.0 * np.abs(betas) / alphas
+    if not (col_sq.all() and np.all(np.isfinite(betas))):
+        raise ValueError("the cubic coefficients under- or overflow")
     curv_tol = CURV_REL_TOL * z44
 
-    grad_norm = float(np.linalg.norm(obj.rgrad(x)))
+    grad_norm = float(_norm(obj.rgrad(x)))
     hess_min_eig, vec, converged = obj.curvature(x).min_eig()
 
     region = _region(D, zeta, z44).label
@@ -180,7 +182,6 @@ def critical_point_report(D: Dictionary, q) -> LandscapeReport:
     else:
         residuals = np.abs(cubes - alphas * zeta + betas)
         cubic_ok = bool(np.all(residuals <= RESID_TOL * alphas**1.5))
-        big = np.abs(zeta) > _root_radius(alphas, betas)
         nbig = int(np.count_nonzero(big))
         if not cubic_ok or nbig == 0 or not converged:
             classification = CLASS_INDETERMINATE

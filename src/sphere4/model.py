@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "Dictionary",
-    "SparseCode",
     "SpherePoint",
     "ObservationSet",
     "FilterBank",
@@ -93,6 +92,22 @@ def _frozen_matrix(x, name: str = "entries") -> np.ndarray:
     return a
 
 
+def _exponent(v, axis=None):
+    """frexp's exponent of max |v| along axis: 0 if that is 0 or not finite."""
+    return np.frexp(np.max(np.abs(v), axis=axis, initial=0.0))[1]
+
+
+def _norm(v, axis=None):
+    """np.linalg.norm(v, axis=axis), axis None or 0, of v scaled by 2^-e (see
+    _exponent) and scaled back: exact, so its bits wherever it neither over-
+    nor underflows. A norm past the float range raises ValueError."""
+    e = _exponent(v, axis)
+    norms = np.linalg.norm(np.ldexp(v, -e), axis=axis)
+    if np.any(np.frexp(norms)[1] + e > np.finfo(float).maxexp):
+        raise ValueError("the l2 norm overflows")
+    return np.ldexp(norms, e)
+
+
 def retract(v: np.ndarray) -> np.ndarray:
     """v / ||v|| along the last axis of a C-contiguous real array: one
     vector, or a stack of rows each normalized alone. The one normalizer
@@ -140,8 +155,10 @@ class SpherePoint:
 
     @classmethod
     def project(cls, v) -> "SpherePoint":
-        """Metric projection v / ||v|| onto the sphere; see retract."""
-        return cls(retract(np.asarray(v, dtype=float).ravel()))
+        """Metric projection v / ||v|| onto the sphere; see retract. v is
+        scaled by 2^-e first (see _exponent), exactly, so v . v stays in range."""
+        v = np.asarray(v, dtype=float).ravel()
+        return cls(retract(np.ldexp(v, -_exponent(v))))
 
     @property
     def n(self) -> int:
@@ -181,22 +198,8 @@ class Dictionary:
 
     @cached_property
     def column_norms(self) -> np.ndarray:
-        """The l2 norm of each column, computed once per dictionary."""
-        return _frozen_array(np.linalg.norm(self.entries, axis=0))
-
-
-@dataclass(frozen=True)
-class SparseCode:
-    """An m x p code matrix, such as sample_bg's Bernoulli-Gaussian draw."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen_matrix(self.entries))
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
+        """The l2 norm of each column (see _norm), computed once."""
+        return _frozen_array(_norm(self.entries, axis=0))
 
 
 @dataclass(frozen=True)
@@ -315,11 +318,11 @@ def _untf_stack(n: int, m: int, seeds) -> list:
     return out
 
 
-def sample_bg(m: int, p: int, theta: float, seed: int) -> SparseCode:
-    """Draw an m x p Bernoulli-Gaussian code: X = B .* G, B ~ Ber(theta).
-
-    Masked entries are exact zeros. Deterministic for a fixed seed. m and
-    p must be integers of at least 1; anything else raises ValueError.
+def sample_bg(m: int, p: int, theta: float, seed: int) -> np.ndarray:
+    """Draw an m x p Bernoulli-Gaussian code X = B .* G, B ~ Ber(theta), as
+    a read-only array. Masked entries are exact zeros. Deterministic for a
+    fixed seed. m and p must be integers of at least 1; anything else
+    raises ValueError.
     """
     if not (_is_int(m) and _is_int(p) and m >= 1 and p >= 1):
         raise ValueError(f"need integers m >= 1 and p >= 1, got m={m!r}, p={p!r}")
@@ -328,14 +331,19 @@ def sample_bg(m: int, p: int, theta: float, seed: int) -> SparseCode:
     rng = stream(seed, "bg")
     mask = rng.random(size=(m, p)) < theta
     gauss = rng.standard_normal(size=(m, p))
-    return SparseCode(np.where(mask, gauss, 0.0))
+    X = np.where(mask, gauss, 0.0)
+    X.setflags(write=False)
+    return X
 
 
-def synth_odl(D: Dictionary, X: SparseCode) -> ObservationSet:
-    """Observations Y = A X for the linear sparse-coding model."""
-    if D.m != X.m:
-        raise ValueError(f"dictionary has {D.m} columns, code has {X.m} rows")
-    return ObservationSet(D.entries @ X.entries)
+def synth_odl(D: Dictionary, X) -> ObservationSet:
+    """Observations Y = A X for the linear sparse-coding model, X an m x p
+    code such as sample_bg's; ObservationSet refuses a non-finite product.
+    X is taken C-ordered (copied only if it is not), as every matrix is."""
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != D.m:
+        raise ValueError(f"need a 2d code with {D.m} rows, got shape {X.shape}")
+    return ObservationSet(D.entries @ X)
 
 
 def coherence(D: Dictionary) -> float:

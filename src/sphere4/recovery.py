@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdl import CdlObjective, ConvProblem, deprecondition
-from .model import Dictionary, SpherePoint, _is_int, retract, stream
+from .model import Dictionary, SpherePoint, _is_int, _norm, retract, stream
 from .objectives import TensorObjective, _coords
 from .optimize import SolveConfig, SolveResult, _solve_stack, init_cdl, solve
 
@@ -160,7 +160,7 @@ def recover_full(D: Dictionary, config: SolveConfig | None = None,
 def align_shift(a_est, a_true) -> tuple[int, float, float]:
     """Best (shift, sign) putting a_true's orbit onto a_est, with the error.
 
-    Both inputs are normalized first. Minimizes
+    Both inputs are normalized first, by model._norm. Minimizes
     || s * roll(a_true, l) - a_est || over l in {0..n-1}, s in {+-1}; the
     correlation over all shifts comes from one FFT pass. Ties go to the
     lowest shift. A filter of zero or non-finite norm has no orbit to align
@@ -170,7 +170,7 @@ def align_shift(a_est, a_true) -> tuple[int, float, float]:
     v = np.asarray(a_true, dtype=float).reshape(-1)
     if u.shape != v.shape:
         raise ValueError("filters must share a length")
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    nu, nv = _norm(u), _norm(v)
     if not (0.0 < nu < np.inf and 0.0 < nv < np.inf):
         raise ValueError("filters must have a nonzero finite norm")
     u = u / nu
@@ -238,7 +238,7 @@ def recover_filters(problem: ConvProblem, config: SolveConfig | None = None,
         raise ValueError("filter recovery needs the ground-truth filters")
     if config is None:
         config = SolveConfig()
-    K = problem.K
+    K = problem.filters.K
     if trial_budget is None:
         trial_budget = 10 * K
     _check_budget(trial_budget)

@@ -17,7 +17,6 @@ from sphere4.cdl import (
 from sphere4.model import (
     FilterBank,
     ObservationSet,
-    SparseCode,
     SpherePoint,
     make_filter_bank,
     retract,
@@ -143,7 +142,7 @@ def test_circ_embed_matches_triple_loop():
     ref = np.zeros((8, 4))
     for i in range(4):
         for k in range(3):
-            xk = codes.entries[8 * k : 8 * (k + 1), i]
+            xk = codes[8 * k : 8 * (k + 1), i]
             for t in range(8):
                 for s in range(8):
                     ref[t, i] += bank.filters[k, (t - s) % 8] * xk[s]
@@ -211,12 +210,9 @@ def test_preconditioner_rejects_subnormal_measurements():
       for t in (0.0, 1.0, 1.5, -0.1, np.nan, np.inf)),
     *((lambda Y, k=k: build_preconditioner(Y, 0.1, k),
        "K must be an integer of at least 1") for k in (0, -1, 2.5, True)),
-    (lambda Y: Preconditioner(np.array([]), K=1), "weights must be nonempty"),
-    *((lambda Y, k=k: Preconditioner(np.ones(8), K=k),
-       "K must be an integer of at least 1") for k in (0, 1.5, True)),
+    (lambda Y: Preconditioner(np.array([])), "weights must be nonempty"),
 ], ids=["theta-0", "theta-1", "theta-1.5", "theta-neg", "theta-nan",
-        "theta-inf", "K-0", "K-neg", "K-2.5", "K-true", "empty-weights",
-        "whitener-K-0", "whitener-K-1.5", "whitener-K-true"])
+        "theta-inf", "K-0", "K-neg", "K-2.5", "K-true", "empty-weights"])
 def test_preconditioner_refuses_bad_input_up_front(make, match):
     # refused before any arithmetic, so no RuntimeWarning and no error about
     # the weights stands in for the real cause
@@ -231,7 +227,7 @@ def test_preconditioner_real_fft_pair_matches_complex_reference(n):
     # objective's half-spectra are rfft(P y_i)
     rng = stream(53 + n)
     w = rng.uniform(0.5, 2.0, n)
-    P = Preconditioner(w, K=1)
+    P = Preconditioner(w)
     V = rng.standard_normal((n, 4)).T
     ref = np.real(np.fft.ifft(w * np.fft.fft(V, axis=-1), axis=-1))
     got, back = P.apply(V), P.apply_inverse(P.apply(V))
@@ -242,8 +238,6 @@ def test_preconditioner_real_fft_pair_matches_complex_reference(n):
     assert spectra.flags.c_contiguous
     assert np.abs(spectra - np.fft.rfft(ref, axis=1)).max() <= 1e-12
     assert [f.name for f in dataclasses.fields(CdlObjective)] == ["problem"]
-    assert [f.name for f in dataclasses.fields(Preconditioner)] == [
-        "spectrum_weights", "K", "floored"]
 
 
 def test_length_n_plus_one_is_refused_at_even_n():
@@ -269,18 +263,16 @@ def test_length_n_plus_one_is_refused_at_even_n():
     ({"theta": 0.0}, "theta must lie in"),
     ({"theta": 1.0}, "theta must lie in"),
     ({"theta": np.nan}, "theta must lie in"),
-    ({"preconditioner": Preconditioner(np.ones(9), K=2)},
+    ({"preconditioner": Preconditioner(np.ones(9))},
      "measurements have length 8, P 9"),
     ({"filters": FilterBank(np.ones((2, 6)))},
      "filters have length 6, measurements 8"),
-    ({"filters": FilterBank(np.ones((3, 8)))},
-     "3 filters, but the preconditioner has K=2"),
-], ids=["theta-0", "theta-1", "theta-nan", "length", "filter-length", "K"])
+], ids=["theta-0", "theta-1", "theta-nan", "length", "filter-length"])
 def test_conv_problem_refuses_parts_that_disagree(change, match):
     Y = ObservationSet(stream(51).standard_normal((8, 5)))
     parts = {"measurements": Y, "preconditioner": build_preconditioner(Y, 0.1, 2),
              "theta": 0.1, "filters": make_filter_bank(8, 2, seed=52)}
-    assert ConvProblem(**parts).K == 2
+    ConvProblem(**parts)
     with pytest.raises(ValueError, match=match):
         ConvProblem(**{**parts, **change})
 
@@ -301,7 +293,7 @@ def test_preconditioner_tight_frame_ladder():
     codes_full = sample_bg(32, 10_000, theta, seed=17)
     res = []
     for p in (100, 1_000, 10_000):
-        Y = circ_embed(bank, codes_full.entries[:, :p])
+        Y = circ_embed(bank, codes_full[:, :p])
         P = build_preconditioner(Y, theta, 2, "main_text")
         A = effective_dictionary(bank, P).entries
         K = 2
@@ -381,7 +373,7 @@ def test_cdl_calculus_matches_dense_odd_and_even_n(n, weights):
     prob = synth_cdl(bank, 0.2, 9, seed=46 + n)
     P = prob.preconditioner
     if weights == "asymmetric":
-        P = Preconditioner(np.linspace(0.5, 2.0, n), K=2)
+        P = Preconditioner(np.linspace(0.5, 2.0, n))
     obj = CdlObjective(ConvProblem(prob.measurements, P, 0.2))
     dense = dense_stacked_objective(obj)
     rng = stream(48 + n)
@@ -418,7 +410,7 @@ def test_cdl_finite_difference_checks():
 
 def test_cdl_degenerate_n1():
     Y = ObservationSet(np.array([[1.0, -2.0, 0.5]]))
-    P = Preconditioner(np.array([1.0]), K=1)
+    P = Preconditioner(np.array([1.0]))
     obj = CdlObjective(ConvProblem(Y, P, 0.3))
     q = np.array([1.0])
     assert obj.value(q) < 0.0
@@ -452,7 +444,7 @@ def test_cdl_value_invariant_under_scale_convention():
 
 
 def test_deprecondition_identity_and_roundtrip():
-    P_id = Preconditioner(np.ones(8), K=1)
+    P_id = Preconditioner(np.ones(8))
     v = stream(38).standard_normal(8)
     q = SpherePoint.project(v)
     out = deprecondition(q, P_id)
@@ -472,7 +464,8 @@ def test_deprecondition_identity_and_roundtrip():
 
 def test_cdl_instance_keeps_only_what_acts():
     # the objective and the score read the measurements and the filters; the
-    # codes (K times the measurements' size) are sample_bg's draw, not kept
+    # codes (K times the measurements' size) are sample_bg's draw, not kept,
+    # and K is the filters' alone
     bank = make_filter_bank(64, 3, seed=0)
     tracemalloc.start()
     try:
@@ -484,7 +477,9 @@ def test_cdl_instance_keeps_only_what_acts():
     assert kept < 2 * prob.measurements.entries.nbytes, kept
     assert [f.name for f in dataclasses.fields(ConvProblem)] == [
         "measurements", "preconditioner", "theta", "filters"]
-    assert [f.name for f in dataclasses.fields(SparseCode)] == ["entries"]
+    assert [f.name for f in dataclasses.fields(Preconditioner)] == [
+        "spectrum_weights", "floored"]
+    assert not hasattr(prob, "K") and prob.filters.K == 3
 
 
 def test_effective_dictionary_shape_and_blocks():

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sphere4.landscape as landscape
 import sphere4.objectives as objectives
@@ -25,10 +27,14 @@ from sphere4.landscape import (
     cubic_root_intervals,
 )
 from sphere4.cli import REPORT_CSV_COLUMNS, main
-from sphere4.model import Dictionary, SpherePoint, make_untf, stream
+from sphere4.model import Dictionary, SpherePoint, coherence, make_untf, stream
 from sphere4.objectives import TensorObjective, _coords
 from sphere4.optimize import SolveConfig, solve
-from sphere4.recovery import TIE_TOL, recovery_error
+from sphere4.recovery import TIE_TOL, align_shift, recovery_error
+
+# a rank-deficient frame: q = e_3 has zeta = A^T q = 0
+RANK_DEFICIENT = np.array([[1.0, 0.0, 0.5 ** 0.5], [0.0, 1.0, 0.5 ** 0.5],
+                           [0.0, 0.0, 0.0]])
 
 
 def bisect_roots(alpha: float, beta: float, grid: int = 4001) -> np.ndarray:
@@ -249,6 +255,65 @@ def test_report_zero_column_raises_before_dividing():
     D = Dictionary(np.hstack([np.eye(3), np.zeros((3, 1))]))
     with pytest.raises(ValueError, match="nonzero columns"):
         critical_point_report(D, np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("case", ["underflow", "rank-deficient"])
+def test_report_at_zero_correlations_is_indeterminate(case):
+    # every alpha_i = ||zeta||_4^4 / ||a_i||^2 is 0 (zeta's fourth powers
+    # underflow, or zeta = 0), so the root radius 2|beta_i|/alpha_i read
+    # 0/0; such a point is critical and has no big coordinate
+    if case == "underflow":
+        D, q = Dictionary(make_untf(4, 6, seed=0).entries * 1e-100), np.full(4, 0.5)
+    else:
+        D, q = Dictionary(RANK_DEFICIENT), np.array([0.0, 0.0, 1.0])
+    rep = critical_point_report(D, q)
+    assert np.all(rep.alphas == 0.0) and rep.grad_norm < GRAD_TOL
+    assert rep.classification == CLASS_INDETERMINATE
+
+
+def test_large_finite_dictionaries_return_or_refuse():
+    # zeta^4, the squared column norms or A^T A zeta^3 pass the float range
+    # here; each call returns or raises ValueError, and rho_e is scale-free
+    E, q = make_untf(4, 6, seed=0).entries, np.full(4, 0.5)
+    with pytest.raises(ValueError, match="overflows"):
+        classify_region(Dictionary(E * 1e80), q)
+    with pytest.raises(ValueError, match="overflows"):
+        critical_point_report(Dictionary(E * 1e155), q)
+    with pytest.raises(ValueError, match="cubic coefficients under- or overflow"):
+        critical_point_report(Dictionary(np.ldexp(E, 210)), q)
+    big, ref = recovery_error(q, Dictionary(E * 1e155)), recovery_error(q, Dictionary(E))
+    assert big.best_index == ref.best_index
+    assert big.rho_e == pytest.approx(ref.rho_e, abs=1e-15)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(k=st.integers(-1000, 1000))
+def test_typed_error_contract_across_scales(k):
+    # at the scale 2^k each call returns finite output or raises ValueError;
+    # a RuntimeWarning is an error under the suite's filterwarnings
+    for base in (make_untf(4, 6, seed=0).entries, RANK_DEFICIENT):
+        D = Dictionary(np.ldexp(base, k))
+        n = D.n
+        for q in (np.full(n, n ** -0.5), np.eye(n)[-1]):
+            f = np.arange(1.0, n + 1.0)
+            calls = [
+                lambda: dataclasses.astuple(classify_region(D, q))[1:],
+                lambda: [getattr(critical_point_report(D, q), name) for name in (
+                    "grad_norm", "alphas", "betas", "hess_min_eig",
+                    "hess_min_vec", "inner_product")],
+                lambda: [recovery_error(q, D).rho_e],
+                lambda: [coherence(D)],
+                lambda: [D.column_norms],
+                lambda: [SpherePoint.project(np.ldexp(q, k)).coords],
+                lambda: list(align_shift(np.ldexp(f, k), q)),
+                lambda: list(align_shift(q, np.ldexp(f, k))),
+            ]
+            for call in calls:
+                try:
+                    out = call()
+                except ValueError:
+                    continue
+                assert all(np.all(np.isfinite(v)) for v in out), (k, out)
 
 
 def test_report_alphas_positive():

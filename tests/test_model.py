@@ -6,7 +6,6 @@ from sphere4.model import (
     Dictionary,
     FilterBank,
     ObservationSet,
-    SparseCode,
     SpherePoint,
     _untf_stack,
     coherence,
@@ -183,7 +182,7 @@ def test_samplers_refuse_non_integer_sizes(sampler, sizes):
     # 16.5, and True drew a size-1 sample
     with pytest.raises(ValueError, match="need integers"):
         sampler(*sizes, seed=1)
-    assert sample_bg(np.int64(4), 10, 0.2, seed=1).entries.shape == (4, 10)
+    assert sample_bg(np.int64(4), 10, 0.2, seed=1).shape == (4, 10)
 
 
 def test_dictionary_rejects_wide_transpose():
@@ -191,9 +190,7 @@ def test_dictionary_rejects_wide_transpose():
         Dictionary(np.zeros((4, 3)))
 
 
-@pytest.mark.parametrize("cls", [
-    Dictionary, ObservationSet, FilterBank,
-    pytest.param(SparseCode, id="SparseCode")])
+@pytest.mark.parametrize("cls", [Dictionary, ObservationSet, FilterBank])
 @pytest.mark.parametrize("bad", [
     np.nan, np.inf, -np.inf,
     pytest.param((0, 0), id="0x0"), pytest.param((3, 0), id="3x0"),
@@ -211,25 +208,27 @@ def test_matrix_types_reject_non_finite_entries(cls, bad):
 
 def test_sample_bg_tiny_theta_all_zero():
     X = sample_bg(10, 10, theta=1e-12, seed=3)
-    assert np.all(X.entries == 0.0)
+    assert np.all(X == 0.0)
 
 
 def test_sample_bg_dense_theta():
     X = sample_bg(50, 50, theta=1.0 - 1e-12, seed=3)
-    assert np.all(X.entries != 0.0)
+    assert np.all(X != 0.0)
 
 
 def test_sample_bg_empirical_density():
     m, p, theta = 100, 10_000, 0.1
     X = sample_bg(m, p, theta, seed=7)
-    frac = np.count_nonzero(X.entries) / (m * p)
+    frac = np.count_nonzero(X) / (m * p)
     se = np.sqrt(theta * (1 - theta) / (m * p))
     assert abs(frac - theta) <= 3 * se
 
 
 def test_sample_bg_deterministic():
-    a = sample_bg(20, 30, 0.2, seed=11).entries
-    b = sample_bg(20, 30, 0.2, seed=11).entries
+    a = sample_bg(20, 30, 0.2, seed=11)
+    b = sample_bg(20, 30, 0.2, seed=11)
+    # the drawn array itself, read-only
+    assert not a.flags.writeable and a.flags.owndata
     assert a.tobytes() == b.tobytes()
 
 
@@ -274,17 +273,14 @@ def test_coherence_zero_column():
 
 def test_synth_odl_zero_code():
     D = make_untf(3, 4, seed=0)
-    X = sample_bg(4, 5, 0.5, seed=1)
-    zero = type(X)(np.zeros_like(X.entries))
-    assert np.all(synth_odl(D, zero).entries == 0.0)
+    assert np.all(synth_odl(D, np.zeros((4, 5))).entries == 0.0)
 
 
 def test_synth_odl_unit_spike():
     D = make_untf(3, 4, seed=0)
     E = np.zeros((4, 4))
     E[0, 0] = 1.0
-    X = sample_bg(4, 4, 0.5, seed=1)
-    Y = synth_odl(D, type(X)(E))
+    Y = synth_odl(D, E)
     assert np.allclose(Y.entries[:, 0], D.entries[:, 0])
     assert np.all(Y.entries[:, 1:] == 0.0)
 
@@ -298,8 +294,16 @@ def test_synth_odl_matches_triple_loop():
     for i in range(3):
         for k in range(5):
             for j in range(4):
-                ref[i, k] += D.entries[i, j] * X.entries[j, k]
+                ref[i, k] += D.entries[i, j] * X[j, k]
     assert np.abs(Y - ref).max() <= 1e-14
+
+
+def test_synth_odl_rounds_as_the_c_ordered_code():
+    # the product's bits depend on the code's layout, so a Fortran-ordered
+    # code is taken as its C copy, as every matrix is
+    D, X = make_untf(16, 24, seed=1), sample_bg(24, 300, 0.2, seed=2)
+    assert (synth_odl(D, np.asfortranarray(X)).entries.tobytes()
+            == synth_odl(D, X).entries.tobytes())
 
 
 def test_synth_odl_shape_contract():
@@ -309,6 +313,25 @@ def test_synth_odl_shape_contract():
         synth_odl(D, X)
 
 
+def _spiked(value) -> np.ndarray:
+    X = np.ones((4, 5))
+    X[1, 2] = value
+    return X
+
+
+@pytest.mark.parametrize("X, match", [
+    *(pytest.param(_spiked(v), "finite", id=str(v)) for v in (np.nan, np.inf, -np.inf)),
+    pytest.param(np.zeros((0, 0)), "2d code with 4 rows", id="0x0"),
+    pytest.param(np.zeros((4, 0)), "must not be empty", id="4x0"),
+    pytest.param(np.zeros((0, 5)), "2d code with 4 rows", id="0x5"),
+    pytest.param(np.zeros(4), "2d code with 4 rows", id="1d")])
+def test_synth_odl_refuses_bad_codes(X, match):
+    # the code is a plain array: synth_odl checks its shape, and the
+    # observations refuse a product that is empty or not finite
+    with pytest.raises(ValueError, match=match):
+        synth_odl(make_untf(3, 4, seed=0), X)
+
+
 def test_sphere_point_contract():
     with pytest.raises(ValueError):
         SpherePoint(np.array([1.0, 1.0]))
@@ -316,6 +339,32 @@ def test_sphere_point_contract():
     assert abs(np.linalg.norm(q.coords) - 1.0) <= 1e-12
     with pytest.raises(ValueError):
         SpherePoint.project(np.zeros(3))
+
+
+def test_project_divides_by_a_power_of_two_first():
+    # v . v overflowed at 1e200; the rescaled projection keeps the bits of
+    # the unscaled one at every scale 2^k
+    assert SpherePoint.project(np.full(4, 1e200)).coords.tolist() == [0.5] * 4
+    v = stream(42, "project-scale").standard_normal(7)
+    ref = SpherePoint.project(v).coords.tobytes()
+    for k in (-1000, -600, 600, 1000, 1021):
+        assert SpherePoint.project(np.ldexp(v, k)).coords.tobytes() == ref
+
+
+def test_column_norms_and_coherence_of_large_and_small_entries():
+    # the squares overflowed at 1e200 and underflowed at 1e-200; the norms
+    # are np.linalg.norm's bits on ordinary entries
+    for scale in (1e200, 1e-200):
+        D = Dictionary(np.eye(2) * scale)
+        assert D.column_norms.tolist() == [scale, scale]
+        assert coherence(D) == 0.0
+    A = make_untf(5, 9, seed=3).entries
+    assert (Dictionary(A).column_norms.tobytes()
+            == np.linalg.norm(A, axis=0).tobytes())
+    assert (coherence(Dictionary(np.ldexp(A, 1000)))
+            == coherence(Dictionary(np.ldexp(A, -1000))) == coherence(Dictionary(A)))
+    with pytest.raises(ValueError, match="overflows"):
+        Dictionary(np.full((3, 3), 1.5e308)).column_norms
 
 
 def test_retract_agrees_with_norm_and_project():

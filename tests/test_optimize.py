@@ -910,7 +910,7 @@ def test_solve_result_json(tmp_path):
 
 def test_init_cdl_identity_preconditioner():
     Y = ObservationSet(np.eye(4)[:, [2]])
-    P = Preconditioner(np.ones(4), K=1)
+    P = Preconditioner(np.ones(4))
     q = init_cdl(Y, P, ell=0)
     assert np.array_equal(q.coords, np.array([0.0, 0.0, 1.0, 0.0]))
 
@@ -918,7 +918,7 @@ def test_init_cdl_identity_preconditioner():
 def test_init_cdl_draw_and_errors():
     rng = stream(113)
     Y = ObservationSet(rng.standard_normal((6, 5)))
-    P = Preconditioner(np.ones(6), K=1)
+    P = Preconditioner(np.ones(6))
     with pytest.raises(ValueError):
         init_cdl(Y, P, ell=5)
     with pytest.raises(ValueError):
@@ -1075,7 +1075,7 @@ def test_public_names():
 
     names = sorted(f"{module}.{name}" for module in PUBLIC_MODULES
                    for name in importlib.import_module(f"sphere4.{module}").__all__)
-    assert len(names) == 53, names
+    assert len(names) == 52, names
 
 
 def test_basis_internals_stay_in_objectives():

@@ -311,6 +311,18 @@ def test_align_shift_normalizes_scale():
     assert flipped[2] == pytest.approx(base[2], abs=1e-12)
 
 
+def test_align_shift_large_and_small_filters():
+    # the norms overflowed at 1e200; scaling a filter by 2^k is exact, so
+    # the alignment is the unscaled one bit for bit
+    assert align_shift(np.full(4, 1e200), np.ones(4)) == (0, 1.0, 0.0)
+    rng = stream(6, "align-scale")
+    u, v = rng.standard_normal(10), rng.standard_normal(10)
+    base = align_shift(u, v)
+    for k in (-1000, -600, 600, 1000):
+        assert align_shift(np.ldexp(u, k), v) == base
+        assert align_shift(u, np.ldexp(v, k)) == base
+
+
 def test_align_shift_length_mismatch():
     with pytest.raises(ValueError):
         align_shift(np.ones(4), np.ones(5))
@@ -405,7 +417,7 @@ def test_cdl_start_draws_only_nonzero_measurements():
 
 def test_cdl_score_aligns_every_filter():
     bank = make_filter_bank(16, 2, seed=5)
-    flat = Preconditioner(np.full(16, 2.0), 2)
+    flat = Preconditioner(np.full(16, 2.0))
     prob = ConvProblem(ObservationSet(stream(6).standard_normal((16, 4))),
                        flat, 0.1, filters=bank)
     q = SpherePoint.project(-np.roll(bank.filters[1], 3))
