@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -301,16 +302,27 @@ class SweepSpec:
         if self.objective != "phi_T" and not all(
                 0 < t < 1 for t in self.theta_grid):
             raise ValueError("theta must lie in (0, 1)")
+        # the repeat seeds key a cell on _theta_key, so two values that
+        # share a key would draw the same instances
+        if not all(math.isfinite(float(t) * 1e9) for t in self.theta_grid):
+            raise ValueError("theta grid values must be finite")
+        if len({_theta_key(t) for t in self.theta_grid}) < len(self.theta_grid):
+            raise ValueError("the theta grid repeats a value at the 1e-9 "
+                             "resolution of the repeat seeds")
 
     def cells(self) -> list:
         return list(itertools.product(self.n_grid, self.m_grid, self.p_grid,
                                       self.theta_grid, self.k_grid))
 
 
+def _theta_key(theta) -> int:
+    """theta to 1e-9, as an integer for the seed path."""
+    return int(round(theta * 1e9))
+
+
 def _repeat_seed(seed_base: int, cell, repeat: int) -> int:
     n, m, p, theta, K = cell
-    rng = stream(seed_base, "sweep", n, m, p, int(round(theta * 1e9)), K,
-                 repeat)
+    rng = stream(seed_base, "sweep", n, m, p, _theta_key(theta), K, repeat)
     return int(rng.integers(2**62))
 
 def _run_repeat(spec: SweepSpec, cell, repeat: int, rseed: int):

@@ -118,7 +118,8 @@ def retract(v: np.ndarray) -> np.ndarray:
     and vecdot takes that dot for each row of a stack. A lone vector or row
     takes the dot itself, which costs less. A zero or non-finite row raises
     ValueError, and so does a row whose squared norm underflows so far that
-    v / ||v|| misses the sphere.
+    v / ||v|| misses the sphere. A row whose squared norm overflows must be
+    rescaled first, as project does.
     """
     if v.ndim == 1 or len(v) == 1:
         w = v.ravel()

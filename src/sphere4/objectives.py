@@ -172,11 +172,15 @@ class _BasisObjective(_QuarticObjective):
         b = self.basis
         object.__setattr__(self, "_basis", b)
         object.__setattr__(self, "_basis_t", b.T)
-        # |z_i| <= ||b_i|| at unit q, so 16 c sum ||b_i||^4 bounds every kernel entry
+        # |z_i| <= ||b_i|| at unit q, so 16 c sum ||b_i||^4 bounds every kernel
+        # entry and the gradient's norm; the solver, which squares that norm,
+        # reads the bound as _kernel_bound
         with np.errstate(over="ignore"):
             s = np.einsum("ij,ij->j", b, b)
-            if not 16.0 * self.c * float(s @ s) < np.inf:
+            bound = 16.0 * self.c * float(s @ s)
+            if not bound < np.inf:
                 raise ValueError("basis too large: the quartic kernel overflows")
+        object.__setattr__(self, "_kernel_bound", bound)
 
     @property
     def n(self) -> int:

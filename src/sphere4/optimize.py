@@ -16,13 +16,14 @@ scores both candidates with the same bound kernel.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cdl import Preconditioner
-from .model import ObservationSet, SpherePoint, _is_int, retract
+from .model import ObservationSet, SpherePoint, _exponent, _is_int, retract
 from .objectives import _StackKernel, tangent_min_eig
 
 __all__ = [
@@ -178,7 +179,9 @@ def solve_batch(obj, Q0, cfg: SolveConfig) -> list:
     objs = list(obj) if isinstance(obj, (list, tuple)) else [obj] * T
     if len(objs) != T:
         raise ValueError(f"{len(objs)} objectives for {T} starts")
-    ends, rows = _solve_stack(objs, retract(Q0), cfg)
+    # each row scaled by 2^-e, exactly, as SpherePoint.project scales it
+    ends, rows = _solve_stack(
+        objs, retract(np.ldexp(Q0, -_exponent(Q0, axis=1)[:, None])), cfg)
     return [SolveResult(SpherePoint(x), *row) for x, row in zip(ends, rows)]
 
 
@@ -209,7 +212,8 @@ def _solve_stack(objs: list, X0: np.ndarray,
     still searching, which is each row's own sequence; an escape runs per
     row. One objectives._StackKernel, built here, evaluates the live rows
     and is taken along with them. An objective whose n, where it states
-    one, is not the rows' raises ValueError before any evaluation.
+    one, is not the rows' raises ValueError before any evaluation, and so
+    does a basis objective whose kernel bound, squared, would overflow.
     """
     X = np.array(X0, dtype=float)  # owned: an escape writes its row in place
     T, n = X.shape
@@ -217,6 +221,10 @@ def _solve_stack(objs: list, X0: np.ndarray,
         if getattr(o, "n", n) != n:
             raise ValueError(f"an objective has n={o.n}, but the starts "
                              f"have n={n}")
+        # the loop squares the gradient, whose norm the kernel bound bounds
+        if getattr(o, "_kernel_bound", 0.0) > math.sqrt(sys.float_info.max):
+            raise ValueError("basis too large: the squared gradient norm "
+                             "overflows")
     ends = np.empty_like(X)
     rows = [None] * T
     if not T:

@@ -52,7 +52,10 @@ class RecoveryOutcome:
 
     rho_e: float
     best_index: int
-    success: bool
+
+    @property
+    def success(self) -> bool:
+        return self.rho_e < SUCCESS_THRESHOLD
 
 
 def _nearest_columns(D: Dictionary, Z: np.ndarray) -> tuple[list, list]:
@@ -69,8 +72,7 @@ def _nearest_columns(D: Dictionary, Z: np.ndarray) -> tuple[list, list]:
 
 def _outcome(top: float, best: int) -> RecoveryOutcome:
     # rounding can push a unit inner product past 1; the metric lives in [0,1]
-    rho = min(max(1.0 - top, 0.0), 1.0)
-    return RecoveryOutcome(rho, best, rho < SUCCESS_THRESHOLD)
+    return RecoveryOutcome(min(max(1.0 - top, 0.0), 1.0), best)
 
 
 def recovery_error(q, D: Dictionary) -> RecoveryOutcome:
@@ -93,11 +95,20 @@ def _check_budget(trial_budget) -> None:
 
 @dataclass(frozen=True)
 class DictionaryCoverage:
-    """Union of columns hit by successful trials, plus the full trial log."""
+    """The trial log: each trial's outcome and, in the same order, its
+    SolveResult. The recovered columns and the trial count follow from it."""
 
-    recovered: frozenset
-    trials_used: int
     per_trial: tuple
+    solves: tuple
+
+    @property
+    def recovered(self) -> frozenset:
+        """The columns that a successful trial landed nearest."""
+        return frozenset(o.best_index for o in self.per_trial if o.success)
+
+    @property
+    def trials_used(self) -> int:
+        return len(self.per_trial)
 
 
 def recover_full(D: Dictionary, config: SolveConfig | None = None,
@@ -115,7 +126,8 @@ def recover_full(D: Dictionary, config: SolveConfig | None = None,
     smaller), each solved as solve_batch does and scored with one stacked
     D^T product. The log stops at the first trial that completes the
     coverage, so it is the log of solving the trials one at a time: the
-    rest of that chunk is dropped unseen.
+    rest of that chunk is dropped unseen. The coverage holds each kept
+    trial's SolveResult, with the bits of solve_batch's row on its start.
     """
     _check_budget(trial_budget)
     if config is None:
@@ -127,6 +139,7 @@ def recover_full(D: Dictionary, config: SolveConfig | None = None,
                          f"n={D.n}")
 
     outcomes: list[RecoveryOutcome] = []
+    solves: list[SolveResult] = []
     covered: set = set()
     for first in range(0, trial_budget, TRIAL_CHUNK):
         trials = range(first, min(first + TRIAL_CHUNK, trial_budget))
@@ -138,10 +151,8 @@ def recover_full(D: Dictionary, config: SolveConfig | None = None,
             D, np.matmul(D.entries.T, ends[:, :, None])[:, :, 0])
         for x, row, top, b in zip(ends, rows, tops, best):
             # each kept trial's SolveResult, then its outcome, in trial
-            # order, as solving one trial at a time builds them, so what
-            # observes the results (the test suite's solve digest) sees the
-            # same sequence
-            SolveResult(SpherePoint(x), *row)
+            # order, as solving one trial at a time builds them
+            solves.append(SolveResult(SpherePoint(x), *row))
             out = _outcome(top, b)
             outcomes.append(out)
             if out.success:
@@ -150,11 +161,7 @@ def recover_full(D: Dictionary, config: SolveConfig | None = None,
                     break
         if len(covered) == D.m:
             break
-    return DictionaryCoverage(
-        recovered=frozenset(covered),
-        trials_used=len(outcomes),
-        per_trial=tuple(outcomes),
-    )
+    return DictionaryCoverage(tuple(outcomes), tuple(solves))
 
 
 def align_shift(a_est, a_true) -> tuple[int, float, float]:
@@ -189,8 +196,12 @@ class FilterRecovery:
     aligned_errors: np.ndarray
     shifts: np.ndarray
     signs: np.ndarray
-    recovered: frozenset
     trials_used: int
+
+    @property
+    def recovered(self) -> frozenset:
+        """The filters whose aligned error is within EPS_CDL."""
+        return frozenset(np.flatnonzero(self.aligned_errors <= EPS_CDL).tolist())
 
 
 def cdl_start(problem: ConvProblem, rng: np.random.Generator) -> SpherePoint:
@@ -213,12 +224,10 @@ def cdl_score(q_star, problem: ConvProblem) -> FilterRecovery:
     a_est = deprecondition(q_star, problem.preconditioner).coords
     shifts, signs, errors = zip(*(align_shift(a_est, f)
                                   for f in problem.filters.filters))
-    errors = np.array(errors)
     return FilterRecovery(
-        aligned_errors=errors,
+        aligned_errors=np.array(errors),
         shifts=np.array(shifts),
         signs=np.array(signs),
-        recovered=frozenset(np.flatnonzero(errors <= EPS_CDL).tolist()),
         trials_used=1,
     )
 
@@ -258,11 +267,9 @@ def recover_filters(problem: ConvProblem, config: SolveConfig | None = None,
         best_sign[better] = trial.signs[better]
         if bool(np.all(best_err <= EPS_CDL)):
             break
-    recovered = frozenset(int(k) for k in range(K) if best_err[k] <= EPS_CDL)
     return FilterRecovery(
         aligned_errors=best_err,
         shifts=best_shift,
         signs=best_sign,
-        recovered=recovered,
         trials_used=trials,
     )

@@ -484,8 +484,13 @@ REFUSED_SWEEPS = {
                          "--m-grid", "4"],
     "phi_DL-repeated-theta": ["--objective", "phi_DL", "--n-grid", "8",
                               "--m-grid", "16", "--theta-grid", "0.1,0.1"],
+    "phi_DL-theta-within-1e-9": ["--objective", "phi_DL", "--n-grid", "8",
+                                 "--m-grid", "16", "--theta-grid",
+                                 "0.1,0.10000000001"],
     "phi_T-theta": ["--objective", "phi_T", "--n-grid", "8", "--m-grid", "16",
                     "--theta-grid", "0.1,0.2"],
+    "phi_T-theta-inf": ["--objective", "phi_T", "--n-grid", "8", "--m-grid",
+                        "16", "--theta-grid", "inf"],
     "phi_T-K": ["--objective", "phi_T", "--n-grid", "8", "--m-grid", "16",
                 "--k-grid", "1,2"],
     "phi_DL-K": ["--objective", "phi_DL", "--n-grid", "8", "--m-grid", "16",
@@ -650,6 +655,18 @@ def test_sweep_spec_validation():
                       SolveConfig())
     assert len(SweepSpec((3,), (4,), (0,), (1.5,), (1,), 2, "phi_T",
                          SolveConfig()).cells()) == 1
+    # the repeat seeds key theta to 1e-9, so two values that coincide there
+    # would draw the same instances; values 1e-9 apart key apart
+    with pytest.raises(ValueError, match="1e-9"):
+        SweepSpec((4,), (8,), (100,), (0.1, 0.1 + 1e-11), (1,), 2, "phi_DL",
+                  SolveConfig())
+    apart = SweepSpec((4,), (8,), (100,), (0.1, 0.1 + 1e-9), (1,), 2,
+                      "phi_DL", SolveConfig())
+    assert len({_repeat_seed(0, cell, 0) for cell in apart.cells()}) == 2
+    for theta in (np.inf, np.nan, 1e300):
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec((3,), (4,), (0,), (theta,), (1,), 2, "phi_T",
+                      SolveConfig())
     # m is unused for phi_CDL; cmd_sweep fills in (0,) when --m-grid is absent
     cdl = SweepSpec((16,), (0,), (400,), (0.1,), (1,), 2, "phi_CDL",
                     SolveConfig())

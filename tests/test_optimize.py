@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphere4.cdl import CdlObjective, Preconditioner, synth_cdl
@@ -560,6 +560,71 @@ def test_solve_batch_refuses_mismatched_objectives():
     assert len(solve_batch(NanNearE3Objective(), Q0[:1], SolveConfig())) == 1
 
 
+def test_solve_refuses_a_basis_whose_squared_gradient_norm_overflows(
+        monkeypatch):
+    # the kernel guard admits this frame (its bound is 2.4e281), but the
+    # loop squares a gradient norm that the bound allows to pass 1e154;
+    # refused before any evaluation, alone or in a stack
+    big = TensorObjective(Dictionary(make_untf(4, 6, seed=1).entries * 1e70))
+    small = TensorObjective(make_untf(4, 6, seed=1))
+
+    def no_evaluate(*args):
+        raise AssertionError("an objective was evaluated")
+
+    monkeypatch.setattr(TensorObjective, "_evaluate", no_evaluate)
+    match = "basis too large: the squared gradient norm overflows"
+    with pytest.raises(ValueError, match=match):
+        solve(big, np.ones(4))
+    with pytest.raises(ValueError, match=match):
+        solve_batch([small, big], np.eye(4)[:2], SolveConfig())
+
+
+@functools.cache
+def scaled_frame_objective(j: int):
+    try:
+        return TensorObjective(Dictionary(
+            np.ldexp(make_untf(4, 6, seed=1).entries, j)))
+    except ValueError:
+        return None  # the kernel guard refuses the frame
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(k=st.integers(-1000, 1000), j=st.integers(-300, 300),
+       cfg_index=st.integers(0, len(BATCH_CONFIGS) - 1))
+@example(k=665, j=0, cfg_index=0)  # starts near 1e200
+@example(k=0, j=233, cfg_index=0)  # a frame near 1e70
+def test_solve_batch_at_any_scale_solves_as_solve_or_refuses_property(
+        k, j, cfg_index):
+    # starts at the scale 2^k on a frame at the scale 2^j: each row solves
+    # with the bits of solve from SpherePoint.project of that row, or the
+    # stack raises ValueError as some row alone does; a RuntimeWarning is
+    # an error under the suite's filterwarnings
+    rows = stream(165).standard_normal((3, 4))
+    Q0 = np.ldexp(rows, k)
+    # project scales a row exactly, so the scale leaves its bits
+    for row, scaled in zip(rows, Q0):
+        assert (SpherePoint.project(scaled).coords.tobytes()
+                == SpherePoint.project(row).coords.tobytes())
+    obj, cfg = scaled_frame_objective(j), BATCH_CONFIGS[cfg_index]
+    if obj is None:
+        return
+
+    def bits_or_refusal(call):
+        try:
+            return call()
+        except ValueError:
+            return "refused"
+
+    lone = [bits_or_refusal(lambda row=row: result_bits(
+        solve(obj, SpherePoint.project(row), cfg))) for row in Q0]
+    batch = bits_or_refusal(
+        lambda: [result_bits(r) for r in solve_batch(obj, Q0, cfg)])
+    if batch == "refused":
+        assert "refused" in lone
+    else:
+        assert batch == lone
+
+
 class ScriptedObjective:
     """Stub whose value falls by one per evaluation while its gradient
     runs through `grads`, repeating the last."""
@@ -1015,6 +1080,32 @@ def test_the_benchmark_calls_still_bind():
     assert unbound == []
     assert {"SolveConfig", "EscapeConfig", "recover_full",
             "recover_filters"} <= names
+
+
+def test_the_benchmark_coverage_check_passes_on_real_records(monkeypatch):
+    # bench/workloads.py checks each recover_full result by reading its
+    # attributes; on real results, at full budget and at an early stop, it
+    # finds no problem, so a reshaped record cannot break it unseen
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    import sphere4
+    from sphere4.recovery import SUCCESS_THRESHOLD
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their module through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    used = []
+    for D, budget in ((make_untf(6, 9, seed=5), 19), (Dictionary(np.eye(4)), 24)):
+        cov = sphere4.recover_full(D, trial_budget=budget, seed_base=11)
+        assert workloads._check_coverage(cov, D.m, budget,
+                                         SUCCESS_THRESHOLD) == []
+        used.append(cov.trials_used)
+    assert used == [19, 7]
 
 
 PUBLIC_MODULES = ("model", "objectives", "cdl", "optimize", "landscape",

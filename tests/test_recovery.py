@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from sphere4.model import (
     synth_odl,
 )
 from sphere4.objectives import OdlObjective, TensorObjective
-from sphere4.optimize import SolveConfig, init_cdl, solve
+from sphere4.optimize import SolveConfig, init_cdl, solve, solve_batch
 from sphere4.recovery import (
     EPS_CDL,
     SUCCESS_THRESHOLD,
@@ -214,6 +216,32 @@ def test_recover_full_stops_early_at_a_chunk_boundary(monkeypatch, stop):
         assert cov.per_trial == serial_log(D, cfg, budget, seed_base)
         # the trials past the stop in its chunk build no result
         assert len(built) == stop
+
+
+def solve_bits(res) -> tuple:
+    return (res.q_star.coords.tobytes(), res.objective_trace.tobytes(),
+            res.iterations, res.termination, res.escapes_taken,
+            float(res.final_grad_norm).hex())
+
+
+@pytest.mark.parametrize("D, budget, seed_base, stop", [
+    (make_untf(6, 9, seed=5), 2 * TRIAL_CHUNK + 3, 11, 2 * TRIAL_CHUNK + 3),
+    (Dictionary(np.eye(4)), 3 * TRIAL_CHUNK, 0, 7)],
+    ids=["full-budget", "early-stop"])
+def test_recover_full_returns_the_solves_of_its_trials(D, budget, seed_base,
+                                                       stop):
+    # one SolveResult per kept trial, in trial order, with the bits of
+    # solve_batch's row on the same start; the early stop falls inside a
+    # chunk, whose later trials are solved but not kept
+    cfg = SolveConfig(max_iters=10_000, grad_tol=1e-9)
+    cov = recover_full(D, cfg, budget, seed_base=seed_base)
+    assert cov.trials_used == stop
+    assert len(cov.solves) == cov.trials_used
+    Q0 = np.stack([stream(seed_base + t, "trial-init").standard_normal(D.n)
+                   for t in range(cov.trials_used)])
+    batch = solve_batch(TensorObjective(D), Q0, cfg)
+    assert [solve_bits(r) for r in cov.solves] == [solve_bits(r) for r in batch]
+    assert cov.per_trial == tuple(recovery_error(r.q_star, D) for r in batch)
 
 
 def test_recover_full_coupon_collector_harness(monkeypatch):
@@ -457,9 +485,17 @@ def test_recover_filters_convention_invariant():
 
 
 def test_coverage_and_outcome_are_frozen():
-    out = RecoveryOutcome(0.0, 0, True)
+    out = RecoveryOutcome(0.0, 0)
     with pytest.raises(AttributeError):
         out.rho_e = 1.0
-    cov = DictionaryCoverage(frozenset({0}), 1, (out,))
+    cov = DictionaryCoverage((out,), ())
+    with pytest.raises(AttributeError):
+        cov.per_trial = ()
     with pytest.raises(AttributeError):
         cov.trials_used = 2
+    # the records store what cannot be derived; the rest follows from it
+    assert [f.name for f in dataclasses.fields(DictionaryCoverage)] == [
+        "per_trial", "solves"]
+    assert [f.name for f in dataclasses.fields(RecoveryOutcome)] == [
+        "rho_e", "best_index"]
+    assert (cov.recovered, cov.trials_used, out.success) == ({0}, 1, True)
