@@ -179,7 +179,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _solve_config(args: argparse.Namespace) -> SolveConfig:
     return SolveConfig(
-        method=args.method,
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
         escape=EscapeConfig() if args.escape else None,
@@ -483,8 +482,6 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 def _solver_parser() -> argparse.ArgumentParser:
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--method", choices=("power", "rgd"),
-                        default=SolveConfig.method)
     solver.add_argument("--max-iters", type=int, default=SolveConfig.max_iters)
     solver.add_argument("--grad-tol", type=float, default=SolveConfig.grad_tol)
     solver.add_argument("--escape", action="store_true",
@@ -505,7 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="l4-norm maximization experiments on the sphere")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", parents=[common],
+    # every flag must be spelled in full: argparse would otherwise read a
+    # prefix as the one flag it begins, so `solve --m 4` as --max-iters
+    gen = sub.add_parser("gen", parents=[common], allow_abbrev=False,
                          help="synthesize an instance onto disk")
     gen.add_argument("--model", choices=("odl", "cdl"), required=True)
     gen.add_argument("--n", type=int, required=True)
@@ -518,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     sv = sub.add_parser("solve", parents=[common, _solver_parser()],
+                        allow_abbrev=False,
                         help="one solve on an instance written by gen")
     sv.add_argument("--data-dir", required=True, help="directory produced by "
                     "gen; its gen.json fixes the instance")
@@ -527,6 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.set_defaults(func=cmd_solve)
 
     sw = sub.add_parser("sweep", parents=[common, _solver_parser()],
+                        allow_abbrev=False,
                         help="success rates over a parameter grid")
     sw.add_argument("--objective", choices=("phi_T", "phi_DL", "phi_CDL"),
                     default="phi_T")
@@ -540,6 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each command gets its own _solver_parser, so these None defaults stay here
     ls = sub.add_parser("landscape", parents=[common, _solver_parser(), fmt],
+                        allow_abbrev=False,
                         help="critical point reports at sampled points")
     ls.add_argument("--n", type=int, required=True)
     ls.add_argument("--m", type=int, required=True)
@@ -547,10 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--at-solution", action="store_true",
                     help="report at solver endpoints instead of raw samples; "
                     "the solver flags act only with it")
-    ls.set_defaults(func=cmd_landscape, method=None, max_iters=None,
-                    grad_tol=None, escape=None)
+    ls.set_defaults(func=cmd_landscape, max_iters=None, grad_tol=None,
+                    escape=None)
 
-    al = sub.add_parser("align", parents=[common, fmt],
+    al = sub.add_parser("align", parents=[common, fmt], allow_abbrev=False,
                         help="shift/sign alignment of two saved filters")
     al.add_argument("estimate")
     al.add_argument("truth")

@@ -167,7 +167,7 @@ class _BasisObjective(_QuarticObjective):
 
     def __post_init__(self):
         # B and B^T as plain attributes, so a kernel call reads no property.
-        # Their dot (np.dot's method form, without @'s ufunc dispatch) rounds
+        # Their dot (ndarray.dot, without @'s ufunc dispatch) rounds
         # as @ does, except on a negative-stride vector, which it copies first
         b = self.basis
         object.__setattr__(self, "_basis", b)

@@ -1,21 +1,23 @@
-"""Sphere-constrained first-order solvers with saddle escape.
+"""Sphere-constrained first-order solver with saddle escape.
 
-Two update rules drive everything: the projected power step
-P_sphere(-grad phi(q)) and the retracted gradient step
-P_sphere(q - tau * rgrad phi(q)). The two coincide exactly at
-tau = -1/(q^T grad phi(q)), which is positive because the objectives are
-degree-4 homogeneous with negative values, so q^T grad phi = 4 phi < 0.
-The solver treats them interchangeably behind one loop on plain arrays,
-which runs a stack of starts at once (solve_batch), on one objective or
-on one objective per row, through the stacked evaluate that `objectives`
-builds for those rows; a single solve is the stack of one. It builds
-a SpherePoint only for the start and the result, and its saddle escape
-scores both candidates with the same bound kernel.
+One update rule drives everything: the projected power step
+P_sphere(-grad phi(q)). It is the retracted Riemannian gradient step
+P_sphere(q - tau * rgrad phi(q)) at tau = -1/(q^T grad phi(q)), which is
+positive because the objectives are degree-4 homogeneous with negative
+values, so q^T grad phi = 4 phi < 0. Since ||B^T q||_4^4 is convex, the
+step never raises phi in exact arithmetic, so it takes no line search.
+power_step and rgd_step are the two steps on a SpherePoint. The solver
+loop runs on plain arrays, over a stack of starts at once (solve_batch),
+on one objective or on one objective per row, through the stacked
+evaluate that `objectives` builds for those rows; a single solve is the
+stack of one. It builds a SpherePoint only for the start and the result,
+and its saddle escape scores both candidates with the same bound kernel.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -41,12 +43,6 @@ __all__ = [
 
 STALL_WINDOW = 20
 STALL_REL_TOL = 1e-15
-# rgd's Armijo line search: shrink tau from TAU0 until the value falls by
-# C1 * tau * |rgrad|^2; below MIN_BACKTRACK_TAU the solve ends "stalled"
-BACKTRACK_TAU0 = 1.0
-BACKTRACK_SHRINK = 0.5
-ARMIJO_C1 = 1e-4
-MIN_BACKTRACK_TAU = 1e-16
 # saddle escape: act when the smallest tangent Hessian eigenvalue is below
 # -ESCAPE_CURV_TOL, and move ESCAPE_STEP along its eigenvector
 ESCAPE_CURV_TOL = 1e-10
@@ -61,19 +57,22 @@ class EscapeConfig:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    method: str = "power"
     max_iters: int = 10_000
     grad_tol: float = 1e-8
     escape: EscapeConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("power", "rgd"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if (isinstance(self.grad_tol, (bool, np.bool_))
+        # a bool is a Real, and numpy's bool is refused as not one
+        if (not isinstance(self.grad_tol, numbers.Real)
+                or isinstance(self.grad_tol, bool)
                 or not 0.0 < self.grad_tol < math.inf):
             raise ValueError("grad_tol must be positive and finite")
         if not (_is_int(self.max_iters) and self.max_iters >= 1):
             raise ValueError("max_iters must be an integer of at least 1")
+        # the loop tests `escape is not None`, so False would turn it on
+        if not (self.escape is None or isinstance(self.escape, EscapeConfig)):
+            raise ValueError("escape must be None or an EscapeConfig, got "
+                             f"{self.escape!r}")
 
 
 @dataclass(frozen=True)
@@ -135,22 +134,21 @@ def escape_saddle(obj, x: np.ndarray,
 
 
 def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
-    """Run the configured method from q0 until a termination condition.
+    """Run power steps from q0 until a termination condition.
 
     Termination is one of "grad_tol" (first-order point, and second-order
-    when escape is enabled), "max_iters", "stalled" (objective plateau or
-    an exhausted line search), or "nonmonotone" (a power step raised the
-    objective by more than rounding, or made it non-finite, which the
-    update cannot do in exact arithmetic; the solve ends at the iterate
-    before that step).
+    when escape is enabled), "max_iters", "stalled" (the objective has
+    not moved over the last STALL_WINDOW steps), or "nonmonotone" (a power
+    step raised the objective by more than rounding, or made it
+    non-finite, which the update cannot do in exact arithmetic; the solve
+    ends at the iterate before that step).
 
     `obj` provides evaluate(q) -> (value, Euclidean gradient), called once
-    per iterate (once per trial point in a line search, twice per escape
-    attempt), plus curvature(q).min_eig when escape is enabled. A package
-    objective's `_evaluate`, the same call on the loop's plain unit arrays,
-    is bound once in its place. An objective that states an n other than
-    q0's, or a non-finite gradient, raises ValueError. This is
-    solve_batch's loop run on a stack of one start.
+    per iterate (twice per escape attempt), plus curvature(q).min_eig when
+    escape is enabled. A package objective's `_evaluate`, the same call on
+    the loop's plain unit arrays, is bound once in its place. An objective
+    that states an n other than q0's, or a non-finite gradient, raises
+    ValueError. This is solve_batch's loop run on a stack of one start.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -208,12 +206,12 @@ def _solve_stack(objs: list, X0: np.ndarray,
     fields after q_star: (iterations, final_grad_norm, objective_trace,
     termination, escapes_taken). The live rows move as one stack, and each
     of solve's tests is taken per row, so a row ends as it would alone and
-    then leaves the stack. The line search shrinks one tau for the rows
-    still searching, which is each row's own sequence; an escape runs per
-    row. One objectives._StackKernel, built here, evaluates the live rows
-    and is taken along with them. An objective whose n, where it states
-    one, is not the rows' raises ValueError before any evaluation, and so
-    does a basis objective whose kernel bound, squared, would overflow.
+    then leaves the stack. The rows that step take one power step as a
+    stack; an escape runs per row. One objectives._StackKernel, built
+    here, evaluates the live rows and is taken along with them. An
+    objective whose n, where it states one, is not the rows' raises
+    ValueError before any evaluation, and so does a basis objective whose
+    kernel bound, squared, would overflow.
     """
     X = np.array(X0, dtype=float)  # owned: an escape writes its row in place
     T, n = X.shape
@@ -235,7 +233,7 @@ def _solve_stack(objs: list, X0: np.ndarray,
     # a row's trace gains one value per move, so it holds iterations + 1
     traces = [[float(val)] for val in vals]
     escapes = [0] * T
-    power, grad_tol, max_iters = cfg.method == "power", cfg.grad_tol, cfg.max_iters
+    grad_tol, max_iters = cfg.grad_tol, cfg.max_iters
 
     def finish(i, gn, termination):
         ends[slots[i]] = X[i]
@@ -282,7 +280,7 @@ def _solve_stack(objs: list, X0: np.ndarray,
                     flips.append(len(step))
                 step.append(i)
 
-            if step and power:
+            if step:
                 # P_sphere(-g), or P_sphere(g) when x.g > 0; see power_step
                 whole = len(step) == len(X)
                 V = -G if whole else -G[step]
@@ -303,30 +301,6 @@ def _solve_stack(objs: list, X0: np.ndarray,
                 else:
                     X[step] = C
                     G[step] = GC
-            elif step:
-                # Armijo backtracking from each row's x along its -rgrad
-                Xs, RGs, ks = X[step], RG[step], kernel.take(step)
-                search = list(range(len(step)))  # positions in step
-                tau = BACKTRACK_TAU0
-                while search:
-                    C = retract(Xs[search] - tau * RGs[search])
-                    vals, GC = ks.take(search)(C)
-                    retry = []
-                    for k, (j, val) in enumerate(zip(search, vals)):
-                        i = step[j]
-                        gn = math.sqrt(gn2s[i])
-                        trace = traces[i]
-                        if val <= trace[-1] - ARMIJO_C1 * tau * gn * gn:
-                            trace.append(val)
-                            X[i], G[i] = C[k], GC[k]
-                        else:
-                            retry.append(j)
-                    tau *= BACKTRACK_SHRINK
-                    if retry and tau < MIN_BACKTRACK_TAU:
-                        for j in retry:
-                            finish(step[j], math.sqrt(gn2s[step[j]]), "stalled")
-                        break
-                    search = retry
 
             if len(done) == len(X):
                 break
@@ -349,6 +323,10 @@ def init_cdl(measurements: ObservationSet, P: Preconditioner,
     """
     Y = measurements.entries
     p = Y.shape[1]
+    # a bool would pass the range test and index Y[:, True] as a new axis
+    if not _is_int(ell):
+        raise ValueError(f"measurement index ell must be an integer, "
+                         f"got {ell!r}")
     if not 0 <= ell < p:
         raise ValueError(f"measurement index {ell} outside [0, {p})")
     v = P.apply(Y[:, ell])

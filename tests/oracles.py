@@ -31,12 +31,8 @@ from sphere4.model import (
 )
 from sphere4.objectives import OdlObjective, _coords
 from sphere4.optimize import (
-    ARMIJO_C1,
-    BACKTRACK_SHRINK,
-    BACKTRACK_TAU0,
     ESCAPE_CURV_TOL,
     ESCAPE_STEP,
-    MIN_BACKTRACK_TAU,
     STALL_REL_TOL,
     STALL_WINDOW,
     SolveConfig,
@@ -164,7 +160,7 @@ def _power_point(g, xg):
 
 def reference_solve(obj, q0, cfg: SolveConfig) -> SolveResult:
     """The solve loop, line for line, as it read with `reference_evaluate`
-    called once per iterate (once per trial point in a line search)."""
+    called once per iterate."""
     q = q0 if isinstance(q0, SpherePoint) else SpherePoint.project(np.asarray(q0, dtype=float))
     x = q.coords
     val, g = reference_evaluate(obj, x)
@@ -172,7 +168,7 @@ def reference_solve(obj, q0, cfg: SolveConfig) -> SolveResult:
     iterations = 0
     escapes = 0
     termination = "max_iters"
-    power, grad_tol = cfg.method == "power", cfg.grad_tol
+    grad_tol = cfg.grad_tol
 
     while True:
         xg = np.vdot(x, g)
@@ -206,26 +202,11 @@ def reference_solve(obj, q0, cfg: SolveConfig) -> SolveResult:
                 termination = "stalled"
                 break
 
-        if power:
-            cand = _power_point(g, xg)
-            val, g_cand = reference_evaluate(obj, cand)
-            if not val <= trace[-1] + 1e-12 * max(1.0, abs(trace[-1])):
-                termination = "nonmonotone"
-                break
-        else:
-            tau = BACKTRACK_TAU0
-            while True:
-                cand = retract(x - tau * rg)
-                val, g_cand = reference_evaluate(obj, cand)
-                if val <= trace[-1] - ARMIJO_C1 * tau * gn * gn:
-                    break
-                tau *= BACKTRACK_SHRINK
-                if tau < MIN_BACKTRACK_TAU:
-                    cand = None
-                    break
-            if cand is None:
-                termination = "stalled"
-                break
+        cand = _power_point(g, xg)
+        val, g_cand = reference_evaluate(obj, cand)
+        if not val <= trace[-1] + 1e-12 * max(1.0, abs(trace[-1])):
+            termination = "nonmonotone"
+            break
         x, g = cand, g_cand
         iterations += 1
         trace.append(float(val))

@@ -319,7 +319,7 @@ def test_solve_header_records_only_flags_that_act(tmp_path):
                "3", "--out-dir", str(tmp_path / "r1")) == EXIT_NONCONVERGED
     header = (tmp_path / "r1" / "filters_aligned.csv").read_text()
     assert header.startswith("# command: solve --grad-tol=1e-08 --init=data "
-                             "--max-iters=3 --method=power --seed=0\n")
+                             "--max-iters=3 --seed=0\n")
 
 
 def test_solve_cdl_writes_alignment(tmp_path):
@@ -460,14 +460,10 @@ def test_sweep_phi_t_rows_match_per_repeat_reference(tmp_path):
         tmp_path, SolveConfig(max_iters=3000, grad_tol=1e-9))
 
 
-@pytest.mark.parametrize("flags", [["--escape"], ["--method", "rgd"],
-                                   ["--method", "rgd", "--escape"]],
-                         ids=["escape", "rgd", "rgd-escape"])
+@pytest.mark.parametrize("flags", [["--escape"]], ids=["escape"])
 def test_sweep_phi_t_rows_match_per_repeat_reference_under_solver_flags(
         tmp_path, flags):
-    cfg = SolveConfig(method="rgd" if "rgd" in flags else "power",
-                      max_iters=3000, grad_tol=1e-9,
-                      escape=EscapeConfig() if "--escape" in flags else None)
+    cfg = SolveConfig(max_iters=3000, grad_tol=1e-9, escape=EscapeConfig())
     assert_phi_t_rows_match_per_repeat_reference(tmp_path, cfg, *flags)
 
 
@@ -563,7 +559,7 @@ def test_sweep_manifest_records_every_option():
     manifest = _provenance("sweep", parser.parse_args(base))
     options = [a for a in sweep._actions
                if a.option_strings and a.dest not in ("help", "out_dir")]
-    assert {"--seed", "--escape", "--method", "--theta-grid"} <= {
+    assert {"--seed", "--escape", "--max-iters", "--theta-grid"} <= {
         a.option_strings[0] for a in options}
     for action in options:
         flag = action.option_strings[0]
@@ -700,8 +696,7 @@ def test_landscape_at_solution_json(tmp_path):
     assert all(r["grad_norm"] < 1e-6 for r in payload)
 
 
-@pytest.mark.parametrize("flags", [[], ["--escape"], ["--method", "rgd"]],
-                         ids=["power", "escape", "rgd"])
+@pytest.mark.parametrize("flags", [[], ["--escape"]], ids=["power", "escape"])
 def test_landscape_at_solution_reports_each_samples_own_solve(tmp_path, flags):
     # the samples are solved as one stack; each report must be the one at
     # the end of that sample's lone solve
@@ -710,8 +705,7 @@ def test_landscape_at_solution_reports_each_samples_own_solve(tmp_path, flags):
                "--out-dir", str(tmp_path)) == EXIT_OK
     payload = json.loads((tmp_path / "landscape.json").read_text())
     D = make_untf(6, 12, seed=3)
-    cfg = SolveConfig(method="rgd" if "rgd" in flags else "power",
-                      escape=EscapeConfig() if "--escape" in flags else None)
+    cfg = SolveConfig(escape=EscapeConfig() if "--escape" in flags else None)
     for s, report in enumerate(payload):
         q0 = SpherePoint.project(stream(3, "landscape", s).standard_normal(6))
         rep = critical_point_report(D, solve(TensorObjective(D), q0, cfg).q_star)
@@ -723,9 +717,9 @@ def test_landscape_at_solution_reports_each_samples_own_solve(tmp_path, flags):
             assert value == expected, name
 
 
-@pytest.mark.parametrize("flags", [["--method", "rgd"], ["--max-iters", "5"],
-                                   ["--grad-tol", "1e-9"], ["--escape"]],
-                         ids=["method", "max-iters", "grad-tol", "escape"])
+@pytest.mark.parametrize("flags", [["--max-iters", "5"], ["--grad-tol", "1e-9"],
+                                   ["--escape"]],
+                         ids=["max-iters", "grad-tol", "escape"])
 def test_landscape_refuses_solver_flags_without_at_solution(tmp_path, capsys,
                                                             flags):
     assert run("landscape", "--n", "4", "--m", "8", *flags, "--out-dir",
@@ -746,7 +740,7 @@ def test_landscape_header_records_solver_flags_only_at_solution(tmp_path):
                "--out-dir", str(tmp_path / "sol")) == EXIT_OK
     assert (tmp_path / "sol" / "landscape.csv").read_text().startswith(
         "# command: landscape --at-solution=True --format=csv --grad-tol=1e-08 "
-        "--m=8 --max-iters=10000 --method=power --n=4 --samples=1 --seed=0\n")
+        "--m=8 --max-iters=10000 --n=4 --samples=1 --seed=0\n")
 
 
 @pytest.mark.parametrize("zero_first", [True, False], ids=["est", "truth"])
@@ -786,9 +780,8 @@ RERUN = {
     "gen-cdl": ["gen", "--model", "cdl", "--n", "16", "--k", "2", "--theta",
                 "0.1", "--p", "200", "--seed", "3"],
     "solve-power": ["solve", "--data-dir", "{in}/data", "--seed", "2"],
-    "solve-rgd-escape-trace": ["solve", "--data-dir", "{in}/data", "--seed",
-                               "2", "--method", "rgd", "--escape",
-                               "--emit-trace"],
+    "solve-escape-trace": ["solve", "--data-dir", "{in}/data", "--seed", "2",
+                           "--escape", "--emit-trace"],
     "landscape-csv": ["landscape", "--n", "4", "--m", "8", "--samples", "3",
                       "--at-solution", "--seed", "1"],
     "landscape-json": ["landscape", "--n", "4", "--m", "8", "--samples", "2",
@@ -801,9 +794,8 @@ RERUN = {
 RERUN_DATA = {
     "solve-power": ["gen", "--model", "odl", "--n", "3", "--m", "4",
                     "--theta", "0.1", "--p", "500", "--seed", "2"],
-    "solve-rgd-escape-trace": ["gen", "--model", "odl", "--n", "3", "--m",
-                               "6", "--theta", "0.2", "--p", "500", "--seed",
-                               "2"],
+    "solve-escape-trace": ["gen", "--model", "odl", "--n", "3", "--m", "6",
+                           "--theta", "0.2", "--p", "500", "--seed", "2"],
 }
 
 
@@ -832,10 +824,32 @@ def test_unknown_arguments_exit_usage():
     assert main(["solve", "--no-such-flag"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--data-dir", "{data}", "--method", "power"],
+    ["sweep", "--n-grid", "3", "--m-grid", "4", "--method", "power"],
+    ["landscape", "--n", "3", "--m", "4", "--at-solution", "--method",
+     "power"],
+    ["sweep", "--n", "4", "--m-grid", "6", "--repeats", "1"],
+    ["solve", "--data-dir", "{data}", "--max", "3"],
+    ["landscape", "--n", "3", "--m", "4", "--samp", "2"],
+    ["gen", "--model", "odl", "--n", "3", "--m", "4", "--theta", "0.1",
+     "--p", "50", "--conv", "main_text"],
+], ids=["method-solve", "method-sweep", "method-landscape", "prefix-sweep",
+        "prefix-solve", "prefix-landscape", "prefix-gen"])
+def test_method_and_flag_prefixes_are_refused(tmp_path, capsys, argv):
+    # the power step is the one update rule, so no command takes --method;
+    # and a prefix is an unknown flag, not the one flag it begins
+    gen_odl(tmp_path / "data", p=50)
+    argv = [v.replace("{data}", str(tmp_path / "data")) for v in argv]
+    assert run(*argv, "--out-dir", str(tmp_path / "run")) == EXIT_USAGE
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_options_per_command():
     # the options each command reads (--help aside); a new CLI option must
     # change this test on purpose
-    solver = {"--method", "--max-iters", "--grad-tol", "--escape"}
+    solver = {"--max-iters", "--grad-tol", "--escape"}
     common = {"--seed", "--out-dir"}
     expected = {
         "gen": common | {"--model", "--n", "--m", "--k", "--theta", "--p",

@@ -240,8 +240,7 @@ def test_report_grad_tol_gates_classification(monkeypatch):
     D = make_untf(10, 15, seed=3)
     obj = TensorObjective(D)
     q0 = SpherePoint.project(stream(11, "it").standard_normal(10))
-    q = solve(obj, q0, SolveConfig(method="power", max_iters=50_000,
-                                   grad_tol=1e-10)).q_star
+    q = solve(obj, q0, SolveConfig(max_iters=50_000, grad_tol=1e-10)).q_star
     rep = critical_point_report(D, q)
     assert rep.grad_norm < GRAD_TOL
     assert rep.classification == CLASS_NEAR_SOLUTION
@@ -328,7 +327,7 @@ def test_report_solver_endpoint_reads_near_solution(monkeypatch):
     D = make_untf(10, 15, seed=3)
     obj = TensorObjective(D)
     q0 = SpherePoint.project(stream(11, "it").standard_normal(10))
-    res = solve(obj, q0, SolveConfig(method="power", max_iters=50_000, grad_tol=1e-10))
+    res = solve(obj, q0, SolveConfig(max_iters=50_000, grad_tol=1e-10))
     rep = critical_point_report(D, res.q_star)
     assert rep.classification == CLASS_NEAR_SOLUTION
     assert rep.inner_product >= 0.95
@@ -358,7 +357,7 @@ def test_report_flags_coherent_mixture_as_indeterminate():
     D = make_untf(4, 8, seed=0)
     obj = TensorObjective(D)
     q0 = SpherePoint.project(stream(0, "mixture-scan").standard_normal(4))
-    res = solve(obj, q0, SolveConfig(method="power", max_iters=50_000, grad_tol=1e-10))
+    res = solve(obj, q0, SolveConfig(max_iters=50_000, grad_tol=1e-10))
     rep = critical_point_report(D, res.q_star)
     assert rep.classification == CLASS_INDETERMINATE
     assert rep.grad_norm < 1e-8

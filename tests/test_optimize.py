@@ -21,12 +21,8 @@ from sphere4.model import (
 )
 from sphere4.objectives import OdlObjective, TensorObjective, _StackKernel
 from sphere4.optimize import (
-    ARMIJO_C1,
-    BACKTRACK_SHRINK,
-    BACKTRACK_TAU0,
     ESCAPE_CURV_TOL,
     ESCAPE_STEP,
-    MIN_BACKTRACK_TAU,
     STALL_REL_TOL,
     STALL_WINDOW,
     EscapeConfig,
@@ -107,19 +103,10 @@ def test_solve_identity_dictionary_finds_basis_vector():
     rng = stream(101)
     for _ in range(10):
         q0 = SpherePoint.project(rng.standard_normal(5))
-        res = solve(obj, q0, SolveConfig(method="power"))
+        res = solve(obj, q0, SolveConfig())
         assert res.termination == "grad_tol"
         assert np.abs(res.q_star.coords).max() >= 1.0 - 1e-8
         assert res.q_star.coords @ obj.grad(res.q_star) < 0.0
-
-
-def test_solve_rgd_backtracking_converges():
-    obj = random_odl(6, 12, 400, 0.25, seed=102)
-    q0 = SpherePoint.project(stream(103).standard_normal(6))
-    res = solve(obj, q0, SolveConfig(method="rgd"))
-    assert res.termination == "grad_tol"
-    assert res.final_grad_norm <= 1e-8
-    assert np.all(np.diff(res.objective_trace) <= 1e-12)
 
 
 def test_solve_power_trace_monotone_many_seeds():
@@ -188,20 +175,8 @@ def public_steps_solve(obj, q, cfg):
             ref = trace[-1 - STALL_WINDOW]
             if abs(trace[-1] - ref) <= STALL_REL_TOL * max(1.0, abs(ref)):
                 return q, trace, iterations, "stalled", escapes
-        if cfg.method == "power":
-            q = power_step(obj, q)
-            val = float(obj.value(q))
-        else:
-            tau = BACKTRACK_TAU0
-            while True:
-                cand = rgd_step(obj, q, tau)
-                val = float(obj.value(cand))
-                if val <= trace[-1] - ARMIJO_C1 * tau * gn * gn:
-                    q = cand
-                    break
-                tau *= BACKTRACK_SHRINK
-                if tau < MIN_BACKTRACK_TAU:
-                    return q, trace, iterations, "stalled", escapes
+        q = power_step(obj, q)
+        val = float(obj.value(q))
         iterations += 1
         trace.append(val)
         gn = float(np.linalg.norm(obj.rgrad(q)))
@@ -211,9 +186,8 @@ def public_steps_solve(obj, q, cfg):
 @pytest.mark.parametrize("cfg", [
     SolveConfig(),
     SolveConfig(max_iters=4),
-    SolveConfig(method="rgd"),
     SolveConfig(escape=EscapeConfig()),
-], ids=["power", "power-capped", "rgd-bt", "power-escape"])
+], ids=["power", "power-capped", "power-escape"])
 def test_solve_bit_identical_to_reference_loop(kind, cfg):
     if kind == "tensor":
         obj = TensorObjective(make_untf(10, 30, seed=111))
@@ -245,9 +219,8 @@ def test_solve_escape_identical_to_reference_loop_when_taken(obj):
     assert (res.iterations, res.termination) == (iterations, termination)
 
 
-@pytest.mark.parametrize("cfg", [
-    SolveConfig(), SolveConfig(method="rgd")], ids=["power", "rgd-bt"])
-def test_solve_cdl_bit_identical_to_reference_loop(cfg):
+def test_solve_cdl_bit_identical_to_reference_loop():
+    cfg = SolveConfig()
     prob = synth_cdl(make_filter_bank(16, 2, seed=122), 0.2, 400, seed=123)
     obj = CdlObjective(prob)
     rng = stream(124)
@@ -283,10 +256,8 @@ def result_bits(res) -> tuple:
 @pytest.mark.parametrize("kind", ["tensor", "odl", "cdl", "saddle"])
 @pytest.mark.parametrize("cfg", [
     SolveConfig(),
-    SolveConfig(method="rgd"),
     SolveConfig(escape=EscapeConfig()),
-    SolveConfig(method="rgd", escape=EscapeConfig()),
-], ids=["power", "rgd", "power-escape", "rgd-escape"])
+], ids=["power", "power-escape"])
 def test_solve_bit_identical_to_replaced_loop(kind, cfg):
     # every SolveResult field against the loop the bound kernel replaced;
     # the saddle kind starts at exact saddles of the identity objective,
@@ -319,13 +290,8 @@ def batch_objective(kind: str):
         synth_cdl(make_filter_bank(16, 2, seed=143), 0.2, 400, seed=144))
 
 
-BATCH_CONFIGS = [
-    SolveConfig(),
-    SolveConfig(method="rgd"),
-    SolveConfig(escape=EscapeConfig()),
-    SolveConfig(method="rgd", escape=EscapeConfig()),
-]
-BATCH_CONFIG_IDS = ["power", "rgd", "power-escape", "rgd-escape"]
+BATCH_CONFIGS = [SolveConfig(), SolveConfig(escape=EscapeConfig())]
+BATCH_CONFIG_IDS = ["power", "power-escape"]
 
 
 @pytest.mark.parametrize("kind, k", [
@@ -377,11 +343,10 @@ class NanNearE3Objective:
         return -0.25 * float(np.sum(q**4)), g * np.nan if q[2] > 0.95 else g
 
 
-@pytest.mark.parametrize("method", ["power", "rgd"])
-def test_solve_batch_raises_as_a_row_alone_does(method):
+def test_solve_batch_raises_as_a_row_alone_does():
     # the second row's first step lands past q[2] = 0.95, so solving it
     # alone raises; the stack raises the same error
-    obj, cfg = NanNearE3Objective(), SolveConfig(method=method)
+    obj, cfg = NanNearE3Objective(), SolveConfig()
     Q0 = np.array([[0.9, 0.3, 0.3], [0.3, 0.3, 0.905]])
     assert solve(obj, SpherePoint.project(Q0[0]), cfg).termination == "grad_tol"
     with pytest.raises(ValueError, match="cannot project a zero or non-finite vector"):
@@ -510,7 +475,7 @@ def test_solve_batch_escapes_each_row_along_its_own_curvature():
     objs = [TensorObjective(Dictionary(b)) for b in bases]
     assert _StackKernel(objs).B.ndim == 3
     Q0 = np.stack([b[:, 0] + b[:, 1] for b in bases])
-    for cfg in BATCH_CONFIGS[2:]:
+    for cfg in BATCH_CONFIGS[1:]:
         results = solve_batch(objs, Q0, cfg)
         assert all(r.escapes_taken > 0 for r in results)
         for obj, row, res in zip(objs, Q0, results):
@@ -656,35 +621,30 @@ def test_solve_power_first_iterate_is_power_step(g0, flip):
     assert np.array_equal(step.coords, d / np.linalg.norm(d))
 
 
-@pytest.mark.parametrize("method", ["power", "rgd"])
-def test_solve_raises_when_gradient_turns_nan(method):
+def test_solve_raises_when_gradient_turns_nan():
     obj = ScriptedObjective([[0.0, 1.0, 0.0], [np.nan, 0.0, 0.0]])
     q0 = SpherePoint.project(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="zero or non-finite"):
-        solve(obj, q0, SolveConfig(method=method))
+        solve(obj, q0)
     assert obj.calls == 2
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("method", ["power", "rgd"])
-def test_solve_raises_when_gradient_turns_infinite(method):
+def test_solve_raises_when_gradient_turns_infinite():
     obj = ScriptedObjective([[0.0, 1.0, 0.0], [np.inf, 0.0, 0.0]])
     q0 = SpherePoint.project(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="cannot project a zero or non-finite vector"):
-        solve(obj, q0, SolveConfig(method=method))
+        solve(obj, q0)
     assert obj.calls == 2
 
 
-@pytest.mark.parametrize("method", ["power", "rgd"])
-def test_solve_stops_when_gradient_turns_zero(method):
+def test_solve_stops_when_gradient_turns_zero():
     obj = ScriptedObjective([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     q0 = SpherePoint.project(np.array([1.0, 0.0, 0.0]))
-    res = solve(obj, q0, SolveConfig(method=method))
+    res = solve(obj, q0)
     assert (res.termination, res.iterations, res.final_grad_norm) == ("grad_tol", 1, 0.0)
     assert res.objective_trace.tolist() == [-1.0, -2.0]
-    # the line search accepts its first trial, tau = 1, since the value fell
-    step = [0.0, -1.0, 0.0] if method == "power" else [1.0, -1.0, 0.0] / np.sqrt(2.0)
-    assert np.array_equal(res.q_star.coords, step)
+    assert np.array_equal(res.q_star.coords, [0.0, -1.0, 0.0])
 
 
 def test_solve_power_rejects_off_sphere_point_from_tiny_gradient():
@@ -723,19 +683,6 @@ def test_solve_power_ends_nonmonotone_when_value_rises(after):
     assert obj.calls == 2
 
 
-def test_solve_rgd_stalls_when_line_search_is_exhausted():
-    # every trial point is higher, so tau halves from 1 down past
-    # MIN_BACKTRACK_TAU: 2^-53 is the last trial, 54 of them after the start
-    obj = RisingObjective(0.0)
-    q0 = SpherePoint.project(np.array([1.0, 0.0, 0.0]))
-    res = solve(obj, q0, SolveConfig(method="rgd"))
-    assert res.termination == "stalled"
-    assert res.iterations == 0
-    assert res.q_star is q0
-    assert res.objective_trace.tolist() == [-1.0]
-    assert obj.calls == 55
-
-
 class TurningObjective:
     """Stub with a constant value and a tangent gradient: each power step
     turns the iterate by a right angle and leaves the value unchanged."""
@@ -755,8 +702,6 @@ def test_solve_power_stalls_on_plateau():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolveConfig(method="newton")
-    with pytest.raises(ValueError):
         SolveConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolveConfig(max_iters=0)
@@ -775,9 +720,47 @@ def test_config_validation():
     for bad in (True, np.True_):
         with pytest.raises(ValueError, match="grad_tol"):
             SolveConfig(grad_tol=bad)
+    # compared with 0.0 these would raise TypeError, not ValueError
+    for bad in ("1", None, 1j, np.array(1e-8)):
+        with pytest.raises(ValueError, match="grad_tol"):
+            SolveConfig(grad_tol=bad)
+    # the loop tests `escape is not None`, so False would turn escape on
+    for bad in (False, True, 0, "no", EscapeConfig):
+        with pytest.raises(ValueError, match="escape must be None or an "
+                                             "EscapeConfig"):
+            SolveConfig(escape=bad)
+    cfg = SolveConfig(max_iters=np.int64(5), grad_tol=np.float32(1e-6),
+                      escape=EscapeConfig())
+    assert (cfg.max_iters, cfg.grad_tol) == (5, np.float32(1e-6))
     # the escape's eigensolve has one fixed start, so there is no seed to set
     with pytest.raises(TypeError):
         SolveConfig(seed=1)
+
+
+CONFIG_FIELD_VALUES = st.one_of(
+    st.booleans(), st.sampled_from([np.True_, np.False_]),
+    st.integers(-2, 20_000), st.floats(), st.text(max_size=4), st.none(),
+    st.just(EscapeConfig()))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(max_iters=CONFIG_FIELD_VALUES, grad_tol=CONFIG_FIELD_VALUES,
+       escape=CONFIG_FIELD_VALUES)
+@example(max_iters=10, grad_tol=1e-8, escape=False)
+@example(max_iters=10, grad_tol="1", escape=None)
+@example(max_iters=10, grad_tol=-0.0, escape=EscapeConfig())
+def test_solve_config_builds_or_refuses_property(max_iters, grad_tol, escape):
+    # any draw of the three fields builds a config that the loop can read
+    # or raises ValueError; never TypeError
+    try:
+        cfg = SolveConfig(max_iters=max_iters, grad_tol=grad_tol,
+                          escape=escape)
+    except ValueError:
+        return
+    assert cfg.escape is None or isinstance(cfg.escape, EscapeConfig)
+    assert type(cfg.max_iters) is int and cfg.max_iters >= 1
+    assert not isinstance(cfg.grad_tol, (bool, np.bool_, str))
+    assert 0.0 < cfg.grad_tol < np.inf
 
 
 def test_tangent_min_eig_matches_dense():
@@ -991,6 +974,12 @@ def test_init_cdl_draw_and_errors():
     Z = ObservationSet(np.zeros((6, 2)))
     with pytest.raises(ValueError):
         init_cdl(Z, P, ell=0)
+    # True would pass the range test and index Y[:, True] as a new axis
+    for bad in (True, False, np.True_, 1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match="ell must be an integer"):
+            init_cdl(Y, P, ell=bad)
+    assert np.array_equal(init_cdl(Y, P, ell=np.int64(2)).coords,
+                          init_cdl(Y, P, ell=2).coords)
 
 
 def test_init_cdl_scale_convention_invariant():
@@ -1156,7 +1145,7 @@ def test_public_parameters_with_a_default():
                 if not attr.startswith("_") and inspect.isfunction(member):
                     knobs.update(f"{module}.{name}.{attr}({p})"
                                  for p in defaults(member))
-    assert len(knobs) == 18, sorted(knobs)
+    assert len(knobs) == 17, sorted(knobs)
 
 
 def test_public_names():
