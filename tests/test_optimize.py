@@ -109,6 +109,29 @@ def test_solve_identity_dictionary_finds_basis_vector():
         assert res.q_star.coords @ obj.grad(res.q_star) < 0.0
 
 
+def test_solve_rgd_backtracking_converges():
+    # the solver runs only the power step, but the Riemannian gradient
+    # descent the paper names still reaches a critical point when driven
+    # through the public rgd_step with an Armijo search
+    obj = random_odl(6, 12, 400, 0.25, seed=102)
+    q = SpherePoint.project(stream(103).standard_normal(6))
+    trace = [float(obj.value(q))]
+    gn = float(np.linalg.norm(obj.rgrad(q)))
+    for _ in range(SolveConfig().max_iters):
+        if gn <= 1e-8:
+            break
+        tau = 1.0
+        while float(obj.value(cand := rgd_step(obj, q, tau))) > (
+                trace[-1] - 1e-4 * tau * gn * gn):
+            tau *= 0.5
+            assert tau >= 1e-16
+        q = cand
+        trace.append(float(obj.value(q)))
+        gn = float(np.linalg.norm(obj.rgrad(q)))
+    assert gn <= 1e-8
+    assert np.all(np.diff(trace) <= 1e-12)
+
+
 def test_solve_power_trace_monotone_many_seeds():
     for seed in range(10):
         obj = random_odl(5, 10, 300, 0.2, seed=300 + seed)
@@ -219,8 +242,9 @@ def test_solve_escape_identical_to_reference_loop_when_taken(obj):
     assert (res.iterations, res.termination) == (iterations, termination)
 
 
-def test_solve_cdl_bit_identical_to_reference_loop():
-    cfg = SolveConfig()
+@pytest.mark.parametrize("cfg", [SolveConfig(), SolveConfig(escape=EscapeConfig())],
+                         ids=["power", "power-escape"])
+def test_solve_cdl_bit_identical_to_reference_loop(cfg):
     prob = synth_cdl(make_filter_bank(16, 2, seed=122), 0.2, 400, seed=123)
     obj = CdlObjective(prob)
     rng = stream(124)
@@ -343,10 +367,13 @@ class NanNearE3Objective:
         return -0.25 * float(np.sum(q**4)), g * np.nan if q[2] > 0.95 else g
 
 
-def test_solve_batch_raises_as_a_row_alone_does():
+@pytest.mark.parametrize("cfg", [SolveConfig(), SolveConfig(grad_tol=1e-3)],
+                         ids=["power", "power-loose"])
+def test_solve_batch_raises_as_a_row_alone_does(cfg):
     # the second row's first step lands past q[2] = 0.95, so solving it
-    # alone raises; the stack raises the same error
-    obj, cfg = NanNearE3Objective(), SolveConfig()
+    # alone raises; the stack raises the same error, whether the first row
+    # ends after two steps or three
+    obj = NanNearE3Objective()
     Q0 = np.array([[0.9, 0.3, 0.3], [0.3, 0.3, 0.905]])
     assert solve(obj, SpherePoint.project(Q0[0]), cfg).termination == "grad_tol"
     with pytest.raises(ValueError, match="cannot project a zero or non-finite vector"):
@@ -621,27 +648,35 @@ def test_solve_power_first_iterate_is_power_step(g0, flip):
     assert np.array_equal(step.coords, d / np.linalg.norm(d))
 
 
-def test_solve_raises_when_gradient_turns_nan():
+@pytest.mark.parametrize("cfg", [SolveConfig(), SolveConfig(escape=EscapeConfig())],
+                         ids=["power", "power-escape"])
+def test_solve_raises_when_gradient_turns_nan(cfg):
     obj = ScriptedObjective([[0.0, 1.0, 0.0], [np.nan, 0.0, 0.0]])
     q0 = SpherePoint.project(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="zero or non-finite"):
-        solve(obj, q0)
+        solve(obj, q0, cfg)
     assert obj.calls == 2
 
 
 @pytest.mark.filterwarnings("error")
-def test_solve_raises_when_gradient_turns_infinite():
+@pytest.mark.parametrize("cfg", [SolveConfig(), SolveConfig(escape=EscapeConfig())],
+                         ids=["power", "power-escape"])
+def test_solve_raises_when_gradient_turns_infinite(cfg):
     obj = ScriptedObjective([[0.0, 1.0, 0.0], [np.inf, 0.0, 0.0]])
     q0 = SpherePoint.project(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="cannot project a zero or non-finite vector"):
-        solve(obj, q0)
+        solve(obj, q0, cfg)
     assert obj.calls == 2
 
 
-def test_solve_stops_when_gradient_turns_zero():
+@pytest.mark.parametrize("cfg", [SolveConfig(), SolveConfig(max_iters=1)],
+                         ids=["power", "power-capped"])
+def test_solve_stops_when_gradient_turns_zero(cfg):
+    # a zero gradient ends the solve as "grad_tol" even on the last
+    # allowed iteration
     obj = ScriptedObjective([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     q0 = SpherePoint.project(np.array([1.0, 0.0, 0.0]))
-    res = solve(obj, q0)
+    res = solve(obj, q0, cfg)
     assert (res.termination, res.iterations, res.final_grad_norm) == ("grad_tol", 1, 0.0)
     assert res.objective_trace.tolist() == [-1.0, -2.0]
     assert np.array_equal(res.q_star.coords, [0.0, -1.0, 0.0])
