@@ -30,7 +30,6 @@ from .model import (
     FilterBank,
     ObservationSet,
     SpherePoint,
-    coherence,
     load_matrix,
     make_filter_bank,
     make_untf,

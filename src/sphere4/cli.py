@@ -43,12 +43,11 @@ from .model import (
     synth_odl,
 )
 from .objectives import OdlObjective, TensorObjective
-from .optimize import EscapeConfig, SolveConfig, solve, solve_batch
+from .optimize import EscapeConfig, SolveConfig, init_cdl, solve, solve_batch
 from .recovery import (
     EPS_CDL,
     align_shift,
     cdl_score,
-    cdl_start,
     recovery_error,
 )
 
@@ -230,7 +229,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             q0 = SpherePoint.project(
                 stream(seed, "cli-solve").standard_normal(problem.n))
         else:
-            q0 = cdl_start(problem, stream(seed, "cli-solve-data"))
+            q0 = init_cdl(problem, stream(seed, "cli-solve-data"))
         res = solve(objective, q0, cfg)
         score = cdl_score(res.q_star, problem)
         shifts, signs, errors = (score.shifts.tolist(), score.signs.tolist(),
@@ -270,6 +269,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.objective not in ("phi_T", "phi_DL", "phi_CDL"):
             raise ValueError(f"unknown objective {self.objective!r}")
+        if not isinstance(self.config, SolveConfig):
+            raise ValueError(f"config must be a SolveConfig, got {self.config!r}")
         if not (_is_int(self.repeats) and self.repeats >= 1):
             raise ValueError("repeats must be an integer of at least 1, "
                              f"got {self.repeats!r}")
@@ -336,7 +337,7 @@ def _run_repeat(spec: SweepSpec, cell, repeat: int, rseed: int):
         err, success = outcome.rho_e, outcome.success
     else:
         problem = _synth("cdl", n, K, theta, p, rseed, "main_text")
-        q0 = cdl_start(problem, stream(rseed, "sweep-ell"))
+        q0 = init_cdl(problem, stream(rseed, "sweep-ell"))
         res = solve(CdlObjective(problem), q0, spec.config)
         score = cdl_score(res.q_star, problem)
         err, success = float(score.aligned_errors.min()), bool(score.recovered)

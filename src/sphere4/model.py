@@ -33,7 +33,6 @@ __all__ = [
     "make_untf",
     "sample_bg",
     "synth_odl",
-    "coherence",
     "retract",
     "make_filter_bank",
     "save_matrix",
@@ -195,7 +194,16 @@ class Dictionary:
 
     @cached_property
     def coherence(self) -> float:
-        return coherence(self)
+        """Largest |<a_i, a_j>| over distinct normalized column pairs."""
+        norms = self.column_norms
+        if not norms.all():
+            raise ValueError("coherence undefined with a zero column")
+        U = self.entries / norms
+        # a second buffer keeps matmul on gemm: U.T @ U itself takes the
+        # symmetric (syrk) path, whose last bits differ
+        G = U.T @ U.copy()
+        np.fill_diagonal(G, 0.0)
+        return float(np.abs(G).max())
 
     @cached_property
     def column_norms(self) -> np.ndarray:
@@ -345,17 +353,6 @@ def synth_odl(D: Dictionary, X) -> ObservationSet:
     if X.ndim != 2 or X.shape[0] != D.m:
         raise ValueError(f"need a 2d code with {D.m} rows, got shape {X.shape}")
     return ObservationSet(D.entries @ X)
-
-
-def coherence(D: Dictionary) -> float:
-    """Largest |<a_i, a_j>| over distinct normalized column pairs."""
-    A = D.entries
-    norms = D.column_norms
-    if not norms.all():
-        raise ValueError("coherence undefined with a zero column")
-    G = (A / norms).T @ (A / norms)
-    np.fill_diagonal(G, 0.0)
-    return float(np.abs(G).max())
 
 
 def make_filter_bank(n: int, K: int, seed: int) -> FilterBank:

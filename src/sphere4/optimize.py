@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdl import Preconditioner
-from .model import ObservationSet, SpherePoint, _exponent, _is_int, retract
+from .cdl import ConvProblem
+from .model import SpherePoint, _exponent, _is_int, retract
 from .objectives import _StackKernel, tangent_min_eig
 
 __all__ = [
@@ -210,9 +210,13 @@ def _solve_stack(objs: list, X0: np.ndarray,
     stack; an escape runs per row. One objectives._StackKernel, built
     here, evaluates the live rows and is taken along with them. An
     objective whose n, where it states one, is not the rows' raises
-    ValueError before any evaluation, and so does a basis objective whose
-    kernel bound, squared, would overflow.
+    ValueError before any evaluation, and so do a basis objective whose
+    kernel bound, squared, would overflow and a cfg that is not a
+    SolveConfig.
     """
+    # solve, solve_batch and recover_full all pass through here
+    if not isinstance(cfg, SolveConfig):
+        raise ValueError(f"config must be a SolveConfig, got {cfg!r}")
     X = np.array(X0, dtype=float)  # owned: an escape writes its row in place
     T, n = X.shape
     for o in objs:
@@ -314,22 +318,21 @@ def _solve_stack(objs: list, X0: np.ndarray,
     return ends, rows
 
 
-def init_cdl(measurements: ObservationSet, P: Preconditioner,
-             ell: int) -> SpherePoint:
-    """Data-driven start: preconditioned measurement `ell`, normalized.
+def init_cdl(problem: ConvProblem, rng: np.random.Generator) -> SpherePoint:
+    """Data-driven start: a preconditioned measurement drawn from `rng`,
+    normalized.
 
-    `ell` is a 0-based column index into the measurements. A zero sample
-    is an error; `recovery.cdl_start` draws among the nonzero ones.
+    Sparse codes leave some measurements all-zero; only the rest can seed
+    a trial, so one `rng.integers` call draws the index uniformly among
+    them. A problem whose measurements are all zero, or whose drawn one
+    is zero after preconditioning, raises ValueError.
     """
-    Y = measurements.entries
-    p = Y.shape[1]
-    # a bool would pass the range test and index Y[:, True] as a new axis
-    if not _is_int(ell):
-        raise ValueError(f"measurement index ell must be an integer, "
-                         f"got {ell!r}")
-    if not 0 <= ell < p:
-        raise ValueError(f"measurement index {ell} outside [0, {p})")
-    v = P.apply(Y[:, ell])
+    Y = problem.measurements.entries
+    usable = np.flatnonzero(np.linalg.norm(Y, axis=0) > 0.0)
+    if usable.size == 0:
+        raise ValueError("every measurement is zero")
+    ell = int(usable[rng.integers(usable.size)])
+    v = problem.preconditioner.apply(Y[:, ell])
     if float(np.linalg.norm(v)) == 0.0:
         raise ValueError(f"measurement {ell} is zero after preconditioning")
     return SpherePoint.project(v)

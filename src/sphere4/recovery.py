@@ -3,8 +3,8 @@
 A single solve lands near one column at best, so recovering a whole
 dictionary means running independent trials from fresh starts and
 collecting which columns showed up. A convolutional trial starts from a
-preconditioned measurement (cdl_start), and its solved direction is
-unwound and aligned over each filter's shift/sign orbit (cdl_score).
+preconditioned measurement (optimize.init_cdl), and its solved direction
+is unwound and aligned over each filter's shift/sign orbit (cdl_score).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "recovery_error",
     "recover_full",
     "align_shift",
-    "cdl_start",
     "cdl_score",
     "recover_filters",
 ]
@@ -204,20 +203,6 @@ class FilterRecovery:
         return frozenset(np.flatnonzero(self.aligned_errors <= EPS_CDL).tolist())
 
 
-def cdl_start(problem: ConvProblem, rng: np.random.Generator) -> SpherePoint:
-    """A preconditioned measurement drawn from `rng`, normalized.
-
-    Sparse codes leave some measurements all-zero; only the rest can seed
-    a trial, so the index is drawn uniformly among them.
-    """
-    usable = np.flatnonzero(np.linalg.norm(problem.measurements.entries,
-                                           axis=0) > 0.0)
-    if usable.size == 0:
-        raise ValueError("every measurement is zero")
-    return init_cdl(problem.measurements, problem.preconditioner,
-                    ell=int(usable[rng.integers(usable.size)]))
-
-
 def cdl_score(q_star, problem: ConvProblem) -> FilterRecovery:
     """One trial's FilterRecovery: q_star with the whitening undone,
     aligned against every ground-truth filter in turn."""
@@ -237,7 +222,7 @@ def recover_filters(problem: ConvProblem, config: SolveConfig | None = None,
                     seed_base: int = 0) -> FilterRecovery:
     """Repeated data-initialized solves, unwound and aligned per filter.
 
-    Each trial starts from a preconditioned measurement (cdl_start), solves
+    Each trial starts from a preconditioned measurement (init_cdl), solves
     the convolutional objective, and is scored against every ground-truth
     filter (cdl_score); a filter counts recovered once its best aligned
     error drops to EPS_CDL. Stops early when all K filters are recovered.
@@ -258,7 +243,7 @@ def recover_filters(problem: ConvProblem, config: SolveConfig | None = None,
     best_sign = np.ones(K)
     trials = 0
     for t in range(trial_budget):
-        q0 = cdl_start(problem, stream(seed_base + t, "trial-measurement"))
+        q0 = init_cdl(problem, stream(seed_base + t, "trial-measurement"))
         trial = cdl_score(solve(objective, q0, config).q_star, problem)
         trials = t + 1
         better = trial.aligned_errors < best_err

@@ -7,8 +7,9 @@ quotient estimates <rgrad(q), v> and the second, for unit v,
 v^T rhess(q) v.
 
 The circulant oracles materialize what `cdl` only applies through FFTs,
-and `expectation_gap` is the Monte-Carlo check of the normalizer that
-makes the finite-sample objective comparable to its limit.
+`measurement_start` is the data start at an index the test chooses, and
+`expectation_gap` is the Monte-Carlo check of the normalizer that makes
+the finite-sample objective comparable to its limit.
 
 `reference_solve` is the solver as it stood before its per-iterate call
 became one bound kernel: the public `evaluate` path, with `@` on the
@@ -24,6 +25,7 @@ from sphere4.cdl import CdlObjective, Preconditioner
 from sphere4.model import (
     Dictionary,
     FilterBank,
+    ObservationSet,
     SpherePoint,
     retract,
     sample_bg,
@@ -97,6 +99,13 @@ def effective_dictionary(bank: FilterBank, P: Preconditioner) -> Dictionary:
     for k in range(bank.K):
         cols.append(CirculantOp(P.apply(bank.filters[k])).dense())
     return Dictionary(np.hstack(cols))
+
+
+def measurement_start(measurements: ObservationSet, P: Preconditioner,
+                      ell: int) -> SpherePoint:
+    """The data start at a chosen index: measurement `ell` whitened by P,
+    normalized, as init_cdl builds it from the index it draws."""
+    return SpherePoint.project(P.apply(measurements.entries[:, ell]))
 
 
 def expectation_gap(

@@ -25,7 +25,6 @@ from sphere4 import (
     TensorObjective,
     build_preconditioner,
     cubic_root_intervals,
-    init_cdl,
     make_filter_bank,
     make_untf,
     power_step,
@@ -45,7 +44,13 @@ from sphere4.landscape import CLASS_NEAR_SOLUTION, critical_point_report
 from sphere4.model import _untf_stack
 from sphere4.optimize import EscapeConfig
 
-from oracles import CirculantOp, conv, effective_dictionary, expectation_gap
+from oracles import (
+    CirculantOp,
+    conv,
+    effective_dictionary,
+    expectation_gap,
+    measurement_start,
+)
 
 
 def unit(rng, n: int) -> np.ndarray:
@@ -276,8 +281,8 @@ def test_preconditioner_residual_decay_and_convention_agreement():
         assert errs[0] >= errs[1] >= errs[2], (seed, errs)
         P_app = build_preconditioner(full.measurements, 0.15, 2, "appendix_h")
         ell = int(stream(seed, "ladder-ell").integers(full.p))
-        q_main = init_cdl(full.measurements, full.preconditioner, ell=ell)
-        q_app = init_cdl(full.measurements, P_app, ell=ell)
+        q_main = measurement_start(full.measurements, full.preconditioner, ell)
+        q_app = measurement_start(full.measurements, P_app, ell)
         assert np.linalg.norm(q_main.coords - q_app.coords) <= 1e-12
 
 

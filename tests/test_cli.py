@@ -667,6 +667,12 @@ def test_sweep_spec_validation():
     cdl = SweepSpec((16,), (0,), (400,), (0.1,), (1,), 2, "phi_CDL",
                     SolveConfig())
     assert cdl.cells() == [(16, 0, 400, 0.1, 1)]
+    # a phi_T cell would fail only once the manifest is written, and the
+    # phi_DL and phi_CDL cells would take solve's defaults unnoticed
+    for objective in ("phi_T", "phi_DL", "phi_CDL"):
+        for bad in (None, "x", EscapeConfig()):
+            with pytest.raises(ValueError, match="config must be a SolveConfig"):
+                SweepSpec((16,), (16,), (400,), (0.1,), (1,), 2, objective, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -904,6 +910,20 @@ def test_import_loads_no_scipy():
              os.environ.get("PYTHONPATH", "")])})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_library_tour_runs(tmp_path):
+    # the README's python block names public functions; one renamed or
+    # removed there fails here
+    root = Path(__file__).resolve().parents[1]
+    blocks = (root / "README.md").read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    proc = subprocess.run(
+        [sys.executable, "-c", blocks[0].split("```")[0]],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("RecoveryOutcome(")
 
 
 def console_script(name: str) -> list:

@@ -27,7 +27,7 @@ from sphere4.landscape import (
     cubic_root_intervals,
 )
 from sphere4.cli import REPORT_CSV_COLUMNS, main
-from sphere4.model import Dictionary, SpherePoint, coherence, make_untf, stream
+from sphere4.model import Dictionary, SpherePoint, make_untf, stream
 from sphere4.objectives import TensorObjective, _coords
 from sphere4.optimize import SolveConfig, solve
 from sphere4.recovery import TIE_TOL, align_shift, recovery_error
@@ -301,7 +301,7 @@ def test_typed_error_contract_across_scales(k):
                     "grad_norm", "alphas", "betas", "hess_min_eig",
                     "hess_min_vec", "inner_product")],
                 lambda: [recovery_error(q, D).rho_e],
-                lambda: [coherence(D)],
+                lambda: [D.coherence],
                 lambda: [D.column_norms],
                 lambda: [SpherePoint.project(np.ldexp(q, k)).coords],
                 lambda: list(align_shift(np.ldexp(f, k), q)),

@@ -8,7 +8,6 @@ from sphere4.model import (
     ObservationSet,
     SpherePoint,
     _untf_stack,
-    coherence,
     load_matrix,
     make_filter_bank,
     make_untf,
@@ -239,13 +238,13 @@ def test_sample_bg_theta_contract(theta):
 
 
 def test_coherence_identity():
-    assert coherence(Dictionary(np.eye(5))) == 0.0
+    assert Dictionary(np.eye(5)).coherence == 0.0
 
 
 def test_coherence_aligned_columns():
     A = np.eye(3)
     A = np.hstack([A, 2.0 * A[:, :1]])
-    assert coherence(Dictionary(A)) == pytest.approx(1.0)
+    assert Dictionary(A).coherence == pytest.approx(1.0)
 
 
 def test_coherence_matches_bruteforce():
@@ -260,7 +259,7 @@ def test_coherence_matches_bruteforce():
             ai = A[:, i] / np.linalg.norm(A[:, i])
             aj = A[:, j] / np.linalg.norm(A[:, j])
             best = max(best, abs(float(ai @ aj)))
-    assert coherence(D) == pytest.approx(best, abs=1e-14)
+    assert D.coherence == pytest.approx(best, abs=1e-14)
     assert best >= 1.0 / 3.0 - 1e-9
 
 
@@ -268,7 +267,7 @@ def test_coherence_zero_column():
     A = np.eye(3)
     A[:, 1] = 0.0
     with pytest.raises(ValueError):
-        coherence(Dictionary(A))
+        Dictionary(A).coherence
 
 
 def test_synth_odl_zero_code():
@@ -357,12 +356,12 @@ def test_column_norms_and_coherence_of_large_and_small_entries():
     for scale in (1e200, 1e-200):
         D = Dictionary(np.eye(2) * scale)
         assert D.column_norms.tolist() == [scale, scale]
-        assert coherence(D) == 0.0
+        assert D.coherence == 0.0
     A = make_untf(5, 9, seed=3).entries
     assert (Dictionary(A).column_norms.tobytes()
             == np.linalg.norm(A, axis=0).tobytes())
-    assert (coherence(Dictionary(np.ldexp(A, 1000)))
-            == coherence(Dictionary(np.ldexp(A, -1000))) == coherence(Dictionary(A)))
+    assert (Dictionary(np.ldexp(A, 1000)).coherence
+            == Dictionary(np.ldexp(A, -1000)).coherence == Dictionary(A).coherence)
     with pytest.raises(ValueError, match="overflows"):
         Dictionary(np.full((3, 3), 1.5e308)).column_norms
 

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphere4.cdl import CdlObjective, Preconditioner, synth_cdl
+from sphere4.cdl import (
+    CdlObjective,
+    ConvProblem,
+    Preconditioner,
+    build_preconditioner,
+    synth_cdl,
+)
 from sphere4.model import (
     Dictionary,
     ObservationSet,
@@ -35,9 +41,13 @@ from sphere4.optimize import (
     solve_batch,
     tangent_min_eig,
 )
-from sphere4.recovery import cdl_start
 
-from oracles import effective_dictionary, reference_escape, reference_solve
+from oracles import (
+    effective_dictionary,
+    measurement_start,
+    reference_escape,
+    reference_solve,
+)
 
 
 def identity_objective(n: int) -> TensorObjective:
@@ -249,7 +259,7 @@ def test_solve_cdl_bit_identical_to_reference_loop(cfg):
     obj = CdlObjective(prob)
     rng = stream(124)
     for ell in range(3):
-        starts = (init_cdl(prob.measurements, prob.preconditioner, ell=ell),
+        starts = (measurement_start(prob.measurements, prob.preconditioner, ell),
                   SpherePoint.project(rng.standard_normal(obj.n)))
         for q0 in starts:
             res = solve(obj, q0, cfg)
@@ -798,6 +808,23 @@ def test_solve_config_builds_or_refuses_property(max_iters, grad_tol, escape):
     assert 0.0 < cfg.grad_tol < np.inf
 
 
+def test_solver_entries_refuse_a_config_that_is_not_a_solve_config():
+    # the loop reads cfg.grad_tol, which would raise AttributeError
+    from sphere4.recovery import recover_full
+
+    D = make_untf(4, 6, seed=0)
+    obj = TensorObjective(D)
+    for bad in (None, "x", EscapeConfig(), {"grad_tol": 1e-8}):
+        with pytest.raises(ValueError, match="config must be a SolveConfig"):
+            solve_batch(obj, np.eye(4)[:2], bad)
+        if bad is not None:  # solve and recover_full take None as the defaults
+            with pytest.raises(ValueError, match="config must be a SolveConfig"):
+                solve(obj, np.ones(4), bad)
+            with pytest.raises(ValueError, match="config must be a SolveConfig"):
+                recover_full(D, bad)
+    assert solve(obj, np.ones(4), None).termination == "grad_tol"
+
+
 def test_tangent_min_eig_matches_dense():
     rng = stream(110)
     for trial in range(10):
@@ -993,39 +1020,42 @@ def test_solve_result_json(tmp_path):
 
 def test_init_cdl_identity_preconditioner():
     Y = ObservationSet(np.eye(4)[:, [2]])
-    P = Preconditioner(np.ones(4))
-    q = init_cdl(Y, P, ell=0)
+    prob = ConvProblem(Y, Preconditioner(np.ones(4)), 0.2)
+    q = init_cdl(prob, stream(112))
     assert np.array_equal(q.coords, np.array([0.0, 0.0, 1.0, 0.0]))
 
 
 def test_init_cdl_draw_and_errors():
     rng = stream(113)
-    Y = ObservationSet(rng.standard_normal((6, 5)))
-    P = Preconditioner(np.ones(6))
-    with pytest.raises(ValueError):
-        init_cdl(Y, P, ell=5)
-    with pytest.raises(ValueError):
-        init_cdl(Y, P, ell=-1)
-    Z = ObservationSet(np.zeros((6, 2)))
-    with pytest.raises(ValueError):
-        init_cdl(Z, P, ell=0)
-    # True would pass the range test and index Y[:, True] as a new axis
-    for bad in (True, False, np.True_, 1.5, 1.0, "1", None):
-        with pytest.raises(ValueError, match="ell must be an integer"):
-            init_cdl(Y, P, ell=bad)
-    assert np.array_equal(init_cdl(Y, P, ell=np.int64(2)).coords,
-                          init_cdl(Y, P, ell=2).coords)
+    Y = rng.standard_normal((6, 5))
+    Y[:, [0, 3]] = 0.0
+    P = Preconditioner(rng.uniform(0.5, 2.0, 6))
+    prob = ConvProblem(ObservationSet(Y), P, 0.2)
+    # one integers call draws the index among the nonzero measurements
+    for seed in range(5):
+        ell = [1, 2, 4][stream(seed, "draw").integers(3)]
+        assert np.array_equal(init_cdl(prob, stream(seed, "draw")).coords,
+                              measurement_start(prob.measurements, P, ell).coords)
+    silent = ConvProblem(ObservationSet(np.zeros((6, 2))), P, 0.2)
+    with pytest.raises(ValueError, match="every measurement is zero"):
+        init_cdl(silent, stream(0))
+    # a nonzero measurement that underflows to zero under a tiny P
+    Z = np.zeros((4, 2))
+    Z[0, 1] = 1e-160
+    faint = ConvProblem(ObservationSet(Z), Preconditioner(np.full(4, 1e-170)), 0.2)
+    with pytest.raises(ValueError, match="measurement 1 is zero after preconditioning"):
+        init_cdl(faint, stream(0))
 
 
 def test_init_cdl_scale_convention_invariant():
-    from sphere4.cdl import build_preconditioner
-
     bank = make_filter_bank(16, 2, seed=114)
     prob = synth_cdl(bank, 0.2, 50, seed=115)
-    alt = build_preconditioner(prob.measurements, 0.2, 2, "appendix_h")
-    for ell in range(5):
-        a = init_cdl(prob.measurements, prob.preconditioner, ell=ell)
-        b = init_cdl(prob.measurements, alt, ell=ell)
+    alt = ConvProblem(prob.measurements,
+                      build_preconditioner(prob.measurements, 0.2, 2, "appendix_h"),
+                      prob.theta, filters=bank)
+    for seed in range(5):
+        a = init_cdl(prob, stream(seed, "convention"))
+        b = init_cdl(alt, stream(seed, "convention"))
         assert np.abs(a.coords - b.coords).max() <= 1e-12
 
 
@@ -1046,7 +1076,7 @@ def test_init_cdl_lands_in_spiky_region():
 
     wins = 0
     for t in range(100):
-        q = cdl_start(prob, stream(1000 + t, "trial-measurement"))
+        q = init_cdl(prob, stream(1000 + t, "trial-measurement"))
         zeta = A.T @ q.coords
         if np.sum(zeta**4) > bar:
             wins += 1
@@ -1190,7 +1220,7 @@ def test_public_names():
 
     names = sorted(f"{module}.{name}" for module in PUBLIC_MODULES
                    for name in importlib.import_module(f"sphere4.{module}").__all__)
-    assert len(names) == 52, names
+    assert len(names) == 50, names
 
 
 def test_basis_internals_stay_in_objectives():
@@ -1215,16 +1245,17 @@ def test_basis_internals_stay_in_objectives():
 
 
 def test_no_unused_imports():
-    # every name a module imports is used there or exported in its __all__
+    # every name a package module or a test file imports is used there or
+    # exported in its __all__
     import ast
     from pathlib import Path
 
     import sphere4
 
+    modules = [path for path in sorted(Path(sphere4.__file__).parent.glob("*.py"))
+               if path.name != "__init__.py"]
     unused = []
-    for path in sorted(Path(sphere4.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in modules + sorted(Path(__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         imported, used, exported = set(), set(), set()
         for node in ast.walk(tree):

@@ -32,11 +32,12 @@ from sphere4.recovery import (
     RecoveryOutcome,
     align_shift,
     cdl_score,
-    cdl_start,
     recover_filters,
     recover_full,
     recovery_error,
 )
+
+from oracles import measurement_start
 
 
 def brute_force_align(a_est: np.ndarray, a_true: np.ndarray):
@@ -431,15 +432,15 @@ def test_recover_filters_rejects_all_zero_measurements():
         recover_filters(silent)
 
 
-def test_cdl_start_draws_only_nonzero_measurements():
+def test_init_cdl_draws_only_nonzero_measurements():
     prob = spike_code_problem(8, 10, seed=1)
     Y = np.zeros((8, 10))
     Y[:, 6] = prob.measurements.entries[:, 6]
     lone = ConvProblem(ObservationSet(Y), prob.preconditioner, prob.theta,
                        filters=prob.filters)
-    want = init_cdl(lone.measurements, lone.preconditioner, ell=6)
+    want = measurement_start(lone.measurements, lone.preconditioner, 6)
     for seed in range(5):
-        got = cdl_start(lone, stream(seed, "lone-measurement"))
+        got = init_cdl(lone, stream(seed, "lone-measurement"))
         assert np.array_equal(got.coords, want.coords)
 
 
