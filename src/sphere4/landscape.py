@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import UNIT_TOL, Dictionary, SpherePoint, _norm
+from .model import UNIT_TOL, Dictionary, _norm, _unit_coords
 from .objectives import TensorObjective
 from .recovery import _nearest_columns
 
@@ -47,11 +47,6 @@ RESID_TOL = 1e-4
 
 # the split's constant must exceed 2^6; the integer above the floor
 XI_DL = 65.0
-
-
-def _unit_coords(q) -> np.ndarray:
-    """q's coordinates; a non-finite or non-unit q raises ValueError."""
-    return (q if isinstance(q, SpherePoint) else SpherePoint(q)).coords
 
 
 def _coherence(D: Dictionary) -> float:

@@ -165,6 +165,11 @@ class SpherePoint:
         return self.coords.size
 
 
+def _unit_coords(q) -> np.ndarray:
+    """q's coordinates; a non-finite or non-unit q raises ValueError."""
+    return (q if isinstance(q, SpherePoint) else SpherePoint(q)).coords
+
+
 @dataclass(frozen=True)
 class Dictionary:
     """An n x m dictionary (m >= n) with cached scalar diagnostics.

@@ -125,13 +125,6 @@ class _QuarticObjective:
 
     c: float
 
-    def value(self, q) -> float:
-        return self._evaluate(_coords(q, self.n))[0]
-
-    def grad(self, q) -> np.ndarray:
-        """Euclidean gradient -4c B (B^T q)^3."""
-        return self._evaluate(_coords(q, self.n))[1]
-
     def evaluate(self, q) -> tuple[float, np.ndarray]:
         """(value, Euclidean gradient) from one correlate and one adjoint pass."""
         return self._evaluate(_coords(q, self.n))
@@ -151,8 +144,8 @@ class _QuarticObjective:
 
     def rgrad(self, q) -> np.ndarray:
         """Tangent-space gradient P_{q perp} grad phi(q)."""
-        q = _coords(q)
-        g = self.grad(q)
+        q = _coords(q, self.n)
+        g = self._evaluate(q)[1]
         return g - q * (q @ g)
 
     def curvature(self, q) -> "_Curvature":

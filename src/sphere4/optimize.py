@@ -93,7 +93,7 @@ def power_step(obj, q: SpherePoint) -> SpherePoint:
     is returned unchanged, same object, so callers can detect it by
     identity.
     """
-    g = obj.grad(q)
+    g = obj.evaluate(q)[1]
     if not np.any(g):
         return q
     return SpherePoint(retract(g if np.vdot(q.coords, g) > 0.0 else -g))
@@ -328,11 +328,11 @@ def init_cdl(problem: ConvProblem, rng: np.random.Generator) -> SpherePoint:
     is zero after preconditioning, raises ValueError.
     """
     Y = problem.measurements.entries
-    usable = np.flatnonzero(np.linalg.norm(Y, axis=0) > 0.0)
+    usable = np.flatnonzero(np.any(Y, axis=0))
     if usable.size == 0:
         raise ValueError("every measurement is zero")
     ell = int(usable[rng.integers(usable.size)])
     v = problem.preconditioner.apply(Y[:, ell])
-    if float(np.linalg.norm(v)) == 0.0:
+    if not np.any(v):
         raise ValueError(f"measurement {ell} is zero after preconditioning")
     return SpherePoint.project(v)

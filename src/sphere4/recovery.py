@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdl import CdlObjective, ConvProblem, deprecondition
-from .model import Dictionary, SpherePoint, _is_int, _norm, retract, stream
-from .objectives import TensorObjective, _coords
+from .model import (Dictionary, SpherePoint, _is_int, _norm, _unit_coords,
+                    retract, stream)
+from .objectives import TensorObjective
 from .optimize import SolveConfig, SolveResult, _solve_stack, init_cdl, solve
 
 __all__ = [
@@ -80,8 +81,9 @@ def recovery_error(q, D: Dictionary) -> RecoveryOutcome:
     Sign-symmetric by construction; a trial succeeds when rho_e is below
     SUCCESS_THRESHOLD. Ties within TIE_TOL of the best inner product
     resolve to the lowest column index so duplicated columns score stably.
+    A q that is not a finite unit vector raises ValueError.
     """
-    (top,), (best,) = _nearest_columns(D, D.entries.T.dot(_coords(q)))
+    (top,), (best,) = _nearest_columns(D, D.entries.T.dot(_unit_coords(q)))
     return _outcome(top, best)
 
 
@@ -206,6 +208,8 @@ class FilterRecovery:
 def cdl_score(q_star, problem: ConvProblem) -> FilterRecovery:
     """One trial's FilterRecovery: q_star with the whitening undone,
     aligned against every ground-truth filter in turn."""
+    if problem.filters is None:
+        raise ValueError("filter recovery needs the ground-truth filters")
     a_est = deprecondition(q_star, problem.preconditioner).coords
     shifts, signs, errors = zip(*(align_shift(a_est, f)
                                   for f in problem.filters.filters))

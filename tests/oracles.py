@@ -45,14 +45,15 @@ from sphere4.optimize import (
 def fd_directional(obj, q, v, h: float = 1e-5) -> float:
     """Central difference; the step default sits near the cube-root-epsilon
     optimum for first derivatives of 64-bit floats."""
-    return (obj.value(retract(q + h * v)) - obj.value(retract(q - h * v))) / (2 * h)
+    return (obj.evaluate(retract(q + h * v))[0]
+            - obj.evaluate(retract(q - h * v))[0]) / (2 * h)
 
 
 def fd_quadratic(obj, q, v, h: float = 1e-4) -> float:
     """Second central difference."""
-    f0 = obj.value(q)
-    fp = obj.value(retract(q + h * v))
-    fm = obj.value(retract(q - h * v))
+    f0 = obj.evaluate(q)[0]
+    fp = obj.evaluate(retract(q + h * v))[0]
+    fm = obj.evaluate(retract(q - h * v))[0]
     return (fp - 2.0 * f0 + fm) / (h * h)
 
 
@@ -129,7 +130,7 @@ def expectation_gap(
     qv = _coords(q)
     X = sample_bg(D.m, p, theta, seed)
     Y = synth_odl(D, X)
-    mc_mean = OdlObjective(Y, theta).value(qv)
+    mc_mean = OdlObjective(Y, theta).evaluate(qv)[0]
     zeta = D.entries.T @ qv
     phi_t = -0.25 * float(np.sum(zeta**4))
     predicted = phi_t - theta / (4.0 * (1.0 - theta)) * float(np.sum(zeta**2)) ** 2
@@ -152,7 +153,7 @@ def reference_evaluate(obj, q) -> tuple:
 
 def reference_escape(obj, q: SpherePoint) -> SpherePoint | None:
     """The saddle escape as it stood before it shared the solver's kernel:
-    both candidates scored through the public `value`, the better returned
+    both candidates scored by the public `evaluate`, the better returned
     as a SpherePoint (plus on a tie), for the caller to evaluate again."""
     x = q.coords
     lam, v, ok = obj.curvature(x).min_eig()
@@ -160,7 +161,8 @@ def reference_escape(obj, q: SpherePoint) -> SpherePoint | None:
         return None
     plus = retract(x + ESCAPE_STEP * v)
     minus = retract(x - ESCAPE_STEP * v)
-    return SpherePoint(plus if obj.value(plus) <= obj.value(minus) else minus)
+    better = obj.evaluate(plus)[0] <= obj.evaluate(minus)[0]
+    return SpherePoint(plus if better else minus)
 
 
 def _power_point(g, xg):

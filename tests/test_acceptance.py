@@ -107,13 +107,13 @@ def test_riemannian_calculus_against_finite_differences():
         g = obj.rgrad(x)
         for _ in range(2):
             v = tangent(rng, x)
-            fd = (obj.value(retract(x + 1e-5 * v))
-                  - obj.value(retract(x - 1e-5 * v))) / 2e-5
+            fd = (obj.evaluate(retract(x + 1e-5 * v))[0]
+                  - obj.evaluate(retract(x - 1e-5 * v))[0]) / 2e-5
             assert fd == pytest.approx(float(g @ v), rel=1e-6, abs=1e-9)
             quad = float(v @ obj.curvature(x).matvec(v))
             h = 1e-4
-            fd2 = (obj.value(retract(x + h * v)) - 2.0 * obj.value(x)
-                   + obj.value(retract(x - h * v))) / (h * h)
+            fd2 = (obj.evaluate(retract(x + h * v))[0] - 2.0 * obj.evaluate(x)[0]
+                   + obj.evaluate(retract(x - h * v))[0]) / (h * h)
             assert fd2 == pytest.approx(quad, rel=1e-4, abs=1e-6)
         assert abs(float(g @ x)) <= 1e-12 * max(1.0, float(np.linalg.norm(g)))
         assert float(np.linalg.norm(obj.curvature(x).matvec(x))) <= 1e-12
@@ -136,7 +136,7 @@ def test_fft_path_agrees_with_dense_circulant():
         c = 1.0 / (12.0 * theta * (1.0 - theta) * n * p)
         z = M.T @ q
         v_dense = -c * float(np.sum(z**4))
-        assert obj.value(q) == pytest.approx(v_dense, rel=1e-10)
+        assert obj.evaluate(q)[0] == pytest.approx(v_dense, rel=1e-10)
         g = -4.0 * c * (M @ z**3)
         g_dense = g - float(g @ q) * q
         assert np.linalg.norm(obj.rgrad(q) - g_dense) <= \
@@ -293,7 +293,7 @@ def test_power_step_is_a_natural_gradient_step():
         m = n + int(rng.integers(0, n + 1))
         obj = TensorObjective(make_untf(n, m, seed=50_000 + i))
         q = SpherePoint.project(rng.standard_normal(n))
-        g = obj.grad(q.coords)
+        g = obj.evaluate(q.coords)[1]
         tau = -1.0 / float(q.coords @ g)
         assert tau > 0.0
         a = power_step(obj, q)

@@ -100,7 +100,7 @@ def test_power_step_equals_rgd_at_matched_stepsize():
         D = make_untf(n, m, seed=200 + trial)
         obj = TensorObjective(D)
         q = SpherePoint.project(rng.standard_normal(n))
-        qg = float(q.coords @ obj.grad(q))
+        qg = float(q.coords @ obj.evaluate(q)[1])
         assert qg < 0.0
         tau = -1.0 / qg
         a = power_step(obj, q)
@@ -116,7 +116,7 @@ def test_solve_identity_dictionary_finds_basis_vector():
         res = solve(obj, q0, SolveConfig())
         assert res.termination == "grad_tol"
         assert np.abs(res.q_star.coords).max() >= 1.0 - 1e-8
-        assert res.q_star.coords @ obj.grad(res.q_star) < 0.0
+        assert res.q_star.coords @ obj.evaluate(res.q_star)[1] < 0.0
 
 
 def test_solve_rgd_backtracking_converges():
@@ -125,18 +125,18 @@ def test_solve_rgd_backtracking_converges():
     # through the public rgd_step with an Armijo search
     obj = random_odl(6, 12, 400, 0.25, seed=102)
     q = SpherePoint.project(stream(103).standard_normal(6))
-    trace = [float(obj.value(q))]
+    trace = [float(obj.evaluate(q)[0])]
     gn = float(np.linalg.norm(obj.rgrad(q)))
     for _ in range(SolveConfig().max_iters):
         if gn <= 1e-8:
             break
         tau = 1.0
-        while float(obj.value(cand := rgd_step(obj, q, tau))) > (
+        while float(obj.evaluate(cand := rgd_step(obj, q, tau))[0]) > (
                 trace[-1] - 1e-4 * tau * gn * gn):
             tau *= 0.5
             assert tau >= 1e-16
         q = cand
-        trace.append(float(obj.value(q)))
+        trace.append(float(obj.evaluate(q)[0]))
         gn = float(np.linalg.norm(obj.rgrad(q)))
     assert gn <= 1e-8
     assert np.all(np.diff(trace) <= 1e-12)
@@ -184,7 +184,7 @@ def test_solve_deterministic():
 def public_steps_solve(obj, q, cfg):
     """The solver loop as it was before the fused evaluate, written from the
     public steps: five passes over the data per power iteration."""
-    trace = [float(obj.value(q))]
+    trace = [float(obj.evaluate(q)[0])]
     iterations = escapes = 0
     gn = float(np.linalg.norm(obj.rgrad(q)))
     while True:
@@ -192,14 +192,14 @@ def public_steps_solve(obj, q, cfg):
             moved = None
             if cfg.escape is not None and iterations < cfg.max_iters:
                 moved = reference_escape(obj, q)
-                if moved is not None and obj.value(moved) >= trace[-1]:
+                if moved is not None and obj.evaluate(moved)[0] >= trace[-1]:
                     moved = None
             if moved is None:
                 return q, trace, iterations, "grad_tol", escapes
             q = moved
             escapes += 1
             iterations += 1
-            trace.append(float(obj.value(q)))
+            trace.append(float(obj.evaluate(q)[0]))
             gn = float(np.linalg.norm(obj.rgrad(q)))
             continue
         if iterations >= cfg.max_iters:
@@ -209,7 +209,7 @@ def public_steps_solve(obj, q, cfg):
             if abs(trace[-1] - ref) <= STALL_REL_TOL * max(1.0, abs(ref)):
                 return q, trace, iterations, "stalled", escapes
         q = power_step(obj, q)
-        val = float(obj.value(q))
+        val = float(obj.evaluate(q)[0])
         iterations += 1
         trace.append(val)
         gn = float(np.linalg.norm(obj.rgrad(q)))
@@ -639,9 +639,6 @@ class ScriptedObjective:
         self.calls += 1
         return -float(self.calls), self.grads[min(self.calls, len(self.grads)) - 1]
 
-    def grad(self, q):
-        return self.evaluate(q)[1]
-
 
 @pytest.mark.parametrize("g0, flip", [
     ([2.0, 1.0, 0.0], True), ([0.0, 3.0, 4.0], False), ([-2.0, 1.0, 0.0], False)],
@@ -853,9 +850,10 @@ def test_escape_at_exact_saddle():
     assert out is not None
     point, val, g = out
     assert abs(np.linalg.norm(point) - 1.0) <= 1e-15
-    assert (val, g.tobytes()) == (obj.value(point), obj.grad(point).tobytes())
-    assert val < obj.value(x)
-    # the point the reference escape chooses, scoring through `value`
+    ref_val, ref_g = obj.evaluate(point)
+    assert (val, g.tobytes()) == (ref_val, ref_g.tobytes())
+    assert val < obj.evaluate(x)[0]
+    # the point the reference escape chooses, scoring through `evaluate`
     assert np.array_equal(point, reference_escape(obj, SpherePoint(x)).coords)
 
 
@@ -873,7 +871,8 @@ def test_lanczos_escape_matches_the_reference():
         point, val, g = out
         assert np.array_equal(point,
                               reference_escape(obj, SpherePoint(x)).coords)
-        assert (val, g.tobytes()) == (obj.value(point), obj.grad(point).tobytes())
+        ref_val, ref_g = obj.evaluate(point)
+        assert (val, g.tobytes()) == (ref_val, ref_g.tobytes())
         again = escape_saddle(obj, x, obj._evaluate)
         assert (again[0].tobytes(), again[1], again[2].tobytes()) == (
             point.tobytes(), val, g.tobytes())
@@ -1221,6 +1220,18 @@ def test_public_names():
     names = sorted(f"{module}.{name}" for module in PUBLIC_MODULES
                    for name in importlib.import_module(f"sphere4.{module}").__all__)
     assert len(names) == 50, names
+
+
+def test_objectives_have_one_kernel_entry():
+    # evaluate gives phi and its Euclidean gradient from one correlate and
+    # one adjoint pass; besides it an objective offers the Riemannian
+    # gradient, the curvature operator and the pass pair. A second entry
+    # to the kernel must change this set on purpose
+    for cls in (TensorObjective, OdlObjective, CdlObjective):
+        methods = {name for name in dir(cls)
+                   if not name.startswith("_") and callable(getattr(cls, name))}
+        assert methods == {"evaluate", "rgrad", "curvature", "correlate",
+                           "adjoint"}, cls.__name__
 
 
 def test_basis_internals_stay_in_objectives():

@@ -1,7 +1,10 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sphere4.recovery as recovery
 from sphere4.cdl import (
@@ -114,6 +117,16 @@ def test_recovery_error_rejects_zero_column():
     A[2, 2] = 0.0
     with pytest.raises(ValueError):
         recovery_error(SpherePoint(np.array([1.0, 0.0, 0.0])), Dictionary(A))
+
+
+@pytest.mark.parametrize("q", [np.ones(4) * 3, np.array([1.0, 0.0, 0.0, np.nan]),
+                               np.array([np.inf, 0.0, 0.0, 0.0])],
+                         ids=["non-unit", "nan", "inf"])
+def test_recovery_error_refuses_a_point_off_the_sphere(q):
+    # rho_e = 1 - max |<q, a_i>| / ||a_i|| is defined for unit q only: the
+    # inner products of 3 * (1,1,1,1) pass 1, and rho_e would clamp to 0
+    with pytest.raises(ValueError, match="coords must"):
+        recovery_error(q, make_untf(4, 6, seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +436,14 @@ def test_recover_filters_requires_ground_truth():
         recover_filters(blind)
 
 
+def test_cdl_score_requires_ground_truth():
+    prob = spike_code_problem(8, 10, seed=1)
+    blind = ConvProblem(prob.measurements, prob.preconditioner, prob.theta)
+    q = SpherePoint.project(prob.measurements.entries[:, 0])
+    with pytest.raises(ValueError, match="ground-truth filters"):
+        cdl_score(q, blind)
+
+
 def test_recover_filters_rejects_all_zero_measurements():
     prob = spike_code_problem(8, 10, seed=1)
     silent = ConvProblem(ObservationSet(np.zeros((8, 10))),
@@ -442,6 +463,39 @@ def test_init_cdl_draws_only_nonzero_measurements():
     for seed in range(5):
         got = init_cdl(lone, stream(seed, "lone-measurement"))
         assert np.array_equal(got.coords, want.coords)
+
+
+SCALE_PROBLEM = synth_cdl(make_filter_bank(16, 2, seed=1), 0.2, 200, seed=1)
+
+
+@functools.cache
+def scaled_start_and_recovery(k: int):
+    """init_cdl's start and a 3-trial recover_filters on SCALE_PROBLEM's
+    measurements scaled by 2^k, with the whitener rebuilt from them, as
+    bits; None when build_preconditioner refuses the scaled measurements."""
+    prob = SCALE_PROBLEM
+    Y = ObservationSet(np.ldexp(prob.measurements.entries, k))
+    try:
+        P = build_preconditioner(Y, prob.theta, prob.filters.K)
+    except ValueError:
+        return None
+    scaled = ConvProblem(Y, P, prob.theta, filters=prob.filters)
+    start = init_cdl(scaled, stream(0, "scale-start"))
+    rec = recover_filters(scaled, trial_budget=3)
+    return (start.coords.tobytes(), rec.aligned_errors.tobytes(),
+            rec.shifts.tobytes(), rec.signs.tobytes(), rec.trials_used)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(k=st.integers(-1000, 1000))
+@example(k=600)  # squared measurement norms overflow
+@example(k=-600)  # and underflow to a false "every measurement is zero"
+def test_cdl_start_and_recovery_are_scale_free_property(k):
+    # the whitener takes out a power-of-two scale exactly, so the start and
+    # every trial keep their bits, unless build_preconditioner refuses; a
+    # RuntimeWarning is an error under the suite's filterwarnings
+    got = scaled_start_and_recovery(k)
+    assert got is None or got == scaled_start_and_recovery(0)
 
 
 def test_cdl_score_aligns_every_filter():
