@@ -51,6 +51,11 @@ def _coords(q, n: int | None = None) -> np.ndarray:
     return x
 
 
+def _refuse_overflow(err: str, flag: int) -> None:
+    """np.errstate's overflow handler for the solver, evaluate and rgrad."""
+    raise ValueError("data too large: the arithmetic overflows")
+
+
 def tangent_min_eig(matvec, q: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Smallest eigenpair of a symmetric operator on the tangent space at q.
 
@@ -127,7 +132,8 @@ class _QuarticObjective:
 
     def evaluate(self, q) -> tuple[float, np.ndarray]:
         """(value, Euclidean gradient) from one correlate and one adjoint pass."""
-        return self._evaluate(_coords(q, self.n))
+        with np.errstate(over="call", call=_refuse_overflow):
+            return self._evaluate(_coords(q, self.n))
 
     # A numpy integer power of 3 or 4 calls libm pow per entry of Z, at about
     # a hundred times the cost of a multiply, so every objective multiplies;
@@ -145,8 +151,9 @@ class _QuarticObjective:
     def rgrad(self, q) -> np.ndarray:
         """Tangent-space gradient P_{q perp} grad phi(q)."""
         q = _coords(q, self.n)
-        g = self._evaluate(q)[1]
-        return g - q * (q @ g)
+        with np.errstate(over="call", call=_refuse_overflow):
+            g = self._evaluate(q)[1]
+            return g - q * (q @ g)
 
     def curvature(self, q) -> "_Curvature":
         """The tangent-curvature operator at unit q; see _Curvature."""
@@ -165,15 +172,11 @@ class _BasisObjective(_QuarticObjective):
         b = self.basis
         object.__setattr__(self, "_basis", b)
         object.__setattr__(self, "_basis_t", b.T)
-        # |z_i| <= ||b_i|| at unit q, so 16 c sum ||b_i||^4 bounds every kernel
-        # entry and the gradient's norm; the solver, which squares that norm,
-        # reads the bound as _kernel_bound
+        # |z_i| <= ||b_i|| at unit q, so 16 c sum ||b_i||^4 bounds the kernel
         with np.errstate(over="ignore"):
             s = np.einsum("ij,ij->j", b, b)
-            bound = 16.0 * self.c * float(s @ s)
-            if not bound < np.inf:
+            if not 16.0 * self.c * float(s @ s) < np.inf:
                 raise ValueError("basis too large: the quartic kernel overflows")
-        object.__setattr__(self, "_kernel_bound", bound)
 
     @property
     def n(self) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .cdl import ConvProblem
 from .model import SpherePoint, _exponent, _is_int, retract
-from .objectives import _StackKernel, tangent_min_eig
+from .objectives import _StackKernel, _refuse_overflow, tangent_min_eig
 
 __all__ = [
     "EscapeConfig",
@@ -147,8 +146,8 @@ def solve(obj, q0: SpherePoint, cfg: SolveConfig | None = None) -> SolveResult:
     per iterate (twice per escape attempt), plus curvature(q).min_eig when
     escape is enabled. A package objective's `_evaluate`, the same call on
     the loop's plain unit arrays, is bound once in its place. An objective
-    that states an n other than q0's, or a non-finite gradient, raises
-    ValueError. This is solve_batch's loop run on a stack of one start.
+    that states an n other than q0's, a non-finite gradient, or an overflow
+    raises ValueError. This is solve_batch's loop on a stack of one start.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -167,10 +166,10 @@ def solve_batch(obj, Q0, cfg: SolveConfig) -> list:
     SpherePoint.project does, and its SolveResult has the bits of solve
     from that point on its objective: the rows move as one stack through
     one stacked kernel, with every stopping test taken per row. A row that
-    ends leaves the stack and the kernel. A non-finite gradient or a
-    refused projection in any row raises ValueError, as it does in solve.
+    ends leaves the stack and the kernel. A non-finite gradient, overflow
+    or refused projection in any row raises ValueError, as in solve.
     """
-    Q0 = np.array(Q0, dtype=float)
+    Q0 = np.array(Q0, dtype=float, order="C")  # a strided row rounds apart
     if Q0.ndim != 2:
         raise ValueError(f"Q0 must be a 2-d stack of starts, got shape {Q0.shape}")
     T = len(Q0)
@@ -210,9 +209,9 @@ def _solve_stack(objs: list, X0: np.ndarray,
     stack; an escape runs per row. One objectives._StackKernel, built
     here, evaluates the live rows and is taken along with them. An
     objective whose n, where it states one, is not the rows' raises
-    ValueError before any evaluation, and so do a basis objective whose
-    kernel bound, squared, would overflow and a cfg that is not a
-    SolveConfig.
+    ValueError before any evaluation, and so does a cfg that is not a
+    SolveConfig. The rest runs under one np.errstate whose handler,
+    objectives._refuse_overflow, raises ValueError where anything overflows.
     """
     # solve, solve_batch and recover_full all pass through here
     if not isinstance(cfg, SolveConfig):
@@ -223,32 +222,28 @@ def _solve_stack(objs: list, X0: np.ndarray,
         if getattr(o, "n", n) != n:
             raise ValueError(f"an objective has n={o.n}, but the starts "
                              f"have n={n}")
-        # the loop squares the gradient, whose norm the kernel bound bounds
-        if getattr(o, "_kernel_bound", 0.0) > math.sqrt(sys.float_info.max):
-            raise ValueError("basis too large: the squared gradient norm "
-                             "overflows")
     ends = np.empty_like(X)
     rows = [None] * T
     if not T:
         return ends, rows
-    kernel = _StackKernel(objs)
-    vals, G = kernel(X)
-    slots = list(range(T))  # the output row of each stacked row
-    # a row's trace gains one value per move, so it holds iterations + 1
-    traces = [[float(val)] for val in vals]
-    escapes = [0] * T
-    grad_tol, max_iters = cfg.grad_tol, cfg.max_iters
+    # an overflow raises ValueError where it happens; a non-finite g makes
+    # x.g non-finite, refused below, and vecdot, unlike dot, warns on 0*inf
+    with np.errstate(invalid="ignore", over="call", call=_refuse_overflow):
+        kernel = _StackKernel(objs)
+        vals, G = kernel(X)
+        slots = list(range(T))  # the output row of each stacked row
+        # a row's trace gains one value per move, so it holds iterations + 1
+        traces = [[float(val)] for val in vals]
+        escapes = [0] * T
+        grad_tol, max_iters = cfg.grad_tol, cfg.max_iters
 
-    def finish(i, gn, termination):
-        ends[slots[i]] = X[i]
-        trace = traces[i]
-        rows[slots[i]] = (len(trace) - 1, gn, np.array(trace), termination,
-                          escapes[i])
-        done.append(i)
+        def finish(i, gn, termination):
+            ends[slots[i]] = X[i]
+            trace = traces[i]
+            rows[slots[i]] = (len(trace) - 1, gn, np.array(trace), termination,
+                              escapes[i])
+            done.append(i)
 
-    # any non-finite g makes x.g non-finite, which is refused below; the
-    # ufunc vecdot, unlike dot, would also warn on 0*inf
-    with np.errstate(invalid="ignore"):
         while slots:
             done = []
             XG, xgs = _row_dots(X, G)

@@ -41,6 +41,7 @@ from sphere4.optimize import (
     solve_batch,
     tangent_min_eig,
 )
+from sphere4.recovery import recover_filters
 
 from oracles import (
     effective_dictionary,
@@ -562,23 +563,38 @@ def test_solve_batch_refuses_mismatched_objectives():
     assert len(solve_batch(NanNearE3Objective(), Q0[:1], SolveConfig())) == 1
 
 
-def test_solve_refuses_a_basis_whose_squared_gradient_norm_overflows(
-        monkeypatch):
+def test_solve_refuses_a_basis_whose_squared_gradient_norm_overflows():
     # the kernel guard admits this frame (its bound is 2.4e281), but the
-    # loop squares a gradient norm that the bound allows to pass 1e154;
-    # refused before any evaluation, alone or in a stack
+    # loop squares a gradient norm past 1e154; the overflow is refused
+    # where it happens, alone or in a stack
     big = TensorObjective(Dictionary(make_untf(4, 6, seed=1).entries * 1e70))
     small = TensorObjective(make_untf(4, 6, seed=1))
-
-    def no_evaluate(*args):
-        raise AssertionError("an objective was evaluated")
-
-    monkeypatch.setattr(TensorObjective, "_evaluate", no_evaluate)
-    match = "basis too large: the squared gradient norm overflows"
+    match = "data too large: the arithmetic overflows"
     with pytest.raises(ValueError, match=match):
         solve(big, np.ones(4))
     with pytest.raises(ValueError, match=match):
         solve_batch([small, big], np.eye(4)[:2], SolveConfig())
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_cdl_objective_is_refused_and_the_trap_does_not_leak():
+    # a whitener of 1e80 makes the CDL quartic overflow; CdlObjective states
+    # no bound, so the overflow is met only where it happens
+    bank = make_filter_bank(8, 2, seed=0)
+    Y = synth_cdl(bank, 0.2, 30, seed=0).measurements
+    problem = ConvProblem(Y, Preconditioner(np.full(8, 1e80)), 0.2, filters=bank)
+    obj = CdlObjective(problem)
+    before = np.geterr(), np.geterrcall()
+    calls = [lambda: obj.evaluate(np.ones(8)),
+             lambda: obj.rgrad(np.ones(8)),
+             lambda: solve(obj, np.ones(8)),
+             lambda: solve_batch(obj, np.eye(8)[:3], SolveConfig()),
+             lambda: recover_filters(problem, trial_budget=2)]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match="data too large: the arithmetic overflows"):
+            call()
+        assert (np.geterr(), np.geterrcall()) == before
 
 
 @functools.cache
@@ -621,6 +637,72 @@ def test_solve_batch_at_any_scale_solves_as_solve_or_refuses_property(
         solve(obj, SpherePoint.project(row), cfg))) for row in Q0]
     batch = bits_or_refusal(
         lambda: [result_bits(r) for r in solve_batch(obj, Q0, cfg)])
+    if batch == "refused":
+        assert "refused" in lone
+    else:
+        assert batch == lone
+
+
+@functools.cache
+def mixed_stack_objective(kind: str, m: int, j: int, fortran: bool):
+    # n = 4: a Tensor frame of m columns or ODL data of m samples, scaled by
+    # 2^j and given in C or Fortran order; None where the kernel guard
+    # refuses it
+    B = (make_untf(4, m, seed=170 + m).entries if kind == "tensor"
+         else synth_odl(make_untf(4, 6, seed=171),
+                        sample_bg(6, m, 0.2, seed=172 + m)).entries)
+    B = np.ldexp(B, j)
+    if fortran:
+        B = np.asfortranarray(B)
+    try:
+        return (TensorObjective(Dictionary(B)) if kind == "tensor"
+                else OdlObjective(ObservationSet(B), 0.2))
+    except ValueError:
+        return None
+
+
+MIXED_STACK_ROW = st.tuples(
+    st.sampled_from([("tensor", 6), ("tensor", 8), ("odl", 40), ("odl", 60)]),
+    st.one_of(st.integers(-4, 4), st.integers(-300, 300)), st.booleans())
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(specs=st.lists(MIXED_STACK_ROW, min_size=1, max_size=4),
+       shared=st.booleans(), fortran_starts=st.booleans(),
+       cfg_index=st.integers(0, len(BATCH_CONFIGS) - 1))
+@example(specs=[(("tensor", 6), 0, False), (("tensor", 6), 3, True),
+                (("tensor", 6), -2, False)],
+         shared=False, fortran_starts=True, cfg_index=1)  # a stack of bases
+@example(specs=[(("tensor", 8), 0, False), (("odl", 40), 1, True),
+                (("tensor", 6), 130, False)],
+         shared=False, fortran_starts=False, cfg_index=0)  # one row overflows
+def test_solve_batch_on_mixed_stacks_solves_as_solve_or_refuses_property(
+        specs, shared, fortran_starts, cfg_index):
+    # Tensor and ODL objectives of one n and several widths, one shared or
+    # one per row, at scales 2^j and in either layout, from starts in either
+    # layout: each row has the bits of its lone solve, or the stack raises
+    # ValueError as some row alone does
+    objs = [mixed_stack_objective(*kind_m, j, fortran)
+            for kind_m, j, fortran in specs]
+    if None in objs:
+        return
+    if shared:
+        objs = [objs[0]] * len(objs)
+    Q0 = stream(173).standard_normal((len(objs), 4))
+    if fortran_starts:
+        Q0 = np.asfortranarray(Q0)
+    cfg = BATCH_CONFIGS[cfg_index]
+
+    def bits_or_refusal(call):
+        try:
+            return call()
+        except ValueError:
+            return "refused"
+
+    lone = [bits_or_refusal(lambda obj=obj, row=row: result_bits(
+        solve(obj, SpherePoint.project(row), cfg))) for obj, row in zip(objs, Q0)]
+    batch = bits_or_refusal(lambda: [
+        result_bits(r) for r in solve_batch(objs[0] if shared else objs, Q0, cfg)])
     if batch == "refused":
         assert "refused" in lone
     else:
@@ -1236,7 +1318,9 @@ def test_objectives_have_one_kernel_entry():
 
 def test_basis_internals_stay_in_objectives():
     # a basis objective's B and B^T, and the class itself, are read only in
-    # objectives, whose _StackKernel is what the solver loop evaluates with
+    # objectives, whose _StackKernel is what the solver loop evaluates with;
+    # a string naming one, as in getattr(o, "_basis"), reads it too. No
+    # objective states an overflow bound for the solver to read
     import ast
     from pathlib import Path
 
@@ -1245,13 +1329,18 @@ def test_basis_internals_stay_in_objectives():
     private = {"_basis", "_basis_t", "_BasisObjective"}
     found = []
     for path in sorted(Path(sphere4.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        found += [f"{path.stem} names {word}"
+                  for word in ("_kernel_bound", "float_info") if word in text]
         if path.name == "objectives.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Attribute) and node.attr in private:
                 found.append(f"{path.stem}:{node.lineno} reads .{node.attr}")
             elif isinstance(node, ast.alias) and node.name in private:
                 found.append(f"{path.stem}:{node.lineno} imports {node.name}")
+            elif isinstance(node, ast.Constant) and node.value in private:
+                found.append(f"{path.stem}:{node.lineno} names {node.value!r}")
     assert found == []
 
 
