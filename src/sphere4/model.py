@@ -116,9 +116,10 @@ def retract(v: np.ndarray) -> np.ndarray:
     view's dot rounds differently, so project passes a contiguous copy),
     and vecdot takes that dot for each row of a stack. A lone vector or row
     takes the dot itself, which costs less. A zero or non-finite row raises
-    ValueError, and so does a row whose squared norm underflows so far that
-    v / ||v|| misses the sphere. A row whose squared norm overflows must be
-    rescaled first, as project does.
+    ValueError, and so does a nonzero row whose squared norm underflows to
+    zero or so far that v / ||v|| misses the sphere. A row whose squared
+    norm overflows must be rescaled first, as project does; retract warns
+    on it, then refuses it as non-finite.
     """
     if v.ndim == 1 or len(v) == 1:
         w = v.ravel()
@@ -131,6 +132,8 @@ def retract(v: np.ndarray) -> np.ndarray:
     for r in norms:
         if not 1e-150 <= r < math.inf:
             if not 0.0 < r < math.inf:
+                if r == 0.0 and np.any(v.reshape(-1, v.shape[-1])[norms.index(r)]):
+                    raise ValueError("v / ||v|| misses unit l2 norm: ||v||^2 underflows")
                 raise ValueError("cannot project a zero or non-finite vector")
             tiny = True
     u = v / nrm

@@ -204,39 +204,29 @@ class _StackKernel:
     bits are those of z2 * z and -4c * (B z^3). Any other set of rows
     evaluates row by row, and a stack of one makes the lone call.
 
-    Built once per solve; take(idx) carries it, in the same mode, to the
-    rows at the increasing positions idx. A kernel whose rows share one
-    objective is its own take.
+    The mode follows the rows it is built on, so a kernel is built again
+    for any other set of rows; rows that share one objective read only
+    that objective, which keeps their rebuild cheap.
     """
 
     def __init__(self, objs: list):
         first = objs[0]
-        self.objs, self.shared = objs, all(o is first for o in objs)
-        self.evaluates = [getattr(o, "_evaluate", o.evaluate) for o in objs]
         self.c = self.B = self.Bt = None
-        if all(isinstance(o, _BasisObjective) and o.c == first.c
-               and o._basis.shape == first._basis.shape for o in objs):
-            self.c = first.c
-            self.B = (first._basis if self.shared
-                      else np.stack([o._basis for o in objs]))
-            self.Bt = self.B.swapaxes(-1, -2)
-
-    def take(self, idx: list) -> "_StackKernel":
-        if self.shared or len(idx) == len(self.objs):
-            return self
-        kernel = object.__new__(_StackKernel)
-        kernel.__dict__.update(self.__dict__,
-                               objs=[self.objs[i] for i in idx],
-                               evaluates=[self.evaluates[i] for i in idx])
+        if all(o is first for o in objs):
+            evaluate = getattr(first, "_evaluate", first.evaluate)
+            self.evaluates = [evaluate] * len(objs)
+            if isinstance(first, _BasisObjective):
+                self.c, self.B = first.c, first._basis
+        else:
+            self.evaluates = [getattr(o, "_evaluate", o.evaluate) for o in objs]
+            if all(isinstance(o, _BasisObjective) and o.c == first.c
+                   and o._basis.shape == first._basis.shape for o in objs):
+                self.c, self.B = first.c, np.stack([o._basis for o in objs])
         if self.B is not None:
-            kernel.B = self.B[idx]
-            kernel.Bt = kernel.B.swapaxes(-1, -2)
-        return kernel
+            self.Bt = self.B.swapaxes(-1, -2)
 
     def __call__(self, X: np.ndarray) -> tuple[list, np.ndarray]:
         if self.B is None:
-            # a shared objective's kernel is its own take, so it may hold
-            # more entries than X has rows; zip stops at X's last row
             pairs = [evaluate(x) for evaluate, x in zip(self.evaluates, X)]
             return ([float(val) for val, _ in pairs],
                     np.array([g for _, g in pairs], dtype=float))

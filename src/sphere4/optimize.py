@@ -206,12 +206,14 @@ def _solve_stack(objs: list, X0: np.ndarray,
     termination, escapes_taken). The live rows move as one stack, and each
     of solve's tests is taken per row, so a row ends as it would alone and
     then leaves the stack. The rows that step take one power step as a
-    stack; an escape runs per row. One objectives._StackKernel, built
-    here, evaluates the live rows and is taken along with them. An
-    objective whose n, where it states one, is not the rows' raises
-    ValueError before any evaluation, and so does a cfg that is not a
-    SolveConfig. The rest runs under one np.errstate whose handler,
-    objectives._refuse_overflow, raises ValueError where anything overflows.
+    stack; an escape runs per row, on its row's objective. An
+    objectives._StackKernel on the live rows' objectives evaluates them,
+    built again when rows leave and for a step that not every live row
+    takes, so its mode follows the rows left. An objective whose n, where
+    it states one, is not the rows' raises ValueError before any
+    evaluation, and so does a cfg that is not a SolveConfig. The rest runs
+    under one np.errstate whose handler, objectives._refuse_overflow,
+    raises ValueError where anything overflows.
     """
     # solve, solve_batch and recover_full all pass through here
     if not isinstance(cfg, SolveConfig):
@@ -258,7 +260,7 @@ def _solve_stack(objs: list, X0: np.ndarray,
                 if gn <= grad_tol:
                     moved = None
                     if cfg.escape is not None and len(trace) <= max_iters:
-                        moved = escape_saddle(kernel.objs[i], X[i],
+                        moved = escape_saddle(objs[i], X[i],
                                               kernel.evaluates[i])
                     if moved is None or moved[1] >= trace[-1]:
                         finish(i, gn, "grad_tol")
@@ -286,7 +288,8 @@ def _solve_stack(objs: list, X0: np.ndarray,
                 for j in flips:
                     V[j] = -V[j]
                 C = retract(V)
-                vals, GC = kernel.take(step)(C)
+                vals, GC = (kernel if whole else
+                            _StackKernel([objs[i] for i in step]))(C)
                 for i, val in zip(step, vals):
                     last = traces[i][-1]
                     if val <= last + 1e-12 * max(1.0, abs(last)):
@@ -309,7 +312,8 @@ def _solve_stack(objs: list, X0: np.ndarray,
                 slots = [slots[i] for i in keep]
                 traces = [traces[i] for i in keep]
                 escapes = [escapes[i] for i in keep]
-                kernel = kernel.take(keep)
+                objs = [objs[i] for i in keep]
+                kernel = _StackKernel(objs)
     return ends, rows
 
 

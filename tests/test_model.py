@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sphere4.model as model
 from sphere4.model import (
@@ -407,6 +409,43 @@ def test_retract_normalizes_each_row_of_a_stack_alone():
     tiny = np.array([[1e-160, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="underflows"):
         retract(tiny)
+    # a finite nonzero row whose squared norm underflows to zero is no zero row
+    with pytest.raises(ValueError, match="underflows"):
+        retract(np.full(4, 1e-170))
+
+
+# rows whose squares are normal floats, so their own retract is exact
+RETRACT_ROWS = np.array([[3.0, -4.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                         [1.0, 2.0**-500, 0.0, -0.5],
+                         *stream(42, "retract-rows").standard_normal((2, 4))])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(rows=st.lists(st.tuples(st.integers(0, len(RETRACT_ROWS) - 1),
+                               st.integers(-1000, 1000)), min_size=1, max_size=5))
+def test_retract_at_any_scale_keeps_its_bits_or_names_underflow_property(rows):
+    # a row, or a stack of 2-5 rows, each scaled by its own 2^k. Where no
+    # square under- or overflows, retract has the bits of k = 0; otherwise
+    # each row is a unit row or the refusal names the underflow, since no
+    # row is zero. An overflowing square is refused as non-finite after a
+    # warning, outside retract's contract, so such k are left out
+    idx, ks = map(list, zip(*rows))
+    V = RETRACT_ROWS[idx]
+    with np.errstate(over="ignore", under="ignore"):
+        W = np.ldexp(V, np.array(ks)[:, None])
+        assume(np.isfinite(np.vecdot(W, W)).all())
+        exact = np.all((W * W >= np.finfo(float).tiny) | (W == 0.0))
+    if len(rows) == 1:
+        V, W = V[0], W[0]
+    if exact:
+        assert retract(W).tobytes() == retract(V).tobytes()
+        return
+    try:
+        U = retract(W)
+    except ValueError as e:
+        assert "underflows" in str(e)
+    else:
+        assert np.all(np.abs(np.linalg.norm(U, axis=-1) - 1.0) <= model.UNIT_TOL)
 
 
 def test_filter_bank_basics():

@@ -214,7 +214,10 @@ def test_evaluate_matches_kernel_on_contiguous_array_bitwise_property(
 def test_evaluate_rows_matches_lone_rows_bitwise(shape):
     # the stack kernel, on one shared basis and on a stack of per-row
     # bases: the stacked matmul runs a lone row's gemv per row, and vecdot
-    # its vdot; (k,n)@(n,m) gemm and einsum would not keep these bits
+    # its vdot; (k,n)@(n,m) gemm and einsum would not keep these bits. A
+    # kernel built on some of the rows gives them the same bits, also where
+    # its mode is not the whole stack's: the solver builds one for the rows
+    # that step and for the rows left when some end
     n, m = shape
     obj = (TensorObjective(make_untf(n, m, seed=m)) if m <= 32 else
            OdlObjective(synth_odl(make_untf(n, 24, seed=27),
@@ -225,19 +228,44 @@ def test_evaluate_rows_matches_lone_rows_bitwise(shape):
         return (TensorObjective(Dictionary(B)) if m <= 32 else
                 OdlObjective(ObservationSet(B), 0.2))
 
+    def assert_rows_keep_bits(objs, X, subsets):
+        # each row has its lone bits in the whole stack's kernel, and the
+        # bits of the whole stack in a kernel built on the rows at idx
+        vals, G = _StackKernel(objs)(X)
+        assert G.shape == X.shape
+        for o, x, val, g in zip(objs, X, vals, G):
+            lone_val, lone_g = o._evaluate(x)
+            assert val.hex() == lone_val.hex()
+            assert g.tobytes() == lone_g.tobytes()
+        for idx in subsets:
+            sub_vals, sub_G = _StackKernel([objs[i] for i in idx])(X[idx])
+            assert [v.hex() for v in sub_vals] == [vals[i].hex() for i in idx]
+            assert sub_G.tobytes() == G[idx].tobytes()
+
     for k in (1, 2, 3, 8, 16):
         X = retract(stream(29, n, m, k).standard_normal((k, n)))
+        per_row = [like(j) for j in range(k)]
         # one row has one objective, which is a shared basis
-        for objs, ndim in (([obj] * k, 2),
-                           ([like(j) for j in range(k)], 2 + (k > 1))):
-            kernel = _StackKernel(objs)
-            assert kernel.B.ndim == ndim
-            vals, G = kernel(X)
-            assert G.shape == (k, n)
-            for o, x, val, g in zip(objs, X, vals, G):
-                lone_val, lone_g = o._evaluate(x)
-                assert val.hex() == lone_val.hex()
-                assert g.tobytes() == lone_g.tobytes()
+        assert _StackKernel([obj] * k).B.ndim == 2
+        assert _StackKernel(per_row).B.ndim == 2 + (k > 1)
+        subsets = [idx for idx in ([0], [k - 1], list(range(0, k, 2)),
+                                   list(range(1, k))) if idx]
+        assert_rows_keep_bits([obj] * k, X, subsets)
+        assert_rows_keep_bits(per_row, X, subsets)
+
+    # an objective of the other kind evaluates the stack row by row; the
+    # rows of one kind, c and basis shape stack again without it
+    B = stream(31, n).standard_normal((n, 40))
+    other = (OdlObjective(ObservationSet(B), 0.2) if m <= 32
+             else TensorObjective(Dictionary(B)))
+    mixed = [like(0), other, like(1), like(2)]
+    assert _StackKernel(mixed).B is None
+    assert _StackKernel([mixed[0], mixed[2], mixed[3]]).B.ndim == 3
+    # a kernel holds only what its call and the solver's escape read
+    for objs in ([obj] * 3, mixed):
+        assert vars(_StackKernel(objs)).keys() == {"evaluates", "c", "B", "Bt"}
+    X = retract(stream(32, n, m).standard_normal((4, n)))
+    assert_rows_keep_bits(mixed, X, [[0], [1], [0, 2, 3], [2, 3], [1, 3]])
 
 
 def test_sign_symmetry():
